@@ -40,6 +40,44 @@ class ConvexityVerdict:
         return self.is_convex
 
 
+def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted cells as an int64 array, plus the compressed copy the witness
+    scans run on.
+
+    On each axis the compressed coordinates keep the order of the distinct
+    values, keep every gap of 1 and shrink every larger gap to 2.  That keeps
+    the pairwise criterion (order, and whether an axis gap is >= 2) and the
+    lexicographic order of the cells, and it bounds every coordinate by 2m:
+    no scan overflows and the prefix grid stays small however far apart the
+    cells lie.  Indices outside int64 raise ValueError.
+    """
+    try:
+        arr = np.asarray(cells, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("cell indices must lie in [-2^63, 2^63)") from None
+    order = np.argsort(arr, axis=0, kind="stable")
+    ranked = np.take_along_axis(arr, order, axis=0)
+    up = ranked[1:] > ranked[:-1]
+    # a gap of 2^63 or more wraps around in the subtraction, but never to 1
+    steps = up.astype(np.int64) + (up & (ranked[1:] - ranked[:-1] != 1))
+    comp = np.empty_like(arr)
+    np.put_along_axis(
+        comp, order, np.concatenate((np.zeros_like(arr[:1]), np.cumsum(steps, axis=0))), axis=0
+    )
+    return arr, comp
+
+
+def _scan(comp: np.ndarray, collect: bool = False):
+    """Witness scan of a compressed cell array: the prefix-sum scan for 48
+    or more cells on a small enough grid, else the direct one."""
+    grid_size = 1
+    for e in comp.max(axis=0) + 1:
+        grid_size *= int(e)
+    if comp.shape[0] >= 48 and grid_size <= _PREFIX_GRID_LIMIT:
+        return _witness_prefix(comp, collect)
+    return _witness_direct(comp, collect)
+
+
 def _witness_direct(arr: np.ndarray, collect: bool = False):
     """Pairwise scan with explicit betweenness tests, anchors chunked so the
     (chunk, m, m, n) comparison block stays small.  Returns the first (lex
@@ -138,15 +176,8 @@ def is_l1_convex(x: CellSet) -> ConvexityVerdict:
     m = len(x.cells)
     if m <= 1:
         return ConvexityVerdict(True, None)
-    arr = np.asarray(x.sorted_cells(), dtype=np.int64)
-    extent = arr.max(axis=0) - arr.min(axis=0) + 1
-    grid_size = 1
-    for e in extent:
-        grid_size *= int(e)
-    if m >= 48 and grid_size <= _PREFIX_GRID_LIMIT:
-        hit = _witness_prefix(arr)
-    else:
-        hit = _witness_direct(arr)
+    arr, comp = _cell_arrays(x.sorted_cells())
+    hit = _scan(comp)
     if hit is None:
         return ConvexityVerdict(True, None)
     i, j = hit
@@ -161,7 +192,8 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
     whenever some axis gap is >= 2, so every round strictly grows the set.
     Inserted cells stay inside the bounding box of X, so the loop terminates.
     ``bound``, when given, must contain X (checked); it never constrains the
-    result further.
+    result further.  Raises ValueError when two cells lie so far apart on an
+    axis that the result could not be built.
     """
     if bound is not None and x.cells:
         lam = x.resolution
@@ -178,16 +210,20 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
     while True:
         if len(cells) < 2:
             return CellSet(n, cells, x.resolution)
-        arr = np.asarray(sorted(cells), dtype=np.int64)
-        extent = arr.max(axis=0) - arr.min(axis=0) + 1
-        grid_size = 1
-        for e in extent:
-            grid_size *= int(e)
-        scan = _witness_prefix if (len(cells) >= 48 and grid_size <= _PREFIX_GRID_LIMIT) else _witness_direct
-        pairs = scan(arr, collect=True)
+        arr, comp = _cell_arrays(sorted(cells))
+        span = max(int(hi) - int(lo) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
+        if span >= _PREFIX_GRID_LIMIT:
+            # a convex set holding two cells `span` apart on one axis holds
+            # a monotone path of at least span + 1 cells between them
+            raise ValueError(
+                f"cells lie {span} apart on one axis; the convex result would "
+                f"hold more than {_PREFIX_GRID_LIMIT} cells"
+            )
+        pairs = _scan(comp, collect=True)
         if len(pairs) == 0:
             return CellSet(n, cells, x.resolution)
-        mids = (arr[pairs[:, 0]] + arr[pairs[:, 1]]) // 2
+        lo, hi = arr[pairs[:, 0]], arr[pairs[:, 1]]
+        mids = lo + (hi - lo) // 2
         before = len(cells)
         cells.update(map(tuple, np.unique(mids, axis=0).tolist()))
         if len(cells) == before:

@@ -14,13 +14,17 @@ Every identity here compares two independently computed sides:
   translations (higher degree), vs a bilinear pairing of intrinsic volumes.
 
 The invariant measure on placements is the uniform average over the 2^n n!
-signed permutations times Lebesgue measure on translations.
+signed permutations times Lebesgue measure on translations.  In degree 0 the
+signs drop out and only the permutation of the interval's side lengths
+matters, so the exact side takes one union volume per distinct permuted side
+tuple; the Monte Carlo side still samples every group element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import comb, lcm, sqrt
 
 import numpy as np
@@ -34,6 +38,7 @@ from .lattice import (
     SignedPerm,
     apply_isometry,
     box_intersection,
+    box_minkowski,
     cell_box,
     coordinate_subspaces,
     hyperoctahedral_group,
@@ -193,9 +198,14 @@ def principal_kinematic_rhs(x: CellSet, box: RatBox) -> Fraction:
 def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fraction]:
     """(lhs, rhs) for the collision measure of a moving copy of X with a box.
 
-    lhs averages, over all signed permutations g, the exact volume of
-    {q : (gX + q) meets I} — a union of reflected boxes.  An absent interval
-    (box=None) returns (0, 0) by convention.
+    lhs is the mean, over all signed permutations g, of the exact volume of
+    {q : (gX + q) meets I} = I - gX.  That volume equals vol(X + g^-1(-I)):
+    a sign flip only translates the box, and a permutation permutes its side
+    lengths.  So lhs is the mean, over the n! permutations of the sides of I,
+    of the volume of the union of the cubes of X each widened by the permuted
+    sides.  Each distinct permuted side tuple occurs equally often, so one
+    union volume per distinct tuple suffices: one for a cube, at most n! in
+    all.  An absent interval (box=None) returns (0, 0) by convention.
     """
     if box is None:
         return Fraction(0), Fraction(0)
@@ -205,22 +215,13 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
     if n == 0:
         val = Fraction(1) if not x.is_empty else Fraction(0)
         return val, val
-    lam = x.resolution
-    group = hyperoctahedral_group(n)
+    cubes = [cell_box(c, x.resolution) for c in x.sorted_cells()]
+    side_orders = sorted(set(permutations(box.side_lengths())))
     total = Fraction(0)
-    for g in group:
-        boxes = []
-        for c in x.cells:
-            img = g.apply_cell(c)
-            cube = cell_box(img, lam)
-            boxes.append(
-                RatBox(
-                    tuple(box.mins[i] - cube.maxs[i] for i in range(n)),
-                    tuple(box.maxs[i] - cube.mins[i] for i in range(n)),
-                )
-            )
-        total += union_volume(BoxUnion(n, boxes))
-    lhs = total / len(group)
+    for sides in side_orders:
+        reach = RatBox((0,) * n, sides)
+        total += union_volume(BoxUnion(n, [box_minkowski(c, reach) for c in cubes]))
+    lhs = total / len(side_orders)
     return lhs, principal_kinematic_rhs(x, box)
 
 
@@ -261,53 +262,33 @@ def higher_kinematic_rhs(x: CellSet, box: RatBox, k: int) -> Fraction:
     return total
 
 
-class _ElementSampler:
-    """Vectorized exact evaluator of q -> V'_k((gX + q) clipped to I).
+class _ElementLayout:
+    """The cells of gX arranged for the sampler; independent of bit depth.
 
-    All coordinates are scaled by a common denominator times 2^bits so that
-    dyadic sample translations, cube corners, and the clip box are integers;
-    per-sample values are integer multiples of scale^-k.  Per coordinate
-    subspace, cells sharing a projected index contribute one segment whose
-    side lengths are common to the segment, so the projected volume is a
-    gated sum of segment products.  This equals V'_k of the clipped union
-    (clipped cubes of distinct projected indices have disjoint interiors).
+    The cells of gX are taken in sorted order.  On each axis, ``coords[i]``
+    lists their distinct coordinates and ``ranks[:, i]`` gives each cell's
+    position in that list.  Per coordinate k-subspace, ``subspaces`` holds
+    (order, starts, segment ranks): ``order`` sorts the cells by their
+    projected index, ``starts`` opens each segment (a run of cells sharing
+    that index) and the segment ranks map each segment to its coordinate on
+    every axis of the subspace.
     """
 
-    def __init__(self, x: CellSet, g: SignedPerm, box: RatBox, k: int, bits: int):
+    def __init__(self, x: CellSet, g: SignedPerm, k: int):
         n = x.dimension
-        lam = x.resolution
-        denom = lcm(
-            lam.denominator,
-            *(v.denominator for v in box.mins),
-            *(v.denominator for v in box.maxs),
-        )
-        self.n = n
-        self.k = k
-        self.bits = bits
-        self.denom = denom
-        self.scale = denom << bits
-
         cells = np.asarray([g.apply_cell(c) for c in x.sorted_cells()], dtype=np.int64)
-        lam_scaled = int(lam * denom) << bits
-        self.lows = cells * lam_scaled
-        self.highs = self.lows + lam_scaled
-        self.box_lo = np.asarray([int(v * denom) << bits for v in box.mins], dtype=np.int64)
-        self.box_hi = np.asarray([int(v * denom) << bits for v in box.maxs], dtype=np.int64)
-
-        self.support_lo = self.box_lo - self.highs.max(axis=0)
-        self.support_hi = self.box_hi - self.lows.min(axis=0)
-        self.step = (self.support_hi - self.support_lo) >> bits
-        vol = Fraction(1)
-        for w in (self.support_hi - self.support_lo):
-            vol *= Fraction(int(w), self.scale)
-        self.support_volume = vol
-
-        # segment structure per k-subspace
-        self.subspaces = []
         m = cells.shape[0]
+        self.resolution = x.resolution
+        self.coords = []
+        self.ranks = np.empty((m, n), dtype=np.intp)
+        for i in range(n):
+            coords, self.ranks[:, i] = np.unique(cells[:, i], return_inverse=True)
+            self.coords.append(coords)
+        self.subspaces = []
         for sub in coordinate_subspaces(n, k):
-            if sub.axes:
-                keys = cells[:, list(sub.axes)]
+            axes = list(sub.axes)
+            if axes:
+                keys = self.ranks[:, axes]
                 order = np.lexsort(keys.T[::-1])
                 sorted_keys = keys[order]
                 new_seg = np.ones(m, dtype=bool)
@@ -316,23 +297,73 @@ class _ElementSampler:
             else:
                 order = np.arange(m)
                 starts = np.asarray([0])
-            reps = order[starts]
-            self.subspaces.append((sub.axes, order, starts, reps))
+            seg_ranks = [(i, self.ranks[order[starts], i]) for i in axes]
+            self.subspaces.append((order, starts, seg_ranks))
 
-        # rigorous int64 overflow bound for the gated segment sums
+
+class _ElementSampler:
+    """Vectorized exact evaluator of q -> V'_k((gX + q) clipped to I).
+
+    All coordinates are scaled by a common denominator times 2^bits so that
+    dyadic sample translations, cube corners, and the clip box are integers;
+    per-sample values are integer multiples of scale^-k.  The clipped length
+    of a cell on axis i depends only on its coordinate on that axis, so it is
+    computed once per distinct coordinate.  Per coordinate subspace, cells
+    sharing a projected index contribute one segment whose side lengths are
+    common to the segment, so the projected volume is a gated sum of segment
+    products.  This equals V'_k of the clipped union (clipped cubes of
+    distinct projected indices have disjoint interiors).
+    """
+
+    def __init__(self, layout: _ElementLayout, box: RatBox, bits: int):
+        n = box.dimension
+        lam = layout.resolution
+        denom = lcm(
+            lam.denominator,
+            *(v.denominator for v in box.mins),
+            *(v.denominator for v in box.maxs),
+        )
+        self.layout = layout
+        self.n = n
+        self.bits = bits
+        self.denom = denom
+        self.scale = denom << bits
+
+        lam_scaled = int(lam * denom) << bits
+        self.lam_scaled = lam_scaled
+        self.axis_lows = [c * lam_scaled for c in layout.coords]
+        self.box_lo = np.asarray([int(v * denom) << bits for v in box.mins], dtype=np.int64)
+        self.box_hi = np.asarray([int(v * denom) << bits for v in box.maxs], dtype=np.int64)
+
+        lows_min = np.asarray([lo[0] for lo in self.axis_lows], dtype=np.int64)
+        lows_max = np.asarray([lo[-1] for lo in self.axis_lows], dtype=np.int64)
+        self.support_lo = self.box_lo - (lows_max + lam_scaled)
+        self.support_hi = self.box_hi - lows_min
+        self.step = (self.support_hi - self.support_lo) >> bits
+        vol = Fraction(1)
+        for w in (self.support_hi - self.support_lo):
+            vol *= Fraction(int(w), self.scale)
+        self.support_volume = vol
+
+        # Rigorous int64 overflow bound.  A live segment's clipped lengths lie
+        # in [0, max_len[i]], so its product is at most the product of max_len
+        # over the subspace axes and each sample's value is at most ``bound``;
+        # a dead segment's product starts at 0 and stays 0.  Coordinates,
+        # their sums with a translation and the differences that give the
+        # per-axis lengths stay within 4*coord_mag.
         max_len = [
             min(int(lam_scaled), int(self.box_hi[i] - self.box_lo[i]))
             for i in range(n)
         ]
         bound = 0
-        for axes, _, starts, _ in self.subspaces:
+        for _, starts, seg_ranks in layout.subspaces:
             prod = 1
-            for i in axes:
+            for i, _ in seg_ranks:
                 prod *= max(max_len[i], 1)
             bound += prod * max(len(starts), 1)
         coord_mag = max(
-            int(np.abs(self.lows).max(initial=0)),
-            int(np.abs(self.highs).max(initial=0)),
+            int(np.abs(lows_min).max(initial=0)),
+            int(np.abs(lows_max + lam_scaled).max(initial=0)),
             int(np.abs(self.support_lo).max(initial=0)),
             int(np.abs(self.support_hi).max(initial=0)),
         )
@@ -345,21 +376,22 @@ class _ElementSampler:
     def values(self, q_scaled: np.ndarray) -> np.ndarray:
         """Integer per-sample values: V'_k at q equals values/scale^k."""
         nsamp = q_scaled.shape[0]
+        layout = self.layout
         lengths = []
-        alive = np.ones((nsamp, self.lows.shape[0]), dtype=bool)
+        alive = np.ones((nsamp, layout.ranks.shape[0]), dtype=bool)
         for i in range(self.n):
-            lo = np.maximum(self.lows[None, :, i] + q_scaled[:, i, None], self.box_lo[i])
-            hi = np.minimum(self.highs[None, :, i] + q_scaled[:, i, None], self.box_hi[i])
-            length = hi - lo
-            alive &= length >= 0
+            lows = self.axis_lows[i][None, :] + q_scaled[:, i, None]
+            lo = np.maximum(lows, self.box_lo[i])
+            hi = np.minimum(lows + self.lam_scaled, self.box_hi[i])
+            length = hi - lo                                # (nsamp, U_i)
+            alive &= (length >= 0)[:, layout.ranks[:, i]]
             lengths.append(length)
         out = np.zeros(nsamp, dtype=np.int64)
-        for axes, order, starts, reps in self.subspaces:
-            counts = np.add.reduceat(alive[:, order].astype(np.int64), starts, axis=1)
-            prod = np.ones((nsamp, len(starts)), dtype=np.int64)
-            for i in axes:
-                prod *= np.maximum(lengths[i][:, reps], 0)
-            out += (prod * (counts > 0)).sum(axis=1)
+        for order, starts, seg_ranks in layout.subspaces:
+            prod = np.logical_or.reduceat(alive[:, order], starts, axis=1).astype(np.int64)
+            for i, ranks in seg_ranks:
+                prod *= lengths[i][:, ranks]
+            out += prod.sum(axis=1)
         return out
 
 
@@ -398,9 +430,10 @@ def kinematic_higher_mc(
     est_sum = 0.0
     var_sum = 0.0
     for e_idx, g in enumerate(group):
+        layout = _ElementLayout(x, g, k)
         sampler = None
         for b in range(bits, 3, -1):
-            sampler = _ElementSampler(x, g, box, k, b)
+            sampler = _ElementSampler(layout, box, b)
             if sampler.int64_safe:
                 break
         if sampler is None or not sampler.int64_safe:

@@ -379,12 +379,8 @@ def clip_cells(x: CellSet, lo: Cell, hi: Cell) -> CellSet:
     return CellSet(x.dimension, kept, x.resolution)
 
 
-def subdivide(x: CellSet, m: int) -> CellSet:
-    """Refine the grid by an integer factor m >= 1; the point set is unchanged."""
-    if m < 1:
-        raise ValueError("subdivision factor must be >= 1")
-    if m == 1:
-        return x
+def _refine(x: CellSet, m: int, resolution: Fraction) -> CellSet:
+    """Replace every cell by the m^n cells of its m-fold refinement."""
     n = x.dimension
     offs = list(itertools.product(range(m), repeat=n))
     cells = [
@@ -392,7 +388,16 @@ def subdivide(x: CellSet, m: int) -> CellSet:
         for c in x.cells
         for d in offs
     ]
-    return CellSet(n, cells, x.resolution / m)
+    return CellSet(n, cells, resolution)
+
+
+def subdivide(x: CellSet, m: int) -> CellSet:
+    """Refine the grid by an integer factor m >= 1; the point set is unchanged."""
+    if m < 1:
+        raise ValueError("subdivision factor must be >= 1")
+    if m == 1:
+        return x
+    return _refine(x, m, x.resolution / m)
 
 
 def scale(x: CellSet, m: int) -> CellSet:
@@ -401,14 +406,7 @@ def scale(x: CellSet, m: int) -> CellSet:
         raise ValueError("scale factor must be >= 1")
     if m == 1:
         return x
-    n = x.dimension
-    offs = list(itertools.product(range(m), repeat=n))
-    cells = [
-        tuple(m * c[i] + d[i] for i in range(n))
-        for c in x.cells
-        for d in offs
-    ]
-    return CellSet(n, cells, x.resolution)
+    return _refine(x, m, x.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -842,11 +840,18 @@ def _box_samples_scaled(box: RatBox, delta: Fraction, scale_d: int) -> list[rang
     return out
 
 
+def _block_entries(dtype: np.dtype) -> int:
+    """How many entries one temporary array of a chunked distance scan may
+    hold: fewer for exact big-int (object) arrays, whose entries are Python
+    ints of several times the size of an int64."""
+    return 2_000_000 if dtype == np.int64 else 125_000
+
+
 def _directed_distance_scaled(samples: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> int:
     """max over sample points of min over boxes of the scaled taxicab distance."""
     best = 0
     m = mins.shape[0]
-    chunk = max(1, 2_000_000 // max(m, 1))
+    chunk = max(1, _block_entries(samples.dtype) // max(m, 1))
     for start in range(0, samples.shape[0], chunk):
         pts = samples[start:start + chunk]
         gap_lo = mins[None, :, :] - pts[:, None, :]
@@ -862,7 +867,9 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
     The lower bound evaluates exact point-to-union distances on a finite
     sample set (per-axis delta-grids plus side endpoints, per box); the upper
     bound adds the sample covering radius n*delta/2.  Both bounds are exact
-    rationals and the true distance always lies in [lower, upper].
+    rationals and the true distance always lies in [lower, upper].  The scan
+    runs in int64 when the scaled corners bound every distance below 2^62,
+    and on exact big-int arrays otherwise.
     """
     d = as_fraction(delta)
     if d <= 0:
@@ -881,21 +888,28 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
             for val in (*b.mins, *b.maxs):
                 denom = lcm(denom, val.denominator)
 
+    def corners(w: BoxUnion) -> tuple[list[list[int]], list[list[int]]]:
+        return (
+            [[int(x * denom) for x in b.mins] for b in w.boxes],
+            [[int(x * denom) for x in b.maxs] for b in w.boxes],
+        )
+
+    cu, cv = corners(u), corners(v)
+    # Samples lie inside the boxes, so no coordinate exceeds `mag` in size
+    # and no distance exceeds 2*n*mag.
+    mag = max(abs(val) for rows in (*cu, *cv) for row in rows for val in row)
+    dtype = np.int64 if 2 * n * mag < _INT64_SAFE else object
+
     def sample_array(w: BoxUnion) -> np.ndarray:
         pts = set()
         for b in w.boxes:
             axes = _box_samples_scaled(b, d, denom)
             pts.update(itertools.product(*axes))
-        return np.asarray(sorted(pts), dtype=np.int64)
-
-    def corner_arrays(w: BoxUnion) -> tuple[np.ndarray, np.ndarray]:
-        mins = np.asarray([[int(x * denom) for x in b.mins] for b in w.boxes], dtype=np.int64)
-        maxs = np.asarray([[int(x * denom) for x in b.maxs] for b in w.boxes], dtype=np.int64)
-        return mins, maxs
+        return np.asarray(sorted(pts), dtype=dtype)
 
     su, sv = sample_array(u), sample_array(v)
-    mu, xu = corner_arrays(u)
-    mv, xv = corner_arrays(v)
+    mu, xu = (np.asarray(rows, dtype=dtype) for rows in cu)
+    mv, xv = (np.asarray(rows, dtype=dtype) for rows in cv)
     lower_scaled = max(
         _directed_distance_scaled(su, mv, xv),
         _directed_distance_scaled(sv, mu, xu),

@@ -21,9 +21,11 @@ import numpy as np
 
 from ._util import RationalLike, as_fraction, common_denominator
 from .lattice import (
+    _INT64_SAFE,
     BoxUnion,
     CellSet,
     RatBox,
+    _block_entries,
     box_intersection,
     cell_box,
     point_box_distance,
@@ -214,16 +216,33 @@ def pixellation_error_bracket(
     step_i = int(d * denom)
     # per-cell per-axis sample offsets within [0, lam], scaled
     offsets = sorted({0, lam_i} | {k * step_i for k in range(1, lam_i // step_i + 1) if k * step_i < lam_i})
-    offs = np.asarray(
-        list(itertools.product(offsets, repeat=n)), dtype=np.int64
-    )
+    if isinstance(shape, L1Ball):
+        center = [int(c * denom) for c in shape.center]
+        radius = int(shape.radius * denom)
+        shape_mag = max(map(abs, center), default=0) + radius
+    else:
+        mins = [[int(x * denom) for x in b.mins] for b in shape.region.boxes]
+        maxs = [[int(x * denom) for x in b.maxs] for b in shape.region.boxes]
+        shape_mag = max((abs(v) for rows in (mins, maxs) for row in rows for v in row), default=0)
 
-    cells = np.asarray(pix.sorted_cells(), dtype=np.int64)
+    # The scan runs in int64 when the sizes bound every distance below 2^62,
+    # and on exact big-int arrays otherwise: a sample point is at most
+    # (cell_mag + 1) * lam_i from the origin and a shape point at most
+    # shape_mag, so every per-axis gap is at most their sum.
+    rows = pix.sorted_cells()
+    try:
+        cells = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        cells = np.asarray(rows, dtype=object)
+    cell_mag = max(int(cells.max(initial=0)), -int(cells.min(initial=0)))
+    dtype = np.int64 if n * ((cell_mag + 1) * lam_i + shape_mag) < _INT64_SAFE else object
+    cells = cells.astype(dtype, copy=False)
+    offs = np.asarray(list(itertools.product(offsets, repeat=n)), dtype=dtype)
+
     best = 0
     if isinstance(shape, L1Ball):
-        center = np.asarray([int(c * denom) for c in shape.center], dtype=np.int64)
-        radius = int(shape.radius * denom)
-        chunk = max(1, 2_000_000 // max(len(offs), 1))
+        center = np.asarray(center, dtype=dtype)
+        chunk = max(1, _block_entries(dtype) // max(len(offs), 1))
         for start in range(0, len(cells), chunk):
             block = cells[start:start + chunk]
             pts = block[:, None, :] * lam_i + offs[None, :, :]
@@ -231,10 +250,10 @@ def pixellation_error_bracket(
             best = max(best, int(dist.max()))
         best = max(best, 0)
     else:
-        mins = np.asarray([[int(x * denom) for x in b.mins] for b in shape.region.boxes], dtype=np.int64)
-        maxs = np.asarray([[int(x * denom) for x in b.maxs] for b in shape.region.boxes], dtype=np.int64)
+        mins = np.asarray(mins, dtype=dtype)
+        maxs = np.asarray(maxs, dtype=dtype)
         nboxes = mins.shape[0]
-        chunk = max(1, 2_000_000 // max(len(offs) * nboxes, 1))
+        chunk = max(1, _block_entries(dtype) // max(len(offs) * nboxes, 1))
         for start in range(0, len(cells), chunk):
             block = cells[start:start + chunk]
             pts = (block[:, None, :] * lam_i + offs[None, :, :]).reshape(-1, n)

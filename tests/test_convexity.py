@@ -69,6 +69,16 @@ class TestIsConvex:
         cells = {(a, b) for a in range(8) for b in range(8) if (a + b) % 2 == 0}
         assert not is_l1_convex(CellSet(2, cells))
 
+    def test_far_cells(self):
+        # the extent of these sets does not fit in int64
+        t = 2**62
+        row = {(i, 0) for i in range(50)}
+        verdict = is_l1_convex(CellSet(2, row | {(-t, 0), (t, 0)}))
+        assert verdict.witness == ((-t, 0), (0, 0))
+        assert is_l1_convex(CellSet(2, {(t + i, -t - i) for i in range(50)}))
+        with pytest.raises(ValueError, match="must lie in"):
+            is_l1_convex(CellSet(2, {(2**63, 0), (0, 0)}))
+
     def test_verdict_truthiness(self):
         assert bool(is_l1_convex(CellSet(1, {(0,)})))
         assert is_l1_convex(CellSet(1, {(0,), (3,)})).witness == ((0,), (3,))
@@ -145,6 +155,14 @@ class TestConvexify:
 
     def test_empty(self):
         assert convexify(CellSet(3)).is_empty
+
+    def test_far_cells(self):
+        t = 2**62
+        out = convexify(CellSet(1, {(t,), (t + 4,)}))
+        assert out.sorted_cells() == tuple((t + i,) for i in range(5))
+        row = {(i, 0) for i in range(50)}
+        with pytest.raises(ValueError, match="convex result"):
+            convexify(CellSet(2, row | {(-t, 0), (t, 0)}))
 
 
 class TestSplitHalves:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from l1geo import (
+    BoxUnion,
     CellSet,
     MCEstimate,
     RatBox,
     SignedPerm,
+    cell_box,
     clip_translate,
     crofton_integral,
     crofton_profile,
@@ -31,11 +33,32 @@ from l1geo import (
     steiner_profile,
     union_volume,
 )
-from l1geo.integral_geometry import _ElementSampler
+from l1geo.integral_geometry import _ElementLayout, _ElementSampler
 
 F = Fraction
 
 TROMINO = CellSet(2, {(0, 0), (1, 0), (0, 1)})
+
+
+def full_group_principal_lhs(x: CellSet, box: RatBox) -> Fraction:
+    """Reference lhs of the principal kinematic formula: the mean, over every
+    signed permutation g, of the volume of {q : (gX + q) meets the box}."""
+    n = x.dimension
+    lam = x.resolution
+    group = hyperoctahedral_group(n)
+    total = F(0)
+    for g in group:
+        boxes = []
+        for c in x.cells:
+            cube = cell_box(g.apply_cell(c), lam)
+            boxes.append(
+                RatBox(
+                    tuple(box.mins[i] - cube.maxs[i] for i in range(n)),
+                    tuple(box.maxs[i] - cube.mins[i] for i in range(n)),
+                )
+            )
+        total += union_volume(BoxUnion(n, boxes))
+    return total / len(group)
 
 
 class TestSteiner:
@@ -164,6 +187,32 @@ class TestPrincipalKinematic:
             lhs, rhs = kinematic_principal(x, box)
             assert lhs == rhs
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            RatBox((0, 0), (1, 1)),
+            RatBox((F(1, 2), 0), (2, F(1, 3))),
+            RatBox((0, 0, 0), (F(3, 2), F(3, 2), F(3, 2))),
+            RatBox((0, 0, 0), (1, 2, 1)),
+            RatBox((0, F(1, 2), 0), (F(1, 3), 1, 2)),
+        ],
+        ids=["2d-1perm", "2d-2perms", "3d-1perm", "3d-3perms", "3d-6perms"],
+    )
+    def test_matches_full_group_oracle(self, box):
+        n = box.dimension
+        for seed, res in ((0, 1), (1, F(1, 2)), (2, F(2, 3))):
+            x = gen_random_convex(n, 3, 0.5, 130 + seed, resolution=res)
+            lhs, rhs = kinematic_principal(x, box)
+            assert lhs == full_group_principal_lhs(x, box)
+            assert lhs == rhs
+
+    def test_edge_cases_match_full_group_oracle(self):
+        box = RatBox((0, 0), (1, 2))
+        empty = CellSet(2)
+        assert kinematic_principal(empty, box)[0] == full_group_principal_lhs(empty, box) == 0
+        point, cell = RatBox((), ()), CellSet(0, {()})
+        assert kinematic_principal(cell, point)[0] == full_group_principal_lhs(cell, point) == 1
+
 
 class TestClipTranslate:
     def test_identity_placement_is_clip(self):
@@ -205,26 +254,67 @@ class TestHigherKinematic:
 
     def test_sampler_matches_exact_valuation(self):
         """Dual-route check: the vectorized per-sample evaluator must equal
-        the independent clip-then-measure route at every drawn point."""
+        the independent clip-then-measure route at every drawn point, in
+        every degree, on non-cube boxes and at resolutions other than 1."""
         rng = random.Random(77)
-        for trial in range(24):
-            n = rng.choice([1, 2])
-            x = gen_random_convex(n, 3, 0.5, 300 + trial)
-            box = gen_random_box(n, 400 + trial, low=0, high=3, denominator=2, min_side=1)
-            k = rng.randint(0, n)
-            for g in hyperoctahedral_group(n):
-                sampler = _ElementSampler(x, g, box, k, bits=6)
-                t = np.asarray(
-                    [[rng.randrange(0, 1 << sampler.bits) for _ in range(n)]
-                     for _ in range(5)],
-                    dtype=np.int64,
+        # the n = 3 trials are the ones whose boxes are not cubes
+        for n, trials in ((1, range(6)), (2, range(6)), (3, (2, 3, 7))):
+            group = hyperoctahedral_group(n)
+            for trial in trials:
+                res = (1, F(1, 2), F(2, 3))[trial % 3]
+                x = gen_random_convex(n, 3, 0.5, 300 + 10 * n + trial, resolution=res)
+                box = gen_random_box(
+                    n, 400 + 10 * n + trial, low=0, high=3, denominator=2, min_side=1,
+                    resolution=res,
                 )
-                q_scaled = sampler.sample_points(t)
-                got = sampler.values(q_scaled)
-                for row, v in zip(q_scaled, got):
-                    point = tuple(F(int(row[i]), sampler.scale) for i in range(n))
-                    exact = exact_clip_valuation(x, g, point, box, k)
-                    assert F(int(v), sampler.scale**k) == exact
+                for k in range(n + 1):
+                    for g in group if n < 3 else rng.sample(group, 6):
+                        sampler = _ElementSampler(_ElementLayout(x, g, k), box, bits=6)
+                        t = np.asarray(
+                            [[rng.randrange(0, 1 << sampler.bits) for _ in range(n)]
+                             for _ in range(5)],
+                            dtype=np.int64,
+                        )
+                        q_scaled = sampler.sample_points(t)
+                        got = sampler.values(q_scaled)
+                        for row, v in zip(q_scaled, got):
+                            point = tuple(F(int(row[i]), sampler.scale) for i in range(n))
+                            exact = exact_clip_valuation(x, g, point, box, k)
+                            assert F(int(v), sampler.scale**k) == exact
+
+    @pytest.mark.parametrize(
+        "case, estimate, standard_error",
+        [
+            ("2d-k1", "13.944847696940105", "0.07341046009500701"),
+            ("3d-k2", "366.3319693341819", "1.0349676733817101"),
+            ("2d-far-k1", "22.573916397094727", "0.13947131096509577"),
+            ("3d-half-k1", "29.57339695096016", "0.07672157586808195"),
+        ],
+    )
+    def test_mc_golden(self, case, estimate, standard_error):
+        """Pins the MC estimator bit for bit: the sampler kernel, the bit
+        depth chosen per group element and the block RNG streams.  The far
+        case sits near x = 2^45, where the int64 bound drops the depth to
+        13 bits."""
+        if case == "2d-k1":
+            x = gen_random_convex(2, 3, 0.5, 601)
+            box = gen_random_box(2, 701, low=0, high=3, denominator=2, min_side=1)
+            k, samples, seed = 1, 3000, 11
+        elif case == "3d-k2":
+            x = gen_random_convex(3, 3, 0.5, 602)
+            box = RatBox((0, F(1, 2), 0), (F(3, 2), 2, F(5, 2)))
+            k, samples, seed = 2, 1500, 12
+        elif case == "2d-far-k1":
+            x = CellSet(2, {(2**45, 0), (2**45 + 1, 0), (2**45, 1)})
+            box = RatBox((2**45, 0), (2**45 + F(3, 2), 2))
+            k, samples, seed = 1, 1000, 3
+        else:
+            x = gen_random_convex(3, 3, 0.5, 603, resolution=F(1, 2))
+            box = RatBox((0, 0, F(1, 3)), (1, F(3, 2), F(4, 3)))
+            k, samples, seed = 1, 1000, 4
+        est = kinematic_higher_mc(x, box, k, samples, seed=seed)
+        assert repr(est.estimate) == estimate
+        assert repr(est.standard_error) == standard_error
 
     def test_mc_determinism(self):
         box = RatBox((0, 0), (1, 1))

@@ -412,6 +412,20 @@ class TestMetrics:
             assert upper - lower == 1 * delta / 2
             assert lower <= F(2, 3) <= upper
 
+    def test_hausdorff_huge_coordinates(self):
+        # the scaled distances pass 2^63 here, so the scan must run exact
+        t = 2**61
+        u = BoxUnion(3, [RatBox((-t,) * 3, (-t + 1,) * 3)])
+        v = BoxUnion(3, [RatBox((t,) * 3, (t + 1,) * 3)])
+        assert hausdorff_distance(u, v, 1) == (3 * 2**62, 3 * 2**62 + F(3, 2))
+        # corners beyond int64 give the same bracket as a translate near 0
+        far = 2**70
+        shifted = [
+            BoxUnion(2, [RatBox((far + a, far), (far + a + 1, far + 1))]) for a in (0, 3)
+        ]
+        near = [BoxUnion(2, [RatBox((a, 0), (a + 1, 1))]) for a in (0, 3)]
+        assert hausdorff_distance(*shifted, F(1, 2)) == hausdorff_distance(*near, F(1, 2))
+
     def test_hausdorff_validation(self):
         u = BoxUnion(1, [RatBox((0,), (1,))])
         with pytest.raises(ValueError):

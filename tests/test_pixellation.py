@@ -204,6 +204,20 @@ class TestErrorBracket:
         )
         assert lo <= ref_hi and ref_lo <= hi
 
+    def test_huge_coordinates(self):
+        from l1geo import CellSet
+
+        # at delta 1/8 the scaled center passes 2^63: the bracket is the
+        # same as for the ball at the origin
+        far, origin = L1Ball((2**61, 0), 2), L1Ball((0, 0), 2)
+        assert pixellation_error_bracket(
+            far, outer_pixellate(far, 1), F(1, 8)
+        ) == pixellation_error_bracket(origin, outer_pixellate(origin, 1), F(1, 8))
+        # a cell 2^63 per axis from the box: the distance itself passes 2^63
+        t = 2**62
+        box = BoxUnionShape(BoxUnion(2, [RatBox((-t, -t), (-t + 1, -t + 1))]))
+        assert pixellation_error_bracket(box, CellSet(2, {(t, t)}), 1) == (2**64, 2**64 + 1)
+
     def test_validation(self):
         ball = L1Ball((0, 0), 1)
         pix = outer_pixellate(ball, 1)
