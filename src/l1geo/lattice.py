@@ -8,7 +8,10 @@ of CellSets under projections, intersections, and non-aligned translations.
 
 All geometry here is exact: coordinates are ``fractions.Fraction`` and every
 operation returns exact rationals.  numpy is used only as an integer/bool
-array engine after common-denominator scaling, never with floats.
+array engine after common-denominator scaling, never with floats: the
+box-union kernels take their integer corners from ``_scaled_union_arrays``
+and run in int64 when a bound proves it safe, on exact big-int (object)
+arrays otherwise, with one code path for both.
 """
 
 from __future__ import annotations
@@ -528,9 +531,9 @@ def union_volume(u: BoxUnion) -> Fraction:
 
     Breakpoints along each axis cut the union into grid bricks on which
     coverage is constant; the volume is the sum of covered brick volumes.
-    Arithmetic is exact: brick weights are scaled to integers per axis, and
-    the covered-brick sum runs in int64 only when a precomputed bound proves
-    it cannot overflow (otherwise a pure-Python big-int path is used).
+    Arithmetic is exact: corners are scaled to integers on a common
+    denominator, and the covered-brick sum runs in int64 when a precomputed
+    bound proves it cannot overflow and on exact big-int arrays otherwise.
     """
     if not u.boxes:
         return Fraction(0)
@@ -538,45 +541,8 @@ def union_volume(u: BoxUnion) -> Fraction:
     if n == 0:
         return Fraction(1)
 
-    scaled = _scaled_union_arrays((u,))
-    if scaled is not None:
-        den, ((mins, maxs),) = scaled
-        breaks = [np.unique(np.concatenate((mins[:, i], maxs[:, i]))) for i in range(n)]
-        shape = [len(bk) - 1 for bk in breaks]
-        if any(s == 0 for s in shape):
-            return Fraction(0)
-        total_cells = 1
-        for s in shape:
-            total_cells *= s
-        if total_cells > _UNION_GRID_LIMIT:
-            raise ValueError(f"compression grid of {total_cells} bricks is too large")
-        covered = np.zeros(shape, dtype=bool)
-        starts = [np.searchsorted(breaks[i], mins[:, i]) for i in range(n)]
-        stops = [np.searchsorted(breaks[i], maxs[:, i]) for i in range(n)]
-        for b in range(mins.shape[0]):
-            covered[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
-        scaled_weights = [np.diff(breaks[i]).tolist() for i in range(n)]
-        bound = 1
-        for w in scaled_weights:
-            bound *= sum(w)
-        if bound < _INT64_SAFE:
-            acc = covered.astype(np.int64)
-            for w in reversed(scaled_weights):
-                acc = acc @ np.asarray(w, dtype=np.int64)
-            total = int(acc)
-        else:
-            total = 0
-            for idx in np.argwhere(covered):
-                prod = 1
-                for i, j in enumerate(idx):
-                    prod *= scaled_weights[i][j]
-                total += prod
-        return Fraction(total, den**n)
-
-    breaks = []
-    for i in range(n):
-        vals = {b.mins[i] for b in u.boxes} | {b.maxs[i] for b in u.boxes}
-        breaks.append(sorted(vals))
+    den, ((mins, maxs),) = _scaled_union_arrays((u,))
+    breaks = [np.unique(np.concatenate((mins[:, i], maxs[:, i]))) for i in range(n)]
     shape = [len(bk) - 1 for bk in breaks]
     if any(s == 0 for s in shape):
         return Fraction(0)
@@ -585,41 +551,20 @@ def union_volume(u: BoxUnion) -> Fraction:
         total_cells *= s
     if total_cells > _UNION_GRID_LIMIT:
         raise ValueError(f"compression grid of {total_cells} bricks is too large")
-    index = [{v: j for j, v in enumerate(bk)} for bk in breaks]
     covered = np.zeros(shape, dtype=bool)
-    for b in u.boxes:
-        slc = tuple(
-            slice(index[i][b.mins[i]], index[i][b.maxs[i]]) for i in range(n)
-        )
-        covered[slc] = True
-
-    scaled_weights = []
-    denoms = []
-    for i in range(n):
-        widths = [breaks[i][j + 1] - breaks[i][j] for j in range(shape[i])]
-        d = lcm(*(w.denominator for w in widths))
-        denoms.append(d)
-        scaled_weights.append([int(w * d) for w in widths])
-
+    starts = [np.searchsorted(breaks[i], mins[:, i]) for i in range(n)]
+    stops = [np.searchsorted(breaks[i], maxs[:, i]) for i in range(n)]
+    for b in range(mins.shape[0]):
+        covered[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
+    scaled_weights = [np.diff(breaks[i]).tolist() for i in range(n)]
     bound = 1
     for w in scaled_weights:
         bound *= sum(w)
-    if bound < _INT64_SAFE:
-        acc = covered.astype(np.int64)
-        for w in reversed(scaled_weights):
-            acc = acc @ np.asarray(w, dtype=np.int64)
-        total = int(acc)
-    else:
-        total = 0
-        for idx in np.argwhere(covered):
-            prod = 1
-            for i, j in enumerate(idx):
-                prod *= scaled_weights[i][j]
-            total += prod
-    denom = 1
-    for d in denoms:
-        denom *= d
-    return Fraction(total, denom)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    acc = covered.astype(dtype)
+    for w in reversed(scaled_weights):
+        acc = acc @ np.asarray(w, dtype=dtype)
+    return Fraction(int(acc), den**n)
 
 
 # ---------------------------------------------------------------------------
@@ -645,43 +590,27 @@ def box_intersection(a: RatBox, b: RatBox) -> RatBox | None:
     return RatBox(mins, maxs)
 
 
-def _scaled_union_arrays(unions):
-    """Integerize box unions on a common denominator as int64 corner arrays.
+def _scaled_union_arrays(unions, den: int = 1):
+    """Scale the corners of box unions to integers on one common denominator.
 
-    Returns (denominator, [(mins, maxs), ...]) or None when the scaled
-    magnitudes could overflow int64 (callers then take the Fraction path).
+    Returns ``(den, [(mins, maxs), ...])`` with one pair of (boxes x n) corner
+    arrays per union; ``den`` is the lcm of the given ``den`` and every corner
+    denominator, so callers can fold in one of their own.  The arrays are
+    int64 when every scaled corner is below 2^62 in size, and exact big-int
+    (object) arrays otherwise.
     """
-    den = 1
-    for u in unions:
-        for b in u.boxes:
-            for val in b.mins:
-                den = lcm(den, val.denominator)
-            for val in b.maxs:
-                den = lcm(den, val.denominator)
-    if den >= 1 << 30:
-        return None
+    n = unions[0].dimension
+    corners = [b.mins + b.maxs for u in unions for b in u.boxes]
+    den = lcm(den, *{val.denominator for row in corners for val in row})
+    flat = [val.numerator * (den // val.denominator) for row in corners for val in row]
+    safe = -_INT64_SAFE < min(flat, default=0) and max(flat, default=0) < _INT64_SAFE
+    arr = np.asarray(flat, dtype=np.int64 if safe else object).reshape(len(corners), 2 * n)
     out = []
-    limit = 1 << 62
+    start = 0
     for u in unions:
-        if u.boxes:
-            mins = [
-                [val.numerator * (den // val.denominator) for val in b.mins]
-                for b in u.boxes
-            ]
-            maxs = [
-                [val.numerator * (den // val.denominator) for val in b.maxs]
-                for b in u.boxes
-            ]
-            if any(abs(v) >= limit for row in mins for v in row) or any(
-                abs(v) >= limit for row in maxs for v in row
-            ):
-                return None
-            out.append(
-                (np.asarray(mins, dtype=np.int64), np.asarray(maxs, dtype=np.int64))
-            )
-        else:
-            empty = np.zeros((0, u.dimension), dtype=np.int64)
-            out.append((empty, empty))
+        part = arr[start:start + len(u.boxes)]
+        out.append((part[:, :n], part[:, n:]))
+        start += len(u.boxes)
     return den, out
 
 
@@ -693,16 +622,7 @@ def boxunion_intersection(u: BoxUnion, v: BoxUnion) -> BoxUnion:
     if u.is_empty or v.is_empty or n == 0:
         boxes = (RatBox((), ()),) if n == 0 and u.boxes and v.boxes else ()
         return BoxUnion(n, boxes)
-    scaled = _scaled_union_arrays((u, v))
-    if scaled is None:
-        boxes = []
-        for a in u.boxes:
-            for b in v.boxes:
-                c = box_intersection(a, b)
-                if c is not None:
-                    boxes.append(c)
-        return BoxUnion(n, boxes)
-    den, ((umin, umax), (vmin, vmax)) = scaled
+    den, ((umin, umax), (vmin, vmax)) = _scaled_union_arrays((u, v))
     lo = np.maximum(umin[:, None, :], vmin[None, :, :])
     hi = np.minimum(umax[:, None, :], vmax[None, :, :])
     keep = (lo <= hi).all(axis=2)
@@ -744,46 +664,13 @@ def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
     if u.is_empty or v.is_empty:
         return u.is_empty and v.is_empty
 
-    scaled = _scaled_union_arrays((u, v))
-    if scaled is not None:
-        _, ((umin, umax), (vmin, vmax)) = scaled
-        lows = [(umin[:, i], vmin[:, i]) for i in range(n)]
-        highs = [(umax[:, i], vmax[:, i]) for i in range(n)]
-        breaks = [
-            np.unique(np.concatenate(lows[i] + highs[i])) for i in range(n)
-        ]
-
-        def lookup(arrs, i):
-            return np.searchsorted(breaks[i], arrs)
-
-        shape = [2 * len(bk) - 1 for bk in breaks]
-        total = 1
-        for s in shape:
-            total *= s
-        if total > _UNION_GRID_LIMIT:
-            raise ValueError("point-set comparison grid too large")
-
-        def coverage(mins, maxs) -> np.ndarray:
-            cov = np.zeros(shape, dtype=bool)
-            starts = [2 * lookup(mins[:, i], i) for i in range(n)]
-            stops = [2 * lookup(maxs[:, i], i) + 1 for i in range(n)]
-            for b in range(mins.shape[0]):
-                cov[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
-            return cov
-
-        return bool(np.array_equal(coverage(umin, umax), coverage(vmin, vmax)))
-
-    breaks = []
-    for i in range(n):
-        vals = set()
-        for w in (u, v):
-            for b in w.boxes:
-                vals.add(b.mins[i])
-                vals.add(b.maxs[i])
-        breaks.append(sorted(vals))
-    index = [{val: j for j, val in enumerate(bk)} for bk in breaks]
-    # piece p covers indices 2*j (the point breaks[j]) and 2*j+1 (the open
-    # interval between breaks[j] and breaks[j+1])
+    _, ((umin, umax), (vmin, vmax)) = _scaled_union_arrays((u, v))
+    breaks = [
+        np.unique(np.concatenate((umin[:, i], vmin[:, i], umax[:, i], vmax[:, i])))
+        for i in range(n)
+    ]
+    # piece 2*j is the point breaks[j], piece 2*j+1 the open interval
+    # between breaks[j] and breaks[j+1]
     shape = [2 * len(bk) - 1 for bk in breaks]
     total = 1
     for s in shape:
@@ -791,17 +678,15 @@ def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
     if total > _UNION_GRID_LIMIT:
         raise ValueError("point-set comparison grid too large")
 
-    def coverage(w: BoxUnion) -> np.ndarray:
+    def coverage(mins, maxs) -> np.ndarray:
         cov = np.zeros(shape, dtype=bool)
-        for b in w.boxes:
-            slc = tuple(
-                slice(2 * index[i][b.mins[i]], 2 * index[i][b.maxs[i]] + 1)
-                for i in range(n)
-            )
-            cov[slc] = True
+        starts = [2 * np.searchsorted(breaks[i], mins[:, i]) for i in range(n)]
+        stops = [2 * np.searchsorted(breaks[i], maxs[:, i]) + 1 for i in range(n)]
+        for b in range(mins.shape[0]):
+            cov[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
         return cov
 
-    return bool(np.array_equal(coverage(u), coverage(v)))
+    return bool(np.array_equal(coverage(umin, umax), coverage(vmin, vmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -882,23 +767,12 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
     if n == 0:
         return Fraction(0), Fraction(0)
 
-    denom = d.denominator
-    for w in (u, v):
-        for b in w.boxes:
-            for val in (*b.mins, *b.maxs):
-                denom = lcm(denom, val.denominator)
-
-    def corners(w: BoxUnion) -> tuple[list[list[int]], list[list[int]]]:
-        return (
-            [[int(x * denom) for x in b.mins] for b in w.boxes],
-            [[int(x * denom) for x in b.maxs] for b in w.boxes],
-        )
-
-    cu, cv = corners(u), corners(v)
+    denom, corners = _scaled_union_arrays((u, v), d.denominator)
     # Samples lie inside the boxes, so no coordinate exceeds `mag` in size
     # and no distance exceeds 2*n*mag.
-    mag = max(abs(val) for rows in (*cu, *cv) for row in rows for val in row)
+    mag = max(int(abs(a).max()) for pair in corners for a in pair)
     dtype = np.int64 if 2 * n * mag < _INT64_SAFE else object
+    (mu, xu), (mv, xv) = ((a.astype(dtype, copy=False) for a in pair) for pair in corners)
 
     def sample_array(w: BoxUnion) -> np.ndarray:
         pts = set()
@@ -908,8 +782,6 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
         return np.asarray(sorted(pts), dtype=dtype)
 
     su, sv = sample_array(u), sample_array(v)
-    mu, xu = (np.asarray(rows, dtype=dtype) for rows in cu)
-    mv, xv = (np.asarray(rows, dtype=dtype) for rows in cv)
     lower_scaled = max(
         _directed_distance_scaled(su, mv, xv),
         _directed_distance_scaled(sv, mu, xu),

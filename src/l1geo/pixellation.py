@@ -26,6 +26,8 @@ from .lattice import (
     CellSet,
     RatBox,
     _block_entries,
+    _directed_distance_scaled,
+    _scaled_union_arrays,
     box_intersection,
     cell_box,
     point_box_distance,
@@ -203,27 +205,24 @@ def pixellation_error_bracket(
     if pix.is_empty:
         raise ValueError("empty pixellation")
     n = pix.dimension
+    if n == 0:
+        return Fraction(0), Fraction(0)
     lam = pix.resolution
 
     denom = lcm(d.denominator, lam.denominator)
     if isinstance(shape, L1Ball):
         denom = lcm(denom, common_denominator(shape.center), shape.radius.denominator)
+        center = [int(c * denom) for c in shape.center]
+        radius = int(shape.radius * denom)
+        shape_mag = max(map(abs, center)) + radius
     else:
-        for b in shape.region.boxes:
-            denom = lcm(denom, common_denominator(b.mins), common_denominator(b.maxs))
+        denom, ((mins, maxs),) = _scaled_union_arrays((shape.region,), denom)
+        shape_mag = max(int(abs(mins).max()), int(abs(maxs).max()))
 
     lam_i = int(lam * denom)
     step_i = int(d * denom)
     # per-cell per-axis sample offsets within [0, lam], scaled
     offsets = sorted({0, lam_i} | {k * step_i for k in range(1, lam_i // step_i + 1) if k * step_i < lam_i})
-    if isinstance(shape, L1Ball):
-        center = [int(c * denom) for c in shape.center]
-        radius = int(shape.radius * denom)
-        shape_mag = max(map(abs, center), default=0) + radius
-    else:
-        mins = [[int(x * denom) for x in b.mins] for b in shape.region.boxes]
-        maxs = [[int(x * denom) for x in b.maxs] for b in shape.region.boxes]
-        shape_mag = max((abs(v) for rows in (mins, maxs) for row in rows for v in row), default=0)
 
     # The scan runs in int64 when the sizes bound every distance below 2^62,
     # and on exact big-int arrays otherwise: a sample point is at most
@@ -250,16 +249,12 @@ def pixellation_error_bracket(
             best = max(best, int(dist.max()))
         best = max(best, 0)
     else:
-        mins = np.asarray(mins, dtype=dtype)
-        maxs = np.asarray(maxs, dtype=dtype)
-        nboxes = mins.shape[0]
-        chunk = max(1, _block_entries(dtype) // max(len(offs) * nboxes, 1))
+        mins = mins.astype(dtype, copy=False)
+        maxs = maxs.astype(dtype, copy=False)
+        chunk = max(1, _block_entries(dtype) // max(len(offs) * mins.shape[0], 1))
         for start in range(0, len(cells), chunk):
             block = cells[start:start + chunk]
             pts = (block[:, None, :] * lam_i + offs[None, :, :]).reshape(-1, n)
-            gap_lo = mins[None, :, :] - pts[:, None, :]
-            gap_hi = pts[:, None, :] - maxs[None, :, :]
-            dist = np.maximum(np.maximum(gap_lo, gap_hi), 0).sum(axis=2).min(axis=1)
-            best = max(best, int(dist.max()))
+            best = max(best, _directed_distance_scaled(pts, mins, maxs))
     lower = Fraction(best, denom)
     return lower, lower + Fraction(n, 2) * d

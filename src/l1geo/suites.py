@@ -5,16 +5,15 @@ exact identity / property / Monte Carlo checks.  A report passes when every
 exact check has lhs = rhs, every property holds, and every Monte Carlo check
 lands within 4 standard errors of its exact comparison value.
 
-Suites may run instances in a thread pool (capped by the optional
-L1GEO_THREADS environment variable or the config); records are always
-emitted in instance order, so reports are identical for any schedule.
+Suites may run instances in a thread pool of ``VerifyConfig.threads``
+workers (default 1); records are always emitted in instance order, so
+reports are identical for any schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -209,13 +208,7 @@ class VerifyConfig:
             raise ValueError("resolution must be positive")
 
     def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        env = os.environ.get("L1GEO_THREADS", "")
-        try:
-            return max(1, int(env)) if env else 1
-        except ValueError:
-            return 1
+        return max(1, self.threads or 1)
 
 
 def _digest(suite: str, cfg: VerifyConfig) -> str:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from ._util import RationalLike, as_fraction
 from .lattice import (
     BoxUnion,
@@ -23,14 +21,6 @@ from .lattice import (
     project,
     union_volume,
 )
-
-_NUMPY_CELL_THRESHOLD = 4096
-
-
-def _distinct_projection_count(cells_arr: np.ndarray, axes: tuple[int, ...]) -> int:
-    sub = cells_arr[:, axes]
-    return int(np.unique(sub, axis=0).shape[0])
-
 
 def intrinsic_volumes_cellset(x: CellSet) -> IVVector:
     """Exact intrinsic-volume vector of a cell set.
@@ -43,15 +33,10 @@ def intrinsic_volumes_cellset(x: CellSet) -> IVVector:
         return IVVector((Fraction(0),) * (n + 1))
     lam = x.resolution
     values: list[Fraction] = [Fraction(1)]
-    big = len(x.cells) > _NUMPY_CELL_THRESHOLD
-    arr = np.asarray(x.sorted_cells(), dtype=np.int64) if big else None
     for i in range(1, n + 1):
         total = 0
         for sub in coordinate_subspaces(n, i):
-            if big:
-                total += _distinct_projection_count(arr, sub.axes)
-            else:
-                total += len({tuple(c[a] for a in sub.axes) for c in x.cells})
+            total += len({tuple(c[a] for a in sub.axes) for c in x.cells})
         values.append(lam**i * total)
     return IVVector(values)
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1geo import (
     BoxUnion,
@@ -25,6 +27,7 @@ from l1geo import (
     clip_cells,
     coordinate_subspaces,
     embed,
+    gen_random_box,
     hausdorff_distance,
     hyperoctahedral_group,
     minkowski_sum_box,
@@ -34,6 +37,7 @@ from l1geo import (
     subdivide,
     union_volume,
 )
+from l1geo.lattice import _scaled_union_arrays
 
 F = Fraction
 
@@ -301,14 +305,45 @@ class TestUnionVolume:
             assert union_volume(u) == brute_union_volume(boxes)
 
     def test_bigint_fallback_matches(self):
-        # coordinates huge enough to overflow any int64 staging
-        shift = 10**12
-        boxes = [
+        # each case crosses one int64 bound: corners of size >= 2^62, a
+        # common denominator >= 2^30, and a covered-weight sum >= 2^62
+        shift = 2**63
+        corners = [
             RatBox((shift, shift), (shift + 10**6, shift + 10**6)),
             RatBox((shift + 5 * 10**5, shift), (shift + 15 * 10**5, shift + 10**6)),
         ]
-        u = BoxUnion(2, boxes)
-        assert union_volume(u) == brute_union_volume(boxes)
+        den = 2**31 + 11
+        fine = [
+            RatBox((F(1, den), 0), (F(3, 2), F(5, den))),
+            RatBox((F(-2, den), F(1, 3)), (1, 2)),
+        ]
+        side = 2**33
+        weights = [
+            RatBox((0, 0), (side, side)),
+            RatBox((side // 2, side // 2), (3 * side // 2, 3 * side // 2)),
+        ]
+        for boxes in (corners, fine, weights):
+            assert union_volume(BoxUnion(2, boxes)) == brute_union_volume(boxes)
+        assert union_volume(BoxUnion(2, weights)) == 2 * side**2 - (side // 2) ** 2
+        assert _scaled_union_arrays((BoxUnion(2, corners),))[1][0][0].dtype == object
+        assert _scaled_union_arrays((BoxUnion(2, fine),))[0] == 6 * den
+
+    def test_bigint_pointset_ops(self):
+        # an L-shape cut two ways, shifted past int64
+        def l_shapes(t):
+            u = [RatBox((t, t), (t + 2, t + 1)), RatBox((t, t + 1), (t + 1, t + 2))]
+            v = [RatBox((t, t), (t + 1, t + 2)), RatBox((t + 1, t), (t + 2, t + 1))]
+            return BoxUnion(2, u), BoxUnion(2, v)
+
+        t = 2**63
+        u, v = l_shapes(t)
+        assert boxunion_equal_pointsets(u, v)
+        assert not boxunion_equal_pointsets(u, BoxUnion(2, v.boxes[:1]))
+        w = boxunion_intersection(u, v)
+        assert boxunion_equal_pointsets(w, u)
+        back = [b.translate((-t, -t)) for b in w.boxes]
+        assert back == list(boxunion_intersection(*l_shapes(0)).boxes)
+        assert union_volume(w) == 3
 
     def test_grid_limit(self):
         boxes = [
@@ -317,6 +352,52 @@ class TestUnionVolume:
         ]
         with pytest.raises(ValueError):
             union_volume(BoxUnion(2, boxes))
+
+
+_SHIFT = 2**63
+_D = 2**40 + 1
+
+
+def _seeded_union(n, seed, count, denominator):
+    return BoxUnion(
+        n,
+        [gen_random_box(n, seed * 8 + k, low=-3, high=3, denominator=denominator) for k in range(count)],
+    )
+
+
+def _map_union(u, f):
+    return BoxUnion(u.dimension, [RatBox(tuple(map(f, b.mins)), tuple(map(f, b.maxs))) for b in u.boxes])
+
+
+class TestInt64AgainstBigInt:
+    """The same geometry on the int64 route and on the big-int route: moved
+    by 2^63, every kernel runs on big-int corner arrays; divided by 2^40+1,
+    the corners stay int64 but union_volume's brick sum in two and three
+    dimensions needs big ints."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+        counts=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        denominator=st.sampled_from([1, 2, 3]),
+        same=st.booleans(),
+    )
+    def test_routes_agree(self, n, seeds, counts, denominator, same):
+        u = _seeded_union(n, seeds[0], counts[0], denominator)
+        v = BoxUnion(n, u.boxes[::-1]) if same else _seeded_union(n, seeds[1], counts[1], denominator)
+        shifted = [_map_union(w, lambda x: x + _SHIFT) for w in (u, v)]
+        shrunk = [_map_union(w, lambda x: x / _D) for w in (u, v)]
+
+        vol = union_volume(u)
+        assert union_volume(shifted[0]) == vol
+        assert union_volume(shrunk[0]) == vol / _D**n
+        verdict = boxunion_equal_pointsets(u, v)
+        assert boxunion_equal_pointsets(*shifted) is verdict
+        assert boxunion_equal_pointsets(*shrunk) is verdict
+        meet = boxunion_intersection(u, v)
+        assert _map_union(boxunion_intersection(*shifted), lambda x: x - _SHIFT) == meet
+        assert _map_union(boxunion_intersection(*shrunk), lambda x: x * _D) == meet
 
 
 class TestBoxOps:

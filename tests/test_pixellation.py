@@ -218,6 +218,11 @@ class TestErrorBracket:
         box = BoxUnionShape(BoxUnion(2, [RatBox((-t, -t), (-t + 1, -t + 1))]))
         assert pixellation_error_bracket(box, CellSet(2, {(t, t)}), 1) == (2**64, 2**64 + 1)
 
+    def test_dimension_zero(self):
+        # the one-point set is its own pixellation, for both shape kinds
+        for shape in (L1Ball((), 1), BoxUnionShape(BoxUnion(0, [RatBox((), ())]))):
+            assert pixellation_error_bracket(shape, outer_pixellate(shape, 1), 1) == (0, 0)
+
     def test_validation(self):
         ball = L1Ball((0, 0), 1)
         pix = outer_pixellate(ball, 1)
