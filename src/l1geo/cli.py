@@ -30,7 +30,6 @@ from .lattice import BoxUnion, CellSet, RatBox
 from .pixellation import BoxUnionShape, L1Ball, outer_pixellate
 from .suites import (
     SUITES,
-    CheckRecord,
     Report,
     VerifyConfig,
     exact_record,

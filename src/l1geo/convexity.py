@@ -68,12 +68,12 @@ def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(comp: np.ndarray, collect: bool = False):
-    """Witness scan of a compressed cell array: the prefix-sum scan for 48
+    """Witness scan of a compressed cell array: the prefix-sum scan for 16
     or more cells on a small enough grid, else the direct one."""
     grid_size = 1
     for e in comp.max(axis=0) + 1:
         grid_size *= int(e)
-    if comp.shape[0] >= 48 and grid_size <= _PREFIX_GRID_LIMIT:
+    if comp.shape[0] >= 16 and grid_size <= _PREFIX_GRID_LIMIT:
         return _witness_prefix(comp, collect)
     return _witness_direct(comp, collect)
 

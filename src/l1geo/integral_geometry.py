@@ -36,10 +36,10 @@ from .lattice import (
     IVVector,
     RatBox,
     SignedPerm,
-    apply_isometry,
     box_intersection,
-    box_minkowski,
+    boxunion_minkowski_box,
     cell_box,
+    cellset_to_boxunion,
     coordinate_subspaces,
     hyperoctahedral_group,
     minkowski_sum_box,
@@ -215,12 +215,11 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
     if n == 0:
         val = Fraction(1) if not x.is_empty else Fraction(0)
         return val, val
-    cubes = [cell_box(c, x.resolution) for c in x.sorted_cells()]
+    cubes = cellset_to_boxunion(x)
     side_orders = sorted(set(permutations(box.side_lengths())))
     total = Fraction(0)
     for sides in side_orders:
-        reach = RatBox((0,) * n, sides)
-        total += union_volume(BoxUnion(n, [box_minkowski(c, reach) for c in cubes]))
+        total += union_volume(boxunion_minkowski_box(cubes, RatBox((0,) * n, sides)))
     lhs = total / len(side_orders)
     return lhs, principal_kinematic_rhs(x, box)
 

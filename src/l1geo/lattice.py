@@ -6,12 +6,14 @@ such cubes on a common grid.  RatBox / BoxUnion describe general axis-aligned
 boxes with rational corners (degenerate sides allowed), which is the closure
 of CellSets under projections, intersections, and non-aligned translations.
 
-All geometry here is exact: coordinates are ``fractions.Fraction`` and every
-operation returns exact rationals.  numpy is used only as an integer/bool
-array engine after common-denominator scaling, never with floats: the
-box-union kernels take their integer corners from ``_scaled_union_arrays``
-and run in int64 when a bound proves it safe, on exact big-int (object)
-arrays otherwise, with one code path for both.
+All geometry here is exact: coordinates enter and leave as
+``fractions.Fraction`` and every operation returns exact rationals.  numpy
+is used only as an integer/bool array engine, never with floats.  A BoxUnion
+stores its corners once as integer arrays over one denominator; the
+box-union kernels read and return those arrays (``_common_arrays`` puts
+several unions on one denominator), and Fractions are built only at the API
+edge.  The arrays are int64 when a bound proves it safe and exact big-int
+(object) arrays otherwise, with one code path for both.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -150,10 +152,21 @@ def _raw_box(mins: tuple, maxs: tuple) -> RatBox:
 @dataclass(frozen=True)
 class BoxUnion:
     """A finite union of RatBoxes.  Overlaps and degenerate boxes are allowed
-    and are never canonicalized away; the printed form lists boxes as given."""
+    and are never canonicalized away; the printed form lists boxes as given.
+
+    The corners are stored once, as integers over one denominator: box b is
+    ``[lows[b] / den, highs[b] / den]``, with ``lows`` and ``highs`` read-only
+    (boxes x dimension) arrays.  They are int64 when every corner is below
+    2^62 in size and exact big-int (object) arrays otherwise.  ``boxes`` is
+    the RatBox view: the boxes as given to the constructor, or built from the
+    arrays on first use for a union that a kernel returned.  Equality and
+    hashing compare ``(dimension, boxes)``.
+    """
 
     dimension: int
-    boxes: tuple[RatBox, ...]
+    den: int
+    lows: np.ndarray
+    highs: np.ndarray
 
     def __init__(self, dimension: int, boxes=()):
         if dimension < 0:
@@ -162,20 +175,62 @@ class BoxUnion:
         for b in tup:
             if b.dimension != dimension:
                 raise ValueError("box dimension mismatch")
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "boxes", tup)
+        corners = [b.mins + b.maxs for b in tup]
+        den = lcm(*{val.denominator for row in corners for val in row})
+        flat = [val.numerator * (den // val.denominator) for row in corners for val in row]
+        safe = -_INT64_SAFE < min(flat, default=0) and max(flat, default=0) < _INT64_SAFE
+        dtype = np.int64 if safe else object
+        arr = np.asarray(flat, dtype=dtype).reshape(len(tup), 2 * dimension)
+        self._store(int(dimension), den, arr[:, :dimension], arr[:, dimension:], tup)
+
+    @classmethod
+    def _from_arrays(cls, dimension: int, den: int, lows: np.ndarray, highs: np.ndarray):
+        """A union over integer corner arrays (``lows <= highs``), re-typed to
+        int64 or object by the size of its corners."""
+        safe = -_INT64_SAFE < lows.min(initial=0) and highs.max(initial=0) < _INT64_SAFE
+        dtype = np.int64 if safe else object
+        u = object.__new__(cls)
+        u._store(dimension, den, lows.astype(dtype, copy=False), highs.astype(dtype, copy=False))
+        return u
+
+    def _store(self, dimension, den, lows, highs, boxes=None) -> None:
+        lows.flags.writeable = highs.flags.writeable = False
+        vars(self).update(dimension=dimension, den=den, lows=lows, highs=highs, _boxes=boxes)
+
+    @property
+    def boxes(self) -> tuple[RatBox, ...]:
+        if self._boxes is None:
+            lows, highs = self.lows.tolist(), self.highs.tolist()
+            values = {val for row in lows + highs for val in row}
+            frac = {val: Fraction(val, self.den) for val in values}
+            boxes = tuple(
+                _raw_box(tuple(frac[a] for a in lo), tuple(frac[b] for b in hi))
+                for lo, hi in zip(lows, highs)
+            )
+            object.__setattr__(self, "_boxes", boxes)
+        return self._boxes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoxUnion):
+            return NotImplemented
+        return (self.dimension, self.boxes) == (other.dimension, other.boxes)
+
+    def __hash__(self) -> int:
+        return hash((self.dimension, self.boxes))
+
+    def __repr__(self) -> str:
+        return f"BoxUnion(dimension={self.dimension!r}, boxes={self.boxes!r})"
 
     @property
     def is_empty(self) -> bool:
-        return not self.boxes
+        return self.lows.shape[0] == 0
 
     def bounding_box(self) -> RatBox:
-        if not self.boxes:
+        if self.is_empty:
             raise ValueError("empty box union has no bounding box")
-        n = self.dimension
         return RatBox(
-            [min(b.mins[i] for b in self.boxes) for i in range(n)],
-            [max(b.maxs[i] for b in self.boxes) for i in range(n)],
+            [Fraction(int(v), self.den) for v in self.lows.min(axis=0)],
+            [Fraction(int(v), self.den) for v in self.highs.max(axis=0)],
         )
 
 
@@ -348,9 +403,14 @@ def cell_box(cell: Cell, resolution: Fraction) -> RatBox:
 
 
 def cellset_to_boxunion(x: CellSet) -> BoxUnion:
-    """One box per cell, in sorted cell order (deterministic)."""
-    lam = x.resolution
-    return BoxUnion(x.dimension, [cell_box(c, lam) for c in x.sorted_cells()])
+    """One box per cell, in sorted cell order (deterministic): the corners
+    are the cell indices times the resolution's numerator, over its
+    denominator.  They are computed in exact Python ints, so no corner can
+    wrap around, and stored as int64 when they fit."""
+    n, lam = x.dimension, x.resolution
+    rows = x.sorted_cells()
+    lows = np.asarray(rows, dtype=object).reshape(len(rows), n) * lam.numerator
+    return BoxUnion._from_arrays(n, lam.denominator, lows, lows + lam.numerator)
 
 
 def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:
@@ -429,11 +489,8 @@ def project(x: CellSet | BoxUnion, subspace: CoordSubspace) -> CellSet | BoxUnio
     if isinstance(x, CellSet):
         cells = {tuple(c[a] for a in axes) for c in x.cells}
         return CellSet(len(axes), cells, x.resolution)
-    boxes = [
-        _raw_box(tuple(b.mins[a] for a in axes), tuple(b.maxs[a] for a in axes))
-        for b in x.boxes
-    ]
-    return BoxUnion(len(axes), boxes)
+    cols = list(axes)
+    return BoxUnion._from_arrays(len(cols), x.den, x.lows[:, cols], x.highs[:, cols])
 
 
 def apply_isometry(x: CellSet | BoxUnion, g: SignedPerm, translation=None) -> CellSet | BoxUnion:
@@ -500,7 +557,7 @@ def minkowski_sum_box(x: CellSet | BoxUnion, box: RatBox) -> CellSet | BoxUnion:
             }
             return CellSet(n, cells, lam)
         x = cellset_to_boxunion(x)
-    return BoxUnion(n, [box_minkowski(b, box) for b in x.boxes])
+    return boxunion_minkowski_box(x, box)
 
 
 def embed(x: CellSet, position: int) -> BoxUnion:
@@ -511,15 +568,10 @@ def embed(x: CellSet, position: int) -> BoxUnion:
     n = x.dimension
     if not 0 <= position <= n:
         raise ValueError(f"insert position must be in 0..{n}")
-    lam = x.resolution
-    boxes = []
-    for c in x.sorted_cells():
-        mins = [lam * v for v in c]
-        maxs = [lam * (v + 1) for v in c]
-        mins.insert(position, Fraction(0))
-        maxs.insert(position, Fraction(0))
-        boxes.append(RatBox(mins, maxs))
-    return BoxUnion(n + 1, boxes)
+    u = cellset_to_boxunion(x)
+    lows = np.insert(u.lows, position, 0, axis=1)
+    highs = np.insert(u.highs, position, 0, axis=1)
+    return BoxUnion._from_arrays(n + 1, u.den, lows, highs)
 
 
 # ---------------------------------------------------------------------------
@@ -531,40 +583,45 @@ def union_volume(u: BoxUnion) -> Fraction:
 
     Breakpoints along each axis cut the union into grid bricks on which
     coverage is constant; the volume is the sum of covered brick volumes.
-    Arithmetic is exact: corners are scaled to integers on a common
-    denominator, and the covered-brick sum runs in int64 when a precomputed
+    Arithmetic is exact: the grid is built from the union's integer
+    corners, and the covered-brick sum runs in int64 when a precomputed
     bound proves it cannot overflow and on exact big-int arrays otherwise.
     """
-    if not u.boxes:
+    if u.is_empty:
         return Fraction(0)
-    n = u.dimension
-    if n == 0:
-        return Fraction(1)
-
-    den, ((mins, maxs),) = _scaled_union_arrays((u,))
-    breaks = [np.unique(np.concatenate((mins[:, i], maxs[:, i]))) for i in range(n)]
-    shape = [len(bk) - 1 for bk in breaks]
-    if any(s == 0 for s in shape):
-        return Fraction(0)
-    total_cells = 1
-    for s in shape:
-        total_cells *= s
-    if total_cells > _UNION_GRID_LIMIT:
-        raise ValueError(f"compression grid of {total_cells} bricks is too large")
-    covered = np.zeros(shape, dtype=bool)
-    starts = [np.searchsorted(breaks[i], mins[:, i]) for i in range(n)]
-    stops = [np.searchsorted(breaks[i], maxs[:, i]) for i in range(n)]
-    for b in range(mins.shape[0]):
-        covered[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
-    scaled_weights = [np.diff(breaks[i]).tolist() for i in range(n)]
-    bound = 1
-    for w in scaled_weights:
-        bound *= sum(w)
+    breaks, covered = _covered_bricks(u.lows, u.highs)
+    scaled_weights = [np.diff(bk).tolist() for bk in breaks]
+    bound = prod(sum(w) for w in scaled_weights)
     dtype = np.int64 if bound < _INT64_SAFE else object
     acc = covered.astype(dtype)
     for w in reversed(scaled_weights):
         acc = acc @ np.asarray(w, dtype=dtype)
-    return Fraction(int(acc), den**n)
+    return Fraction(int(acc), u.den**u.dimension)
+
+
+def _covered_bricks(lows: np.ndarray, highs: np.ndarray, *more: np.ndarray):
+    """Coordinate compression of the boxes ``[lows[b], highs[b]]``.
+
+    On each axis the breakpoints are the sorted distinct corner coordinates
+    of these boxes and of the corner arrays in ``more``; the bricks between
+    consecutive breakpoints form the grid.  Returns the breakpoints and the
+    bool table of the bricks that some box covers.  Dimension 0 gives a 0-d
+    table, True when there is a box.
+    """
+    n = lows.shape[1]
+    breaks = [
+        np.unique(np.concatenate([a[:, i] for a in (lows, highs, *more)])) for i in range(n)
+    ]
+    shape = [len(bk) - 1 for bk in breaks]
+    total_cells = prod(shape)
+    if total_cells > _UNION_GRID_LIMIT:
+        raise ValueError(f"compression grid of {total_cells} bricks is too large")
+    covered = np.zeros(shape, dtype=bool)
+    starts = [np.searchsorted(breaks[i], lows[:, i]) for i in range(n)]
+    stops = [np.searchsorted(breaks[i], highs[:, i]) for i in range(n)]
+    for b in range(lows.shape[0]):
+        covered[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
+    return breaks, covered
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +647,26 @@ def box_intersection(a: RatBox, b: RatBox) -> RatBox | None:
     return RatBox(mins, maxs)
 
 
-def _scaled_union_arrays(unions, den: int = 1):
-    """Scale the corners of box unions to integers on one common denominator.
+def _common_arrays(unions, den: int = 1):
+    """The corner arrays of box unions on one common denominator.
 
-    Returns ``(den, [(mins, maxs), ...])`` with one pair of (boxes x n) corner
-    arrays per union; ``den`` is the lcm of the given ``den`` and every corner
-    denominator, so callers can fold in one of their own.  The arrays are
-    int64 when every scaled corner is below 2^62 in size, and exact big-int
-    (object) arrays otherwise.
+    Returns ``(den, [(lows, highs), ...])`` with one pair per union; ``den``
+    is the lcm of the given ``den`` and the unions' own, so callers can fold
+    in one of their own.  An int64 pair whose scaled corners could reach
+    2^62 in size is switched to exact big-int (object) arrays before the
+    multiplication.
     """
-    n = unions[0].dimension
-    corners = [b.mins + b.maxs for u in unions for b in u.boxes]
-    den = lcm(den, *{val.denominator for row in corners for val in row})
-    flat = [val.numerator * (den // val.denominator) for row in corners for val in row]
-    safe = -_INT64_SAFE < min(flat, default=0) and max(flat, default=0) < _INT64_SAFE
-    arr = np.asarray(flat, dtype=np.int64 if safe else object).reshape(len(corners), 2 * n)
+    den = lcm(den, *(u.den for u in unions))
     out = []
-    start = 0
     for u in unions:
-        part = arr[start:start + len(u.boxes)]
-        out.append((part[:, :n], part[:, n:]))
-        start += len(u.boxes)
+        lows, highs = u.lows, u.highs
+        factor = den // u.den
+        if factor != 1:
+            mag = max(-int(lows.min(initial=0)), int(highs.max(initial=0)), 1)
+            if lows.dtype == np.int64 and factor * mag >= _INT64_SAFE:
+                lows, highs = lows.astype(object), highs.astype(object)
+            lows, highs = lows * factor, highs * factor
+        out.append((lows, highs))
     return den, out
 
 
@@ -619,74 +675,43 @@ def boxunion_intersection(u: BoxUnion, v: BoxUnion) -> BoxUnion:
     if u.dimension != v.dimension:
         raise ValueError("dimension mismatch")
     n = u.dimension
-    if u.is_empty or v.is_empty or n == 0:
-        boxes = (RatBox((), ()),) if n == 0 and u.boxes and v.boxes else ()
-        return BoxUnion(n, boxes)
-    den, ((umin, umax), (vmin, vmax)) = _scaled_union_arrays((u, v))
+    if n == 0:
+        return BoxUnion(0, [RatBox((), ())] if not (u.is_empty or v.is_empty) else [])
+    den, ((umin, umax), (vmin, vmax)) = _common_arrays((u, v))
     lo = np.maximum(umin[:, None, :], vmin[None, :, :])
     hi = np.minimum(umax[:, None, :], vmax[None, :, :])
     keep = (lo <= hi).all(axis=2)
-    lo_kept = lo[keep].tolist()
-    hi_kept = hi[keep].tolist()
-    frac = {}
-    for row in lo_kept:
-        for val in row:
-            if val not in frac:
-                frac[val] = Fraction(val, den)
-    for row in hi_kept:
-        for val in row:
-            if val not in frac:
-                frac[val] = Fraction(val, den)
-    boxes = [
-        _raw_box(tuple(frac[a] for a in row_lo), tuple(frac[b] for b in row_hi))
-        for row_lo, row_hi in zip(lo_kept, hi_kept)
-    ]
-    return BoxUnion(n, boxes)
+    return BoxUnion._from_arrays(n, den, lo[keep], hi[keep])
 
 
 def boxunion_minkowski_box(u: BoxUnion, box: RatBox) -> BoxUnion:
     """Minkowski sum of every box of U with an interval box."""
-    return BoxUnion(u.dimension, [box_minkowski(b, box) for b in u.boxes])
+    den, ((lows, highs), (box_lo, box_hi)) = _common_arrays(
+        (u, BoxUnion(u.dimension, [box]))
+    )
+    # corners below 2^62 in size add up to less than 2^63: no int64 wraparound
+    return BoxUnion._from_arrays(u.dimension, den, lows + box_lo, highs + box_hi)
 
 
 def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
     """Decide exact point-set equality of two box unions.
 
-    The corners of all boxes cut each axis into points and open intervals;
-    membership in either union is constant on every product piece (including
-    the degenerate ones), so equality holds iff the coverage tables agree.
+    The closed box [a, b] maps to the half-open box [2a, 2b + 1): a point x
+    maps to [2x, 2x + 1) and an open interval (x, y) to [2x + 1, 2y), so
+    lower-dimensional pieces keep a volume of their own.  The images of both
+    unions are compressed onto one grid, and the unions are equal iff they
+    cover the same bricks.
     """
     if u.dimension != v.dimension:
         raise ValueError("dimension mismatch")
-    n = u.dimension
-    if n == 0:
-        return u.is_empty == v.is_empty
     if u.is_empty or v.is_empty:
         return u.is_empty and v.is_empty
-
-    _, ((umin, umax), (vmin, vmax)) = _scaled_union_arrays((u, v))
-    breaks = [
-        np.unique(np.concatenate((umin[:, i], vmin[:, i], umax[:, i], vmax[:, i])))
-        for i in range(n)
-    ]
-    # piece 2*j is the point breaks[j], piece 2*j+1 the open interval
-    # between breaks[j] and breaks[j+1]
-    shape = [2 * len(bk) - 1 for bk in breaks]
-    total = 1
-    for s in shape:
-        total *= s
-    if total > _UNION_GRID_LIMIT:
-        raise ValueError("point-set comparison grid too large")
-
-    def coverage(mins, maxs) -> np.ndarray:
-        cov = np.zeros(shape, dtype=bool)
-        starts = [2 * np.searchsorted(breaks[i], mins[:, i]) for i in range(n)]
-        stops = [2 * np.searchsorted(breaks[i], maxs[:, i]) + 1 for i in range(n)]
-        for b in range(mins.shape[0]):
-            cov[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
-        return cov
-
-    return bool(np.array_equal(coverage(umin, umax), coverage(vmin, vmax)))
+    # corners below 2^62 in size double to less than 2^63: no int64 wraparound
+    _, ((umin, umax), (vmin, vmax)) = _common_arrays((u, v))
+    img_u, img_v = (2 * umin, 2 * umax + 1), (2 * vmin, 2 * vmax + 1)
+    _, covered_u = _covered_bricks(*img_u, *img_v)
+    _, covered_v = _covered_bricks(*img_v, *img_u)
+    return bool(np.array_equal(covered_u, covered_v))
 
 
 # ---------------------------------------------------------------------------
@@ -702,27 +727,6 @@ def point_box_distance(point, box: RatBox) -> Fraction:
     for x, lo, hi in zip(pt, box.mins, box.maxs):
         dist += max(lo - x, x - hi, Fraction(0))
     return dist
-
-
-def _box_samples_scaled(box: RatBox, delta: Fraction, scale_d: int) -> list[range | list[int]]:
-    """Per-axis sample coordinates for one box, scaled by scale_d to integers.
-
-    Along each axis: the endpoints plus every multiple of delta inside the
-    side.  The product of these per-axis sets covers the box with taxicab
-    covering radius <= n*delta/2 (consecutive sample coordinates along an
-    axis are at most delta apart), which is what makes the Hausdorff bracket
-    sound.  Vertices alone or full-grid points alone would not suffice.
-    """
-    out = []
-    for lo, hi in zip(box.mins, box.maxs):
-        vals = {int(lo * scale_d), int(hi * scale_d)}
-        k0 = ceil(lo / delta)
-        k1 = floor(hi / delta)
-        step = int(delta * scale_d)
-        for k in range(k0, k1 + 1):
-            vals.add(k * step)
-        out.append(sorted(vals))
-    return out
 
 
 def _block_entries(dtype: np.dtype) -> int:
@@ -767,21 +771,26 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
     if n == 0:
         return Fraction(0), Fraction(0)
 
-    denom, corners = _scaled_union_arrays((u, v), d.denominator)
+    denom, corners = _common_arrays((u, v), d.denominator)
+    step = d.numerator * (denom // d.denominator)
     # Samples lie inside the boxes, so no coordinate exceeds `mag` in size
     # and no distance exceeds 2*n*mag.
     mag = max(int(abs(a).max()) for pair in corners for a in pair)
     dtype = np.int64 if 2 * n * mag < _INT64_SAFE else object
     (mu, xu), (mv, xv) = ((a.astype(dtype, copy=False) for a in pair) for pair in corners)
 
-    def sample_array(w: BoxUnion) -> np.ndarray:
+    def sample_array(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        # Per box and axis: the side's endpoints plus every multiple of delta
+        # inside it.  Consecutive sample coordinates are at most delta apart,
+        # so the samples cover the box with taxicab radius <= n*delta/2, which
+        # makes the bracket sound; vertices or grid points alone would not.
         pts = set()
-        for b in w.boxes:
-            axes = _box_samples_scaled(b, d, denom)
+        for lo, hi in zip(lows.tolist(), highs.tolist()):
+            axes = [{a, b, *range(-(-a // step) * step, b + 1, step)} for a, b in zip(lo, hi)]
             pts.update(itertools.product(*axes))
         return np.asarray(sorted(pts), dtype=dtype)
 
-    su, sv = sample_array(u), sample_array(v)
+    su, sv = sample_array(mu, xu), sample_array(mv, xv)
     lower_scaled = max(
         _directed_distance_scaled(su, mv, xv),
         _directed_distance_scaled(sv, mu, xu),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 
 import numpy as np
 
@@ -24,14 +24,13 @@ from .lattice import (
     _INT64_SAFE,
     BoxUnion,
     CellSet,
-    RatBox,
     _block_entries,
+    _common_arrays,
+    _covered_bricks,
     _directed_distance_scaled,
-    _scaled_union_arrays,
-    box_intersection,
-    cell_box,
+    cellset_to_boxunion,
     point_box_distance,
-    union_volume,
+    union_volume,  # noqa: F401  (benchmarks/tests/test_tracer.py checks this alias)
 )
 
 
@@ -90,6 +89,15 @@ def shape_point_distance(shape: Shape, point) -> Fraction:
     return min(point_box_distance(pt, b) for b in shape.region.boxes)
 
 
+def _scaled_ball(ball: L1Ball, lam: Fraction, den: int = 1) -> tuple[int, int, list[int], int]:
+    """``(d, lam, center, radius)`` as integers over the common denominator
+    d of ``den``, the resolution and the ball."""
+    d = lcm(den, lam.denominator, common_denominator(ball.center), ball.radius.denominator)
+    values = (lam, *ball.center, ball.radius)
+    lam_i, *center, radius = (v.numerator * (d // v.denominator) for v in values)
+    return d, lam_i, center, radius
+
+
 def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
     """Cells whose cube is within taxicab distance radius of the center.
 
@@ -99,10 +107,7 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
     ball iff the costs sum to at most the radius.
     """
     n = ball.dimension
-    d = lcm(lam.denominator, common_denominator(ball.center), ball.radius.denominator)
-    lam_i = int(lam * d)
-    center_i = [int(c * d) for c in ball.center]
-    radius_i = int(ball.radius * d)
+    _, lam_i, center_i, radius_i = _scaled_ball(ball, lam)
 
     out: list[tuple[int, ...]] = []
     prefix = [0] * n
@@ -129,12 +134,12 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
 
 def _boxunion_cells(region: BoxUnion, lam: Fraction) -> set[tuple[int, ...]]:
     """Cells whose cube meets some box: per-axis integer index ranges."""
+    den, ((lows, highs),) = _common_arrays((region,), lam.denominator)
+    step = lam.numerator * (den // lam.denominator)
     cells: set[tuple[int, ...]] = set()
-    for b in region.boxes:
-        ranges = []
-        for lo, hi in zip(b.mins, b.maxs):
-            # cube [lam*h, lam*(h+1)] meets [lo, hi] iff lam*h <= hi and lam*(h+1) >= lo
-            ranges.append(range(ceil(lo / lam - 1), floor(hi / lam) + 1))
+    for lo, hi in zip(lows.tolist(), highs.tolist()):
+        # cube [step*h, step*(h+1)] meets [a, b] iff step*h <= b and step*(h+1) >= a
+        ranges = [range(-(-a // step) - 1, b // step + 1) for a, b in zip(lo, hi)]
         cells.update(itertools.product(*ranges))
     return cells
 
@@ -154,39 +159,33 @@ def outer_pixellate(shape: Shape, resolution: RationalLike) -> CellSet:
     return CellSet(shape.dimension, _boxunion_cells(shape.region, lam), lam)
 
 
-def _cube_inside_ball(cell, lam: Fraction, ball: L1Ball) -> bool:
-    """A cube lies in the ball iff its farthest corner does: per axis the
-    distance to the center is maximized at one of the two corner values."""
-    total = Fraction(0)
-    for h, c in zip(cell, ball.center):
-        total += max(abs(lam * h - c), abs(lam * (h + 1) - c))
-    return total <= ball.radius
-
-
-def _cube_inside_boxunion(cell, lam: Fraction, region: BoxUnion) -> bool:
-    """Cube containment in a box union, decided exactly by volume: the cube
-    is covered iff the clipped pieces fill its full volume (box unions are
-    finite unions of boxes, so a missed point leaves an open gap)."""
-    cube = cell_box(cell, lam)
-    pieces = []
-    for b in region.boxes:
-        c = box_intersection(cube, b)
-        if c is not None:
-            pieces.append(c)
-    if not pieces:
-        return False
-    return union_volume(BoxUnion(len(cell), pieces)) == lam ** len(cell)
-
-
 def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
     """Cells whose cube meets the shape but is not contained in it."""
     lam = as_fraction(resolution)
     meets = outer_pixellate(shape, lam)
+    n = meets.dimension
     if isinstance(shape, L1Ball):
-        cells = [c for c in meets.cells if not _cube_inside_ball(c, lam, shape)]
-    else:
-        cells = [c for c in meets.cells if not _cube_inside_boxunion(c, lam, shape.region)]
-    return CellSet(meets.dimension, cells, lam)
+        # a cube lies in the ball iff its farthest corner does: per axis the
+        # distance to the center is largest at one of the two corner values
+        _, step, center, radius = _scaled_ball(shape, lam)
+        cells = []
+        for cell in meets.cells:
+            far = sum(max(abs(step * h - c), abs(step * (h + 1) - c)) for h, c in zip(cell, center))
+            if far > radius:
+                cells.append(cell)
+        return CellSet(n, cells, lam)
+    # One compression grid holds the corners of the region and of the cubes,
+    # so each brick lies in a box of the region or has its interior outside
+    # it, and lies in the cube of a meeting cell h iff h = floor(lower corner
+    # / step) on every axis.  The boundary cells are the meeting cells that
+    # the uncovered bricks name.
+    cubes = cellset_to_boxunion(meets)
+    den, ((lows, highs), (cube_lo, cube_hi)) = _common_arrays((shape.region, cubes))
+    breaks, covered = _covered_bricks(lows, highs, cube_lo, cube_hi)
+    step = lam.numerator * (den // lam.denominator)
+    gaps = np.argwhere(~covered)
+    owners = zip(*((breaks[i][gaps[:, i]] // step).tolist() for i in range(n)))
+    return CellSet(n, meets.cells & set(owners), lam)
 
 
 def pixellation_error_bracket(
@@ -208,15 +207,13 @@ def pixellation_error_bracket(
     if n == 0:
         return Fraction(0), Fraction(0)
     lam = pix.resolution
-
-    denom = lcm(d.denominator, lam.denominator)
+    cubes = cellset_to_boxunion(pix)
     if isinstance(shape, L1Ball):
-        denom = lcm(denom, common_denominator(shape.center), shape.radius.denominator)
-        center = [int(c * denom) for c in shape.center]
-        radius = int(shape.radius * denom)
+        denom, _, center, radius = _scaled_ball(shape, lam, d.denominator)
+        _, ((lows, _),) = _common_arrays((cubes,), denom)
         shape_mag = max(map(abs, center)) + radius
     else:
-        denom, ((mins, maxs),) = _scaled_union_arrays((shape.region,), denom)
+        denom, ((lows, _), (mins, maxs)) = _common_arrays((cubes, shape.region), d.denominator)
         shape_mag = max(int(abs(mins).max()), int(abs(maxs).max()))
 
     lam_i = int(lam * denom)
@@ -226,25 +223,20 @@ def pixellation_error_bracket(
 
     # The scan runs in int64 when the sizes bound every distance below 2^62,
     # and on exact big-int arrays otherwise: a sample point is at most
-    # (cell_mag + 1) * lam_i from the origin and a shape point at most
+    # corner_mag + lam_i from the origin and a shape point at most
     # shape_mag, so every per-axis gap is at most their sum.
-    rows = pix.sorted_cells()
-    try:
-        cells = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        cells = np.asarray(rows, dtype=object)
-    cell_mag = max(int(cells.max(initial=0)), -int(cells.min(initial=0)))
-    dtype = np.int64 if n * ((cell_mag + 1) * lam_i + shape_mag) < _INT64_SAFE else object
-    cells = cells.astype(dtype, copy=False)
+    corner_mag = max(int(lows.max(initial=0)), -int(lows.min(initial=0)))
+    dtype = np.int64 if n * (corner_mag + lam_i + shape_mag) < _INT64_SAFE else object
+    corners = lows.astype(dtype, copy=False)
     offs = np.asarray(list(itertools.product(offsets, repeat=n)), dtype=dtype)
 
     best = 0
     if isinstance(shape, L1Ball):
         center = np.asarray(center, dtype=dtype)
         chunk = max(1, _block_entries(dtype) // max(len(offs), 1))
-        for start in range(0, len(cells), chunk):
-            block = cells[start:start + chunk]
-            pts = block[:, None, :] * lam_i + offs[None, :, :]
+        for start in range(0, len(corners), chunk):
+            block = corners[start:start + chunk]
+            pts = block[:, None, :] + offs[None, :, :]
             dist = np.abs(pts - center).sum(axis=2) - radius
             best = max(best, int(dist.max()))
         best = max(best, 0)
@@ -252,9 +244,9 @@ def pixellation_error_bracket(
         mins = mins.astype(dtype, copy=False)
         maxs = maxs.astype(dtype, copy=False)
         chunk = max(1, _block_entries(dtype) // max(len(offs) * mins.shape[0], 1))
-        for start in range(0, len(cells), chunk):
-            block = cells[start:start + chunk]
-            pts = (block[:, None, :] * lam_i + offs[None, :, :]).reshape(-1, n)
+        for start in range(0, len(corners), chunk):
+            block = corners[start:start + chunk]
+            pts = (block[:, None, :] + offs[None, :, :]).reshape(-1, n)
             best = max(best, _directed_distance_scaled(pts, mins, maxs))
     lower = Fraction(best, denom)
     return lower, lower + Fraction(n, 2) * d

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1geo import (
     CellSet,
@@ -21,7 +24,7 @@ from l1geo import (
     monotone_reachable,
     split_halves,
 )
-from l1geo.convexity import _witness_direct, _witness_prefix
+from l1geo.convexity import _cell_arrays, _witness_direct, _witness_prefix
 
 F = Fraction
 
@@ -113,6 +116,21 @@ class TestPathEquivalence:
                 continue
             arr = self._as_array(x)
             assert _witness_direct(arr) is None and _witness_prefix(arr) is None
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        count=st.integers(2, 80),
+        spread=st.integers(0, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_scans_agree(self, n, count, spread, seed):
+        # the smallest grid that holds `count` cells, widened by `spread`
+        bound = next(b for b in range(2, 81) if b**n >= count) + spread
+        _, comp = _cell_arrays(gen_random_cellset(n, bound, count, seed).sorted_cells())
+        assert _witness_direct(comp) == _witness_prefix(comp)
+        direct, prefix = _witness_direct(comp, collect=True), _witness_prefix(comp, collect=True)
+        assert np.array_equal(np.asarray(direct).reshape(-1, 2), np.asarray(prefix).reshape(-1, 2))
 
 
 class TestConvexify:

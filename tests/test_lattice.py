@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,17 +28,18 @@ from l1geo import (
     clip_cells,
     coordinate_subspaces,
     embed,
+    from_object,
     gen_random_box,
     hausdorff_distance,
     hyperoctahedral_group,
     minkowski_sum_box,
     point_box_distance,
+    print_set,
     project,
     scale,
     subdivide,
     union_volume,
 )
-from l1geo.lattice import _scaled_union_arrays
 
 F = Fraction
 
@@ -325,8 +327,8 @@ class TestUnionVolume:
         for boxes in (corners, fine, weights):
             assert union_volume(BoxUnion(2, boxes)) == brute_union_volume(boxes)
         assert union_volume(BoxUnion(2, weights)) == 2 * side**2 - (side // 2) ** 2
-        assert _scaled_union_arrays((BoxUnion(2, corners),))[1][0][0].dtype == object
-        assert _scaled_union_arrays((BoxUnion(2, fine),))[0] == 6 * den
+        assert BoxUnion(2, corners).lows.dtype == object
+        assert BoxUnion(2, fine).den == 6 * den
 
     def test_bigint_pointset_ops(self):
         # an L-shape cut two ways, shifted past int64
@@ -344,6 +346,22 @@ class TestUnionVolume:
         back = [b.translate((-t, -t)) for b in w.boxes]
         assert back == list(boxunion_intersection(*l_shapes(0)).boxes)
         assert union_volume(w) == 3
+
+    def test_common_denominator_crosses_int64(self):
+        # each union fits int64 alone; on their common denominator 3 the
+        # corners of u reach 3 * 2^61, so the kernels take big ints
+        a, b = 2**60, 2**61
+        u = BoxUnion(2, [RatBox((a, 0), (b, 1)), RatBox((b - 1, 0), (b, 3))])
+        v = BoxUnion(2, [RatBox((a + F(1, 3), F(1, 3)), (a + F(5, 3), F(2, 3))), RatBox((F(1, 3), 0), (a, 2))])
+        assert u.lows.dtype == v.lows.dtype == np.int64
+        both = list(u.boxes + v.boxes)
+        assert union_volume(BoxUnion(2, both)) == brute_union_volume(both)
+        w = boxunion_intersection(u, v)
+        near = boxunion_intersection(_map_union(u, lambda x: x - a), _map_union(v, lambda x: x - a))
+        assert _map_union(near, lambda x: x + a) == w
+        assert union_volume(w) == brute_union_volume(list(w.boxes)) == F(4, 9)
+        assert not boxunion_equal_pointsets(u, v)
+        assert boxunion_equal_pointsets(w, BoxUnion(2, v.boxes[:1] + (RatBox((a, 0), (a, 1)),)))
 
     def test_grid_limit(self):
         boxes = [
@@ -367,6 +385,54 @@ def _seeded_union(n, seed, count, denominator):
 
 def _map_union(u, f):
     return BoxUnion(u.dimension, [RatBox(tuple(map(f, b.mins)), tuple(map(f, b.maxs))) for b in u.boxes])
+
+
+class TestRepresentation:
+    def test_boxes_kept_as_given(self):
+        boxes = [RatBox((F(2, 4), 0), (1, F(6, 3))), RatBox((0, 0), (0, 0)), RatBox((0, 0), (0, 0))]
+        u = BoxUnion(2, boxes)
+        assert u.boxes == tuple(boxes)
+        assert all(a is b for a, b in zip(u.boxes, boxes))
+        assert u.den == 2 and u.lows.tolist() == [[1, 0], [0, 0], [0, 0]]
+
+    def test_dimension_zero_and_empty(self):
+        point, nothing = BoxUnion(0, [RatBox((), ())]), BoxUnion(0)
+        assert union_volume(point) == 1 and union_volume(nothing) == 0
+        assert boxunion_intersection(point, point) == point
+        assert boxunion_intersection(point, nothing) == nothing == boxunion_intersection(nothing, point)
+        assert point.bounding_box() == RatBox((), ())
+        with pytest.raises(ValueError):
+            nothing.bounding_box()
+
+        u = BoxUnion(2, [RatBox((0, 0), (1, 2)), RatBox((F(1, 2), 1), (3, 1))])
+        empty = BoxUnion(2)
+        assert project(u, CoordSubspace(2, ())) == BoxUnion(0, [RatBox((), ())] * 2)
+        assert union_volume(project(u, CoordSubspace(2, ()))) == 1
+        assert project(empty, CoordSubspace(2, (1,))) == BoxUnion(1)
+        assert project(empty, CoordSubspace(2, ())) == nothing
+        assert union_volume(empty) == 0
+        assert boxunion_intersection(u, empty) == empty == boxunion_intersection(empty, u)
+        assert u.bounding_box() == RatBox((0, 0), (3, 2))
+        with pytest.raises(ValueError):
+            empty.bounding_box()
+
+    def test_printed_kernel_results(self):
+        u = BoxUnion(2, [RatBox((0, 0), (F(3, 2), 1)), RatBox((F(1, 3), F(1, 2)), (2, 2))])
+        v = BoxUnion(2, [RatBox((1, F(-1, 4)), (F(5, 2), F(3, 4)))])
+        w = boxunion_minkowski_box(boxunion_intersection(u, v), RatBox((F(-1, 2), 0), (0, F(1, 6))))
+        assert print_set(from_object(w)) == (
+            '{\n  "kind": "boxunion",\n  "dimension": 2,\n  "boxes": [\n    {\n      "min": [\n'
+            '        "1/2",\n        "0"\n      ],\n      "max": [\n        "3/2",\n        "11/12"\n'
+            '      ]\n    },\n    {\n      "min": [\n        "1/2",\n        "1/2"\n      ],\n'
+            '      "max": [\n        "2",\n        "11/12"\n      ]\n    }\n  ]\n}\n'
+        )
+        e = embed(CellSet(1, {(-1,), (2,)}, F(2, 3)), 0)
+        assert print_set(from_object(e)) == (
+            '{\n  "kind": "boxunion",\n  "dimension": 2,\n  "boxes": [\n    {\n      "min": [\n'
+            '        "0",\n        "-2/3"\n      ],\n      "max": [\n        "0",\n        "0"\n'
+            '      ]\n    },\n    {\n      "min": [\n        "0",\n        "4/3"\n      ],\n'
+            '      "max": [\n        "0",\n        "2"\n      ]\n    }\n  ]\n}\n'
+        )
 
 
 class TestInt64AgainstBigInt:

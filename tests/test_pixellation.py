@@ -11,7 +11,10 @@ from l1geo import (
     L1Ball,
     RatBox,
     boundary_region,
+    box_intersection,
+    cell_box,
     cellset_to_boxunion,
+    gen_random_box,
     hausdorff_distance,
     intrinsic_volumes_cellset,
     is_l1_convex,
@@ -149,6 +152,81 @@ class TestBoundaryRegion:
         ball = L1Ball((F(1, 4), F(-1, 4)), F(7, 8))
         for lam in (F(1), F(1, 2)):
             assert boundary_region(ball, lam).cells <= outer_pixellate(ball, lam).cells
+
+
+def oracle_boundary(shape, lam):
+    """The per-cube definition: a cube lies in a box union iff the boxes
+    clipped to it fill its volume, and in a ball iff its farthest corner
+    does."""
+    meets = outer_pixellate(shape, lam)
+    n = meets.dimension
+    out = set()
+    for cell in meets.cells:
+        cube = cell_box(cell, lam)
+        if isinstance(shape, L1Ball):
+            far = sum(
+                max(abs(lo - c), abs(hi - c)) for lo, hi, c in zip(cube.mins, cube.maxs, shape.center)
+            )
+            inside = far <= shape.radius
+        else:
+            pieces = [p for b in shape.region.boxes if (p := box_intersection(cube, b)) is not None]
+            inside = union_volume(BoxUnion(n, pieces)) == lam**n
+        if not inside:
+            out.add(cell)
+    return out
+
+
+def _shifted(boxes, t):
+    return [b.translate((t,) * b.dimension) for b in boxes]
+
+
+class TestBoundaryAgainstOracle:
+    RESOLUTIONS = (F(1), F(1, 3), F(2, 3))
+
+    def check(self, shape):
+        for lam in self.RESOLUTIONS:
+            assert boundary_region(shape, lam).cells == oracle_boundary(shape, lam)
+
+    def test_seeded_box_unions(self):
+        for n in (1, 2, 3):
+            for seed in range(6 if n < 3 else 3):
+                boxes = [
+                    gen_random_box(n, 100 * seed + j, low=-2, high=2, denominator=3)
+                    for j in range(1 + seed % 3)
+                ]
+                self.check(BoxUnionShape(BoxUnion(n, boxes)))
+
+    def test_degenerate_boxes(self):
+        boxes = [
+            RatBox((0, 0), (2, 0)),
+            RatBox((F(1, 2), F(-1, 3)), (F(1, 2), F(5, 3))),
+            RatBox((F(1, 3), F(1, 3)), (F(4, 3), 1)),
+        ]
+        self.check(BoxUnionShape(BoxUnion(2, boxes)))
+        self.check(BoxUnionShape(BoxUnion(2, boxes[:2])))
+
+    def test_cube_covered_only_by_two_boxes(self):
+        halves = [RatBox((0, 0), (F(1, 2), 1)), RatBox((F(1, 2), 0), (1, 1))]
+        shape = BoxUnionShape(BoxUnion(2, halves))
+        assert (0, 0) not in boundary_region(shape, 1).cells
+        self.check(shape)
+        corners = [RatBox((0, 0, 0), (2, 2, 1)), RatBox((0, 0, 1), (2, 2, 2)), RatBox((1, 1, 1), (3, 3, 3))]
+        self.check(BoxUnionShape(BoxUnion(3, corners)))
+
+    def test_balls(self):
+        for n, seed in itertools.product((1, 2, 3), range(4)):
+            center = tuple(F(seed * (i + 2) % 5 - 2, 3) for i in range(n))
+            self.check(L1Ball(center, F(3 + seed, 4)))
+
+    def test_big_int_route(self):
+        # moved by 2^63 the corners no longer fit int64
+        t = 2**63
+        boxes = [RatBox((0, 0), (F(4, 3), 1)), RatBox((1, F(1, 2)), (2, 2)), RatBox((0, 0), (0, 2))]
+        self.check(BoxUnionShape(BoxUnion(2, _shifted(boxes, t))))
+        base = boundary_region(BoxUnionShape(BoxUnion(2, boxes)), 1).cells
+        far = boundary_region(BoxUnionShape(BoxUnion(2, _shifted(boxes, t))), 1).cells
+        assert far == {(a + t, b + t) for a, b in base}
+        self.check(L1Ball((t, -t), F(5, 3)))
 
 
 class TestErrorBracket:
