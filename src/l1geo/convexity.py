@@ -87,25 +87,24 @@ def _witness_direct(arr: np.ndarray, collect: bool = False):
         return [] if collect else None
     chunk = max(1, 2_000_000 // (m * m))
     found = []
-    cols = np.arange(m)
     for start in range(0, m, chunk):
         anchors = arr[start:start + chunk]          # (c, n)
-        far = np.abs(anchors[:, None, :] - arr[None, :, :]).max(axis=2) >= 2
-        far &= cols[None, :] > np.arange(start, start + anchors.shape[0])[:, None]
+        later = arr[start:]                         # an anchor pairs only with later cells
+        far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
+        far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
         if not far.any():
             continue
-        lo = np.minimum(anchors[:, None, :], arr[None, :, :])   # (c, m, n)
-        hi = np.maximum(anchors[:, None, :], arr[None, :, :])
+        lo = np.minimum(anchors[:, None, :], later[None, :, :])  # (c, m - start, n)
+        hi = np.maximum(anchors[:, None, :], later[None, :, :])
         between = (
             (arr[None, None, :, :] >= lo[:, :, None, :])
             & (arr[None, None, :, :] <= hi[:, :, None, :])
         ).all(axis=3)
-        counts = between.sum(axis=2)                # (c, m)
+        counts = between.sum(axis=2)                # (c, m - start)
         bad = far & (counts < 3)
         if not bad.any():
             continue
-        pairs = np.argwhere(bad)                    # row-major: lex order
-        pairs[:, 0] += start
+        pairs = np.argwhere(bad) + start            # row-major: lex order
         if not collect:
             return int(pairs[0, 0]), int(pairs[0, 1])
         found.append(pairs)
@@ -140,15 +139,15 @@ def _witness_prefix(arr: np.ndarray, collect: bool = False):
     corners = list(itertools.product((0, 1), repeat=n))
     chunk = max(1, 1_000_000 // m)
     found = []
-    cols = np.arange(m)
     for start in range(0, m, chunk):
         anchors = shifted[start:start + chunk]      # (c, n)
-        far = np.abs(anchors[:, None, :] - shifted[None, :, :]).max(axis=2) >= 2
-        far &= cols[None, :] > np.arange(start, start + anchors.shape[0])[:, None]
+        later = shifted[start:]
+        far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
+        far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
         if not far.any():
             continue
-        blo = np.minimum(anchors[:, None, :], shifted[None, :, :])  # inclusive
-        bhi = np.maximum(anchors[:, None, :], shifted[None, :, :]) + 1
+        blo = np.minimum(anchors[:, None, :], later[None, :, :])  # inclusive
+        bhi = np.maximum(anchors[:, None, :], later[None, :, :]) + 1
         counts = np.zeros(far.shape, dtype=np.int64)
         for corner in corners:
             pick = np.where(np.asarray(corner, dtype=bool), bhi, blo)
@@ -157,8 +156,7 @@ def _witness_prefix(arr: np.ndarray, collect: bool = False):
         bad = far & (counts < 3)
         if not bad.any():
             continue
-        pairs = np.argwhere(bad)
-        pairs[:, 0] += start
+        pairs = np.argwhere(bad) + start
         if not collect:
             return int(pairs[0, 0]), int(pairs[0, 1])
         found.append(pairs)
@@ -303,48 +301,78 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
 def all_pairs_monotone_reachable(x: CellSet) -> bool:
     """Check monotone reachability for every ordered pair of cells of X.
 
-    Vectorized fixpoint: reach[t, c] says cell c can reach target cell t.
-    Each allowed step strictly decreases the taxicab distance to the target,
-    so iterating the step relaxations to a fixpoint computes reachability.
+    Runs on the compressed coordinates of ``_cell_arrays``, which keep every
+    gap of 1 (so king-move adjacency) and the order on each axis (so
+    monotonicity); indices outside int64 raise ValueError there.
+
+    Symmetry: a reversed monotone path is monotone, so reachability is
+    symmetric.  Every pair (c, t) has t in the closed orthant
+    {t : sigma_i (t_i - c_i) >= 0} of c, or c in that of t, for a sign vector
+    sigma with sigma_0 = +1, so only these 2^(n-1) orthants are checked.
+
+    Per sigma, a monotone path from c to a target t of its orthant is a
+    king-move path whose steps s have s_i in {0, sigma_i}, and each such step
+    raises sigma.c by at least 1.  So the cells are taken in layers of equal
+    sigma.c from high to low, and R[c] = {c} | union over steps of R[c + s]:
+    the cells c reaches by sigma-steps.  R[c] lies in the orthant of c (so
+    R[c + s] holds only targets ahead of c on every axis s moves), and the set
+    fails when R[c] misses some cell of that orthant.
+
+    Rows R[c] are bit-packed over the m targets, as are the per-axis rows
+    "t_i >= v" and "t_i <= v" that the orthant masks are ANDed from, so the
+    memory is at most (2n + 3) m * ceil(m / 8) bytes: R, one orthant mask and
+    its gathered operand, and per axis one row per distinct value for each
+    direction; plus one neighbour index per cell and step, O(3^n m).
     """
     m = len(x.cells)
     if m <= 1:
         return True
-    arr = np.asarray(x.sorted_cells(), dtype=np.int64)
+    _, comp = _cell_arrays(x.sorted_cells())
     n = x.dimension
-    index = {tuple(map(int, arr[i])): i for i in range(m)}
+    cells = np.arange(m)
+    col, bit = cells >> 3, (0x80 >> (cells & 7)).astype(np.uint8)
+    width = (m + 7) // 8
 
-    steps = [s for s in itertools.product((-1, 0, 1), repeat=n) if any(s)]
-    neighbor = np.full((len(steps), m), -1, dtype=np.int64)
-    for si, s in enumerate(steps):
-        for ci in range(m):
-            tgt = tuple(int(arr[ci, i] + s[i]) for i in range(n))
-            neighbor[si, ci] = index.get(tgt, -1)
+    at_least, at_most, value_of = [], [], []
+    for i in range(n):
+        _, inv = np.unique(comp[:, i], return_inverse=True)
+        rows = np.zeros((inv.max() + 1, width), dtype=np.uint8)
+        np.bitwise_or.at(rows, (inv, col), bit)
+        at_least.append(np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1])
+        at_most.append(np.bitwise_or.accumulate(rows, axis=0))
+        value_of.append(inv)
 
-    diff = arr[:, None, :] - arr[None, :, :]  # diff[t, c, i] = t_i - c_i
-    allowed = []
-    for s in steps:
-        ok = np.ones((m, m), dtype=bool)
-        for i in range(n):
-            if s[i] == 1:
-                ok &= diff[:, :, i] >= 1
-            elif s[i] == -1:
-                ok &= diff[:, :, i] <= -1
-        allowed.append(ok)
+    # every step some orthant uses has s_0 in {0, 1}; c + s is the cell
+    # whose row it equals, or m (an all-zero row of R) when no cell does
+    steps = [s for s in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1)) if any(s)]
+    _, group = np.unique(
+        np.concatenate([comp] + [comp + s for s in steps]), axis=0, return_inverse=True
+    )
+    group = group.reshape(-1)
+    at = np.full(group.max() + 1, m)
+    at[group[:m]] = cells
+    neighbour = {
+        s: nbr for s, nbr in zip(steps, at[group[m:]].reshape(len(steps), m)) if (nbr < m).any()
+    }
 
-    reach = np.eye(m, dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for si in range(len(steps)):
-            nbr = neighbor[si]
-            valid = nbr >= 0
-            if not valid.any():
-                continue
-            gathered = np.zeros((m, m), dtype=bool)
-            gathered[:, valid] = reach[:, nbr[valid]]
-            upd = allowed[si] & gathered & ~reach
-            if upd.any():
-                reach |= upd
-                changed = True
-    return bool(reach.all())
+    reach = np.zeros((m + 1, width), dtype=np.uint8)
+    for tail in itertools.product((1, -1), repeat=n - 1):
+        sigma = (1, *tail)
+        moves = [nbr for s, nbr in neighbour.items() if all(a * b >= 0 for a, b in zip(s, sigma))]
+        reach[:] = 0
+        reach[cells, col] = bit
+        if moves:
+            level = comp @ np.asarray(sigma)
+            order = np.argsort(-level, kind="stable")
+            cuts = np.flatnonzero(np.diff(level[order])) + 1
+            for layer in np.split(order, cuts):
+                ahead = reach[moves[0][layer]]
+                for nbr in moves[1:]:
+                    ahead |= reach[nbr[layer]]
+                reach[layer] |= ahead
+        orthant = at_least[0][value_of[0]]
+        for i in range(1, n):
+            orthant &= (at_least if sigma[i] > 0 else at_most)[i][value_of[i]]
+        if not np.array_equal(orthant, reach[:m]):
+            return False
+    return True

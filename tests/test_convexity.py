@@ -1,6 +1,8 @@
 """Convexity decision procedure, repair, splitting, reachability oracle."""
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,55 @@ from l1geo import (
 from l1geo.convexity import _cell_arrays, _witness_direct, _witness_prefix
 
 F = Fraction
+
+
+def fixpoint_all_pairs(x: CellSet) -> bool:
+    """Reference for ``all_pairs_monotone_reachable``: a Jacobi fixpoint over
+    all 3^n - 1 king-move steps on dense m x m arrays, where reach[t, c] says
+    cell c reaches target t.  Each allowed step strictly decreases the
+    taxicab distance to the target, so the fixpoint is reachability.  Exact
+    while cells and their differences stay inside int64."""
+    m = len(x.cells)
+    if m <= 1:
+        return True
+    arr = np.asarray(x.sorted_cells(), dtype=np.int64)
+    n = x.dimension
+    index = {tuple(map(int, arr[i])): i for i in range(m)}
+
+    steps = [s for s in itertools.product((-1, 0, 1), repeat=n) if any(s)]
+    neighbor = np.full((len(steps), m), -1, dtype=np.int64)
+    for si, s in enumerate(steps):
+        for ci in range(m):
+            tgt = tuple(int(arr[ci, i] + s[i]) for i in range(n))
+            neighbor[si, ci] = index.get(tgt, -1)
+
+    diff = arr[:, None, :] - arr[None, :, :]  # diff[t, c, i] = t_i - c_i
+    allowed = []
+    for s in steps:
+        ok = np.ones((m, m), dtype=bool)
+        for i in range(n):
+            if s[i] == 1:
+                ok &= diff[:, :, i] >= 1
+            elif s[i] == -1:
+                ok &= diff[:, :, i] <= -1
+        allowed.append(ok)
+
+    reach = np.eye(m, dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        for si in range(len(steps)):
+            nbr = neighbor[si]
+            valid = nbr >= 0
+            if not valid.any():
+                continue
+            gathered = np.zeros((m, m), dtype=bool)
+            gathered[:, valid] = reach[:, nbr[valid]]
+            upd = allowed[si] & gathered & ~reach
+            if upd.any():
+                reach |= upd
+                changed = True
+    return bool(reach.all())
 
 
 class TestIsConvex:
@@ -131,6 +182,21 @@ class TestPathEquivalence:
         assert _witness_direct(comp) == _witness_prefix(comp)
         direct, prefix = _witness_direct(comp, collect=True), _witness_prefix(comp, collect=True)
         assert np.array_equal(np.asarray(direct).reshape(-1, 2), np.asarray(prefix).reshape(-1, 2))
+
+    @pytest.mark.parametrize("w, h", [(13, 12), (40, 30)])
+    def test_chunked_scans(self, w, h):
+        # a w x h box and one far cell: the only violating pair is the box
+        # corner (w - 1, 0) with the far cell, an anchor past the first chunk
+        far = (w + 60, 0)
+        x = CellSet(2, {(a, b) for a in range(w) for b in range(h)} | {far})
+        _, comp = _cell_arrays(x.sorted_cells())
+        pair = ((w - 1) * h, w * h)
+        # the direct scan is too slow on the larger set, where only the
+        # prefix scan splits its anchors into chunks
+        for scan in (_witness_direct, _witness_prefix) if w * h < 1000 else (_witness_prefix,):
+            assert scan(comp) == pair
+            assert np.array_equal(scan(comp, collect=True), [pair])
+        assert is_l1_convex(x).witness == ((w - 1, 0), far)
 
 
 class TestConvexify:
@@ -259,6 +325,58 @@ class TestReachability:
             n = 2 + seed % 2
             x = gen_random_convex(n, 5, 0.4, 900 + seed, mode=("blob", "staircase", "ball")[seed % 3])
             assert all_pairs_monotone_reachable(x)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_far_cells(self, n):
+        # 2^64 - 1 apart on axis 0: the difference wraps around in int64
+        pad = (0,) * (n - 1)
+        x = CellSet(n, {(2**63 - 1, *pad), (-(2**63), *pad)})
+        assert not monotone_reachable(x, (2**63 - 1, *pad), (-(2**63), *pad))
+        assert not all_pairs_monotone_reachable(x)
+        near = CellSet(n, {(2**63 - 1, *pad), (2**63 - 2, *pad)})
+        assert all_pairs_monotone_reachable(near)
+        for bad in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError):
+                all_pairs_monotone_reachable(CellSet(n, {(bad, *pad), (0, *pad)}))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["random", "disconnected", "staircase", "blob", "ball"]),
+        size=st.integers(1, 40),
+        shift=st.sampled_from([0, 2**62, -(2**62)]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_fixpoint_and_pairwise(self, n, kind, size, shift, seed):
+        bound = 4 if n == 3 else 6
+        if kind == "random":
+            cells = gen_random_cellset(n, bound, size, seed).cells
+        elif kind == "disconnected":
+            # two random pieces two cells apart on axis 0
+            left = gen_random_convex(n, 3, size / 40, seed).cells
+            right = gen_random_cellset(n, 3, size % 9 + 1, seed).cells
+            cells = left | {(c[0] + 5, *c[1:]) for c in right}
+        else:
+            cells = gen_random_convex(n, bound, size / 40, seed, mode=kind).cells
+        x = CellSet(n, {tuple(v + shift for v in c) for c in cells})
+        got = all_pairs_monotone_reachable(x)
+        assert got == fixpoint_all_pairs(x)
+        ordered = x.sorted_cells()
+        assert got == all(monotone_reachable(x, a, b) for a in ordered for b in ordered)
+        if kind == "disconnected":
+            assert not got
+
+    def test_memory_is_bounded(self):
+        # the dense fixpoint kept (3^n - 1) m x m boolean arrays: ~650 MB here
+        x = CellSet(3, set(itertools.product(range(25), range(20), range(10))))
+        assert len(x.cells) == 5000
+        tracemalloc.start()
+        try:
+            assert all_pairs_monotone_reachable(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestIndexLevelCounterexamples:
