@@ -15,6 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import __version__
 from ._util import as_fraction, frac_str
 from .convexity import convexify, is_l1_convex
 from .documents import ParseError, SetDocument, from_object, parse_set, print_set, to_object
@@ -299,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact convexity, intrinsic volumes and integral-geometry "
         "checks for pixellated sets under the taxicab metric.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-convex", parents=[common], help="decide convexity of a cellset")

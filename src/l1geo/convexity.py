@@ -12,8 +12,15 @@ and a dilation of a discrete set with a strict-betweenness witness for every
 separated pair is geodesic.  Necessity: a monotone path between the centers
 of two cubes separated by >= 2 in some axis crosses the open slab between
 them, and the cube containing the crossing point is a strictly intermediate
-cell.  The decision procedure below is this pairwise criterion — path search
-(`monotone_reachable`) is kept separate as a one-sided sanity oracle.
+cell.
+
+The criterion holds exactly when every pair of cells is joined by a monotone
+king-move path (`monotone_reachable`): a path between cells >= 2 apart has an
+interior cell, which lies between them; conversely, induct on the 1-norm gap
+through the between-cell, which keeps the joined path monotone.  Below 256
+cells the pairwise criterion decides; from 256 cells the all-pairs
+reachability wavefront decides, and the pairwise scan runs only on a set that
+fails, over the pairs no path joins, to find the lexicographic witness.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 from .lattice import Cell, CellSet, RatBox, cell_box
 
 _PREFIX_GRID_LIMIT = 30_000_000
+_WAVEFRONT_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -67,21 +75,129 @@ def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
     return arr, comp
 
 
+def _unreachable(comp: np.ndarray) -> np.ndarray | None:
+    """Bit-packed rows of the cell pairs no monotone path joins, or None when
+    every pair is joined.
+
+    Runs on the compressed coordinates of ``_cell_arrays``, which keep every
+    gap of 1 (so king-move adjacency) and the order on each axis (so
+    monotonicity).  Row c has bit t set (``np.packbits`` layout over the m
+    cells) when c does not reach t and t lies in a closed orthant
+    {t : sigma_i (t_i - c_i) >= 0} of c with sigma_0 = +1.  A reversed
+    monotone path is monotone, so reachability is symmetric and these 2^(n-1)
+    orthants cover every pair: on lexicographically sorted rows, every pair
+    c < t appears in row c.
+
+    Per sigma, a monotone path from c to a target t of its orthant is a
+    king-move path whose steps s have s_i in {0, sigma_i}, and each such step
+    raises sigma.c by at least 1.  So the cells are taken in layers of equal
+    sigma.c from high to low, and R[c] = {c} | union over steps of R[c + s]:
+    the cells c reaches by sigma-steps.  R[c] lies in the orthant of c (so
+    R[c + s] holds only targets ahead of c on every axis s moves), and the
+    orthant's cells outside R[c] are the ones c misses.
+
+    Rows R[c] are bit-packed over the m targets, as are the per-axis rows
+    "t_i >= v" and "t_i <= v" that the orthant masks are ANDed from, so the
+    memory is at most (2n + 4) m * ceil(m / 8) bytes: R, the unreachable
+    rows, one orthant mask and its gathered operand, and per axis one row per
+    distinct value for each direction; plus one neighbour index per cell and
+    step, O(3^n m).
+    """
+    m, n = comp.shape
+    cells = np.arange(m)
+    col, bit = cells >> 3, (0x80 >> (cells & 7)).astype(np.uint8)
+    width = (m + 7) // 8
+
+    at_least, at_most, value_of = [], [], []
+    for i in range(n):
+        _, inv = np.unique(comp[:, i], return_inverse=True)
+        rows = np.zeros((inv.max() + 1, width), dtype=np.uint8)
+        np.bitwise_or.at(rows, (inv, col), bit)
+        at_least.append(np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1])
+        at_most.append(np.bitwise_or.accumulate(rows, axis=0))
+        value_of.append(inv)
+
+    # every step some orthant uses has s_0 in {0, 1}; c + s is the cell
+    # whose row it equals, or m (an all-zero row of R) when no cell does
+    steps = [s for s in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1)) if any(s)]
+    _, group = np.unique(
+        np.concatenate([comp] + [comp + s for s in steps]), axis=0, return_inverse=True
+    )
+    group = group.reshape(-1)
+    at = np.full(group.max() + 1, m)
+    at[group[:m]] = cells
+    neighbour = {
+        s: nbr for s, nbr in zip(steps, at[group[m:]].reshape(len(steps), m)) if (nbr < m).any()
+    }
+
+    reach = np.zeros((m + 1, width), dtype=np.uint8)
+    unreachable = None
+    for tail in itertools.product((1, -1), repeat=n - 1):
+        sigma = (1, *tail)
+        moves = [nbr for s, nbr in neighbour.items() if all(a * b >= 0 for a, b in zip(s, sigma))]
+        reach[:] = 0
+        reach[cells, col] = bit
+        if moves:
+            level = comp @ np.asarray(sigma)
+            order = np.argsort(-level, kind="stable")
+            cuts = np.flatnonzero(np.diff(level[order])) + 1
+            for layer in np.split(order, cuts):
+                ahead = reach[moves[0][layer]]
+                for nbr in moves[1:]:
+                    ahead |= reach[nbr[layer]]
+                reach[layer] |= ahead
+        orthant = at_least[0][value_of[0]]
+        for i in range(1, n):
+            orthant &= (at_least if sigma[i] > 0 else at_most)[i][value_of[i]]
+        orthant ^= reach[:m]                # R[c] lies in the orthant of c
+        if orthant.any():
+            unreachable = orthant if unreachable is None else unreachable | orthant
+    return unreachable
+
+
 def _scan(comp: np.ndarray, collect: bool = False):
     """Witness scan of a compressed cell array: the prefix-sum scan for 16
-    or more cells on a small enough grid, else the direct one."""
+    or more cells on a small enough grid, else the direct one.
+
+    From 256 cells the wavefront of ``_unreachable`` decides first, and the
+    pairwise scan runs only on a set that fails, over the unreachable pairs.
+    That keeps the witness and the collected pairs: a monotone path between
+    two cells >= 2 apart on some axis passes through a third cell between
+    them, so every violating pair is unreachable.
+    """
+    unreachable = None
+    if comp.shape[0] >= _WAVEFRONT_CELLS:
+        unreachable = _unreachable(comp)
+        if unreachable is None:
+            return [] if collect else None
     grid_size = 1
     for e in comp.max(axis=0) + 1:
         grid_size *= int(e)
     if comp.shape[0] >= 16 and grid_size <= _PREFIX_GRID_LIMIT:
-        return _witness_prefix(comp, collect)
-    return _witness_direct(comp, collect)
+        return _witness_prefix(comp, collect, unreachable)
+    return _witness_direct(comp, collect, unreachable)
 
 
-def _witness_direct(arr: np.ndarray, collect: bool = False):
+def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, unreachable: np.ndarray | None):
+    """Mask ``far`` of the pairs of a scan chunk (anchors and later cells
+    from cell ``start`` on, upper triangle) >= 2 apart on some axis, an index
+    ``sel`` into it and the two cells of each pair it selects: the whole
+    block, or with ``_unreachable`` rows only the unreachable far pairs."""
+    far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
+    far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
+    if unreachable is None:
+        return far, ..., anchors[:, None, :], later[None, :, :]
+    rows = unreachable[start:start + anchors.shape[0]]
+    far &= np.unpackbits(rows, axis=1, count=start + later.shape[0])[:, start:].view(bool)
+    sel = np.nonzero(far)
+    return far, sel, anchors[sel[0]], later[sel[1]]
+
+
+def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
     """Pairwise scan with explicit betweenness tests, anchors chunked so the
     (chunk, m, m, n) comparison block stays small.  Returns the first (lex
-    order) violating index pair, or with ``collect`` the array of all pairs."""
+    order) violating index pair, or with ``collect`` the array of all pairs;
+    given the rows of ``_unreachable``, it tests only the unreachable pairs."""
     m = arr.shape[0]
     if m < 2:
         return [] if collect else None
@@ -90,21 +206,15 @@ def _witness_direct(arr: np.ndarray, collect: bool = False):
     for start in range(0, m, chunk):
         anchors = arr[start:start + chunk]          # (c, n)
         later = arr[start:]                         # an anchor pairs only with later cells
-        far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
-        far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
+        far, sel, a, b = _pairs(anchors, later, start, unreachable)
         if not far.any():
             continue
-        lo = np.minimum(anchors[:, None, :], later[None, :, :])  # (c, m - start, n)
-        hi = np.maximum(anchors[:, None, :], later[None, :, :])
-        between = (
-            (arr[None, None, :, :] >= lo[:, :, None, :])
-            & (arr[None, None, :, :] <= hi[:, :, None, :])
-        ).all(axis=3)
-        counts = between.sum(axis=2)                # (c, m - start)
-        bad = far & (counts < 3)
-        if not bad.any():
+        lo, hi = np.minimum(a, b), np.maximum(a, b)  # (c, m - start, n) or (pairs, n)
+        between = ((arr >= lo[..., None, :]) & (arr <= hi[..., None, :])).all(axis=-1)
+        far[sel] &= between.sum(axis=-1) < 3
+        if not far.any():
             continue
-        pairs = np.argwhere(bad) + start            # row-major: lex order
+        pairs = np.argwhere(far) + start            # row-major: lex order
         if not collect:
             return int(pairs[0, 0]), int(pairs[0, 1])
         found.append(pairs)
@@ -113,7 +223,7 @@ def _witness_direct(arr: np.ndarray, collect: bool = False):
     return None
 
 
-def _witness_prefix(arr: np.ndarray, collect: bool = False):
+def _witness_prefix(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
     """Prefix-sum variant: counts cells in an index box by inclusion-exclusion.
 
     Builds the cumulative count grid of the cell indicator over the bounding
@@ -142,21 +252,19 @@ def _witness_prefix(arr: np.ndarray, collect: bool = False):
     for start in range(0, m, chunk):
         anchors = shifted[start:start + chunk]      # (c, n)
         later = shifted[start:]
-        far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
-        far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
+        far, sel, a, b = _pairs(anchors, later, start, unreachable)
         if not far.any():
             continue
-        blo = np.minimum(anchors[:, None, :], later[None, :, :])  # inclusive
-        bhi = np.maximum(anchors[:, None, :], later[None, :, :]) + 1
-        counts = np.zeros(far.shape, dtype=np.int64)
+        blo, bhi = np.minimum(a, b), np.maximum(a, b) + 1  # inclusive, exclusive
+        counts = np.zeros(blo.shape[:-1], dtype=np.int64)
         for corner in corners:
             pick = np.where(np.asarray(corner, dtype=bool), bhi, blo)
             sign = -1 if (n - sum(corner)) % 2 else 1
             counts += sign * flat[pick @ strides]
-        bad = far & (counts < 3)
-        if not bad.any():
+        far[sel] &= counts < 3
+        if not far.any():
             continue
-        pairs = np.argwhere(bad) + start
+        pairs = np.argwhere(far) + start
         if not collect:
             return int(pairs[0, 0]), int(pairs[0, 1])
         found.append(pairs)
@@ -264,8 +372,9 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
     """Is there a path of cells from a to b inside X whose king-move steps are
     all componentwise monotone toward b (never overshooting)?
 
-    A sound one-sided oracle for convexity: on a convex set every pair is
-    reachable; the converse is not relied upon.
+    X is convex exactly when every pair of its cells is reachable (see the
+    module docstring); ``all_pairs_monotone_reachable`` checks all pairs at
+    once, and the convexity test uses it from 256 cells.
     """
     a, b = tuple(a), tuple(b)
     if a not in x.cells or b not in x.cells:
@@ -299,80 +408,8 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
 
 
 def all_pairs_monotone_reachable(x: CellSet) -> bool:
-    """Check monotone reachability for every ordered pair of cells of X.
-
-    Runs on the compressed coordinates of ``_cell_arrays``, which keep every
-    gap of 1 (so king-move adjacency) and the order on each axis (so
-    monotonicity); indices outside int64 raise ValueError there.
-
-    Symmetry: a reversed monotone path is monotone, so reachability is
-    symmetric.  Every pair (c, t) has t in the closed orthant
-    {t : sigma_i (t_i - c_i) >= 0} of c, or c in that of t, for a sign vector
-    sigma with sigma_0 = +1, so only these 2^(n-1) orthants are checked.
-
-    Per sigma, a monotone path from c to a target t of its orthant is a
-    king-move path whose steps s have s_i in {0, sigma_i}, and each such step
-    raises sigma.c by at least 1.  So the cells are taken in layers of equal
-    sigma.c from high to low, and R[c] = {c} | union over steps of R[c + s]:
-    the cells c reaches by sigma-steps.  R[c] lies in the orthant of c (so
-    R[c + s] holds only targets ahead of c on every axis s moves), and the set
-    fails when R[c] misses some cell of that orthant.
-
-    Rows R[c] are bit-packed over the m targets, as are the per-axis rows
-    "t_i >= v" and "t_i <= v" that the orthant masks are ANDed from, so the
-    memory is at most (2n + 3) m * ceil(m / 8) bytes: R, one orthant mask and
-    its gathered operand, and per axis one row per distinct value for each
-    direction; plus one neighbour index per cell and step, O(3^n m).
-    """
-    m = len(x.cells)
-    if m <= 1:
+    """Check monotone reachability for every ordered pair of cells of X with
+    the wavefront of ``_unreachable``; indices outside int64 raise ValueError."""
+    if len(x.cells) <= 1:
         return True
-    _, comp = _cell_arrays(x.sorted_cells())
-    n = x.dimension
-    cells = np.arange(m)
-    col, bit = cells >> 3, (0x80 >> (cells & 7)).astype(np.uint8)
-    width = (m + 7) // 8
-
-    at_least, at_most, value_of = [], [], []
-    for i in range(n):
-        _, inv = np.unique(comp[:, i], return_inverse=True)
-        rows = np.zeros((inv.max() + 1, width), dtype=np.uint8)
-        np.bitwise_or.at(rows, (inv, col), bit)
-        at_least.append(np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1])
-        at_most.append(np.bitwise_or.accumulate(rows, axis=0))
-        value_of.append(inv)
-
-    # every step some orthant uses has s_0 in {0, 1}; c + s is the cell
-    # whose row it equals, or m (an all-zero row of R) when no cell does
-    steps = [s for s in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1)) if any(s)]
-    _, group = np.unique(
-        np.concatenate([comp] + [comp + s for s in steps]), axis=0, return_inverse=True
-    )
-    group = group.reshape(-1)
-    at = np.full(group.max() + 1, m)
-    at[group[:m]] = cells
-    neighbour = {
-        s: nbr for s, nbr in zip(steps, at[group[m:]].reshape(len(steps), m)) if (nbr < m).any()
-    }
-
-    reach = np.zeros((m + 1, width), dtype=np.uint8)
-    for tail in itertools.product((1, -1), repeat=n - 1):
-        sigma = (1, *tail)
-        moves = [nbr for s, nbr in neighbour.items() if all(a * b >= 0 for a, b in zip(s, sigma))]
-        reach[:] = 0
-        reach[cells, col] = bit
-        if moves:
-            level = comp @ np.asarray(sigma)
-            order = np.argsort(-level, kind="stable")
-            cuts = np.flatnonzero(np.diff(level[order])) + 1
-            for layer in np.split(order, cuts):
-                ahead = reach[moves[0][layer]]
-                for nbr in moves[1:]:
-                    ahead |= reach[nbr[layer]]
-                reach[layer] |= ahead
-        orthant = at_least[0][value_of[0]]
-        for i in range(1, n):
-            orthant &= (at_least if sigma[i] > 0 else at_most)[i][value_of[i]]
-        if not np.array_equal(orthant, reach[:m]):
-            return False
-    return True
+    return _unreachable(_cell_arrays(x.sorted_cells())[1]) is None

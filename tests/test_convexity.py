@@ -1,5 +1,6 @@
 """Convexity decision procedure, repair, splitting, reachability oracle."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -26,20 +27,27 @@ from l1geo import (
     monotone_reachable,
     split_halves,
 )
-from l1geo.convexity import _cell_arrays, _witness_direct, _witness_prefix
+from l1geo.convexity import (
+    _PREFIX_GRID_LIMIT,
+    _WAVEFRONT_CELLS,
+    _cell_arrays,
+    _scan,
+    _unreachable,
+    _witness_direct,
+    _witness_prefix,
+)
 
 F = Fraction
 
 
-def fixpoint_all_pairs(x: CellSet) -> bool:
-    """Reference for ``all_pairs_monotone_reachable``: a Jacobi fixpoint over
-    all 3^n - 1 king-move steps on dense m x m arrays, where reach[t, c] says
-    cell c reaches target t.  Each allowed step strictly decreases the
-    taxicab distance to the target, so the fixpoint is reachability.  Exact
-    while cells and their differences stay inside int64."""
+def fixpoint_reach(x: CellSet) -> np.ndarray:
+    """Reference for ``all_pairs_monotone_reachable`` and ``_unreachable``: a
+    Jacobi fixpoint over all 3^n - 1 king-move steps on dense m x m arrays,
+    where reach[t, c] says cell c reaches target t (cells in sorted order).
+    Each allowed step strictly decreases the taxicab distance to the target,
+    so the fixpoint is reachability.  Exact while cells and their
+    differences stay inside int64."""
     m = len(x.cells)
-    if m <= 1:
-        return True
     arr = np.asarray(x.sorted_cells(), dtype=np.int64)
     n = x.dimension
     index = {tuple(map(int, arr[i])): i for i in range(m)}
@@ -77,7 +85,45 @@ def fixpoint_all_pairs(x: CellSet) -> bool:
             if upd.any():
                 reach |= upd
                 changed = True
-    return bool(reach.all())
+    return reach
+
+
+def fixpoint_all_pairs(x: CellSet) -> bool:
+    return len(x.cells) <= 1 or bool(fixpoint_reach(x).all())
+
+
+def reach_case(n, kind, size, shift, seed) -> CellSet:
+    """A small seeded set of one of five kinds, translated by ``shift``."""
+    bound = 4 if n == 3 else 6
+    if kind == "random":
+        cells = gen_random_cellset(n, bound, size, seed).cells
+    elif kind == "disconnected":
+        # two random pieces two cells apart on axis 0
+        left = gen_random_convex(n, 3, size / 40, seed).cells
+        right = gen_random_cellset(n, 3, size % 9 + 1, seed).cells
+        cells = left | {(c[0] + 5, *c[1:]) for c in right}
+    else:
+        cells = gen_random_convex(n, bound, size / 40, seed, mode=kind).cells
+    return CellSet(n, {tuple(v + shift for v in c) for c in cells})
+
+
+def large_case(n, kind, size, shift, seed) -> CellSet:
+    """A seeded set of ``size`` cells: "convex" is the first cells of a box
+    in the order of a random positive weighting (a down-set, so convex),
+    "far" the same with its last cell moved far away, "random" a random
+    set filling at least 2/3 of its box."""
+    rng = random.Random(seed)
+    if kind == "random":
+        bound = next(b for b in itertools.count(2) if 2 * b**n >= 3 * size)
+        cells = gen_random_cellset(n, bound, size, seed).cells
+    else:
+        bound = next(b for b in itertools.count(2) if b**n >= size)
+        weights = [rng.randint(1, 4) for _ in range(n)]
+        box = itertools.product(range(bound), repeat=n)
+        cells = sorted(box, key=lambda c: (sum(w * v for w, v in zip(weights, c)), c))[:size]
+        if kind == "far":
+            cells[-1] = (bound + rng.randint(2, 9), *cells[-1][1:])
+    return CellSet(n, {tuple(v + shift for v in c) for c in cells})
 
 
 class TestIsConvex:
@@ -183,7 +229,7 @@ class TestPathEquivalence:
         direct, prefix = _witness_direct(comp, collect=True), _witness_prefix(comp, collect=True)
         assert np.array_equal(np.asarray(direct).reshape(-1, 2), np.asarray(prefix).reshape(-1, 2))
 
-    @pytest.mark.parametrize("w, h", [(13, 12), (40, 30)])
+    @pytest.mark.parametrize("w, h", [(13, 12), (20, 13), (40, 30)])
     def test_chunked_scans(self, w, h):
         # a w x h box and one far cell: the only violating pair is the box
         # corner (w - 1, 0) with the far cell, an anchor past the first chunk
@@ -193,10 +239,42 @@ class TestPathEquivalence:
         pair = ((w - 1) * h, w * h)
         # the direct scan is too slow on the larger set, where only the
         # prefix scan splits its anchors into chunks
-        for scan in (_witness_direct, _witness_prefix) if w * h < 1000 else (_witness_prefix,):
+        scans = [_witness_direct, _witness_prefix] if w * h < 1000 else [_witness_prefix]
+        if len(comp) >= _WAVEFRONT_CELLS:
+            # the gated scan, and both scans on the unreachable pairs only:
+            # the direct one takes 29 anchors a chunk at 261 cells, 1 at 1,201
+            rows = _unreachable(comp)
+            scans.append(_scan)
+            scans += [functools.partial(f, unreachable=rows) for f in (_witness_direct, _witness_prefix)]
+        for scan in scans:
             assert scan(comp) == pair
             assert np.array_equal(scan(comp, collect=True), [pair])
         assert is_l1_convex(x).witness == ((w - 1, 0), far)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["convex", "random", "far"]),
+        size=st.integers(_WAVEFRONT_CELLS, 600),
+        shift=st.sampled_from([0, 2**62]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_gated_scan_matches_ungated(self, n, kind, size, shift, seed):
+        x = large_case(n, kind, size, shift, seed)
+        assert len(x.cells) == size
+        _, comp = _cell_arrays(x.sorted_cells())
+        grid = int(np.prod(comp.max(axis=0) + 1, dtype=object))
+        ungated = _witness_prefix if grid <= _PREFIX_GRID_LIMIT else _witness_direct
+        witness = ungated(comp)
+        assert (witness is None) == (kind == "convex")
+        assert _scan(comp) == witness
+        pairs = np.asarray(ungated(comp, collect=True)).reshape(-1, 2)
+        assert np.array_equal(np.asarray(_scan(comp, collect=True)).reshape(-1, 2), pairs)
+        if witness is not None:
+            # the direct scan on the unreachable pairs, 5 to 30 anchors a
+            # chunk here, so every chunk but the first reads rows past 0
+            restricted = _witness_direct(comp, collect=True, unreachable=_unreachable(comp))
+            assert np.array_equal(restricted, pairs)
 
 
 class TestConvexify:
@@ -348,23 +426,38 @@ class TestReachability:
         seed=st.integers(0, 10**6),
     )
     def test_matches_fixpoint_and_pairwise(self, n, kind, size, shift, seed):
-        bound = 4 if n == 3 else 6
-        if kind == "random":
-            cells = gen_random_cellset(n, bound, size, seed).cells
-        elif kind == "disconnected":
-            # two random pieces two cells apart on axis 0
-            left = gen_random_convex(n, 3, size / 40, seed).cells
-            right = gen_random_cellset(n, 3, size % 9 + 1, seed).cells
-            cells = left | {(c[0] + 5, *c[1:]) for c in right}
-        else:
-            cells = gen_random_convex(n, bound, size / 40, seed, mode=kind).cells
-        x = CellSet(n, {tuple(v + shift for v in c) for c in cells})
+        x = reach_case(n, kind, size, shift, seed)
         got = all_pairs_monotone_reachable(x)
         assert got == fixpoint_all_pairs(x)
         ordered = x.sorted_cells()
         assert got == all(monotone_reachable(x, a, b) for a in ordered for b in ordered)
         if kind == "disconnected":
             assert not got
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["random", "disconnected", "staircase", "blob", "ball"]),
+        size=st.integers(2, 40),
+        shift=st.sampled_from([0, 2**62]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_unreachable_rows_match_fixpoint(self, n, kind, size, shift, seed):
+        # the wavefront that all_pairs_monotone_reachable and the gated
+        # convexity scan share, pair by pair against the dense fixpoint
+        x = reach_case(n, kind, size, shift, seed)
+        m = len(x.cells)
+        if m < 2:
+            return
+        rows = _unreachable(_cell_arrays(x.sorted_cells())[1])
+        missing = ~fixpoint_reach(x)                # symmetric: paths reverse
+        got = np.zeros((m, m), dtype=bool)
+        if rows is not None:
+            assert rows.shape == (m, (m + 7) // 8)
+            got = np.unpackbits(rows, axis=1, count=m).view(bool)
+        assert not (got & ~missing).any()           # every marked pair is unreachable
+        assert np.array_equal(np.triu(got), np.triu(missing))  # every pair c < t is in row c
+        assert all_pairs_monotone_reachable(x) == (rows is None) == (not missing.any())
 
     def test_memory_is_bounded(self):
         # the dense fixpoint kept (3^n - 1) m x m boolean arrays: ~650 MB here

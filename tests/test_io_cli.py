@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from l1geo import (
+    __version__,
     BoxUnion,
     CellSet,
     L1Ball,
@@ -189,6 +190,12 @@ def gap_file(tmp_path):
 
 
 class TestCli:
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"l1geo {__version__}\n"
+
     def test_check_convex_pass(self, tromino_file, capsys):
         assert main(["check-convex", tromino_file]) == 0
         assert "convex" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Core value types, measure, point-set operations, metrics."""
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -362,6 +363,40 @@ class TestUnionVolume:
         assert union_volume(w) == brute_union_volume(list(w.boxes)) == F(4, 9)
         assert not boxunion_equal_pointsets(u, v)
         assert boxunion_equal_pointsets(w, BoxUnion(2, v.boxes[:1] + (RatBox((a, 0), (a, 1)),)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        q=st.integers(1, 4),
+        count=st.integers(1, 5),
+        k=st.integers(2, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_cell_count(self, n, q, count, k, seed):
+        # box corners on the 1/q grid (integer numerators over q, degenerate
+        # boxes included): the union is the union of the 1/q cells whose
+        # centres (2c + 1) / 2q some box covers, cells c in [-6, 9)^n
+        rng = random.Random(seed)
+        lows = [[rng.randint(-6, 4) for _ in range(n)] for _ in range(count)]
+        highs = [[a + rng.randint(0, 5) for a in lo] for lo in lows]
+        cells = {
+            c
+            for c in itertools.product(range(-6, 9), repeat=n)
+            if any(
+                all(2 * a <= 2 * v + 1 <= 2 * b for v, a, b in zip(c, lo, hi))
+                for lo, hi in zip(lows, highs)
+            )
+        }
+        boxes = [
+            RatBox(tuple(F(a, q) for a in lo), tuple(F(b, q) for b in hi))
+            for lo, hi in zip(lows, highs)
+        ]
+        vol = union_volume(BoxUnion(n, boxes))
+        assert vol == F(len(cells), q**n)
+        x = CellSet(n, cells, F(1, q))
+        fine = subdivide(x, k)
+        assert len(fine.cells) == k**n * len(cells)
+        assert union_volume(cellset_to_boxunion(x)) == vol == union_volume(cellset_to_boxunion(fine))
 
     def test_grid_limit(self):
         boxes = [
