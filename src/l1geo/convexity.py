@@ -183,7 +183,9 @@ def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, unreachable: np.n
     from cell ``start`` on, upper triangle) >= 2 apart on some axis, an index
     ``sel`` into it and the two cells of each pair it selects: the whole
     block, or with ``_unreachable`` rows only the unreachable far pairs."""
-    far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
+    far = np.zeros((anchors.shape[0], later.shape[0]), dtype=bool)
+    for i in range(anchors.shape[1]):  # one (c, m) plane per axis, no (c, m, n) block
+        far |= np.abs(anchors[:, None, i] - later[None, :, i]) >= 2
     far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
     if unreachable is None:
         return far, ..., anchors[:, None, :], later[None, :, :]

@@ -266,17 +266,26 @@ class _ElementLayout:
 
     The cells of gX are taken in sorted order.  On each axis, ``coords[i]``
     lists their distinct coordinates and ``ranks[:, i]`` gives each cell's
-    position in that list.  Per coordinate k-subspace, ``subspaces`` holds
-    (order, starts, segment ranks): ``order`` sorts the cells by their
-    projected index, ``starts`` opens each segment (a run of cells sharing
-    that index) and the segment ranks map each segment to its coordinate on
-    every axis of the subspace.
+    position in that list.  Per coordinate k-subspace P, with complement
+    axes Q, ``subspaces`` holds (Q ranks, incidence, segment ranks).  A
+    segment is a distinct P-projection of the cells; the segment ranks give
+    its coordinate on every axis of P.  The Q ranks give the coordinates of
+    the W distinct Q-projections on every axis of Q (one empty projection
+    when Q is empty), and ``incidence`` is the float32 0/1 matrix
+    (segments, W) marking which projections occur in which segment.  A
+    product with it counts incident projections, an integer at most W <= m,
+    which float32 holds exactly below 2^24 cells; more are refused.
     """
 
     def __init__(self, x: CellSet, g: SignedPerm, k: int):
         n = x.dimension
-        cells = np.asarray([g.apply_cell(c) for c in x.sorted_cells()], dtype=np.int64)
+        cells = [g.apply_cell(c) for c in x.sorted_cells()]
+        if any(abs(v) >= 1 << 62 for c in cells for v in c):  # fits no bit depth
+            raise ValueError("coordinates too large for the int64 sampling path")
+        cells = np.asarray(cells, dtype=np.int64)
         m = cells.shape[0]
+        if m >= 1 << 24:
+            raise ValueError("too many cells for the sampler's float32 incidence counts")
         self.resolution = x.resolution
         self.coords = []
         self.ranks = np.empty((m, n), dtype=np.intp)
@@ -285,19 +294,14 @@ class _ElementLayout:
             self.coords.append(coords)
         self.subspaces = []
         for sub in coordinate_subspaces(n, k):
-            axes = list(sub.axes)
-            if axes:
-                keys = self.ranks[:, axes]
-                order = np.lexsort(keys.T[::-1])
-                sorted_keys = keys[order]
-                new_seg = np.ones(m, dtype=bool)
-                new_seg[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-                starts = np.flatnonzero(new_seg)
-            else:
-                order = np.arange(m)
-                starts = np.asarray([0])
-            seg_ranks = [(i, self.ranks[order[starts], i]) for i in axes]
-            self.subspaces.append((order, starts, seg_ranks))
+            p_axes, q_axes = list(sub.axes), list(sub.complement().axes)
+            segs, seg_of = np.unique(self.ranks[:, p_axes], axis=0, return_inverse=True)
+            projs, proj_of = np.unique(self.ranks[:, q_axes], axis=0, return_inverse=True)
+            incidence = np.zeros((segs.shape[0], projs.shape[0]), dtype=np.float32)
+            incidence[seg_of.reshape(-1), proj_of.reshape(-1)] = 1
+            self.subspaces.append(
+                (list(zip(q_axes, projs.T)), incidence, list(zip(p_axes, segs.T)))
+            )
 
 
 class _ElementSampler:
@@ -307,11 +311,19 @@ class _ElementSampler:
     dyadic sample translations, cube corners, and the clip box are integers;
     per-sample values are integer multiples of scale^-k.  The clipped length
     of a cell on axis i depends only on its coordinate on that axis, so it is
-    computed once per distinct coordinate.  Per coordinate subspace, cells
-    sharing a projected index contribute one segment whose side lengths are
-    common to the segment, so the projected volume is a gated sum of segment
-    products.  This equals V'_k of the clipped union (clipped cubes of
-    distinct projected indices have disjoint interiors).
+    computed once per distinct coordinate.  Per coordinate subspace P, cells
+    sharing a projection onto P form one segment whose side lengths are
+    common to the segment, and V'_k of the clipped union (clipped cubes of
+    distinct segments have disjoint interiors) factorises as
+
+        value_P(q) = sum over segments of G_seg * prod_{i in P} L+_i,
+
+    with L+ = max(length, 0): a P axis where the segment misses the box
+    makes the product 0 by itself.  G_seg is 1 when some cell of the segment
+    meets the box on every complement axis Q; it is read off the (W,
+    samples) liveness of the distinct Q-projections through one float32
+    product with the layout's incidence matrix, whose counts are exact below
+    2^24.  No (cells, samples) array is built.
     """
 
     def __init__(self, layout: _ElementLayout, box: RatBox, bits: int):
@@ -328,45 +340,45 @@ class _ElementSampler:
         self.denom = denom
         self.scale = denom << bits
 
+        # The extremes are checked in Python ints; int64 arrays are built
+        # only once they are known to fit, so no wrapped value is checked.
         lam_scaled = int(lam * denom) << bits
-        self.lam_scaled = lam_scaled
-        self.axis_lows = [c * lam_scaled for c in layout.coords]
-        self.box_lo = np.asarray([int(v * denom) << bits for v in box.mins], dtype=np.int64)
-        self.box_hi = np.asarray([int(v * denom) << bits for v in box.maxs], dtype=np.int64)
+        box_lo = [int(v * denom) << bits for v in box.mins]
+        box_hi = [int(v * denom) << bits for v in box.maxs]
+        lows_min = [int(c[0]) * lam_scaled for c in layout.coords]
+        lows_max = [int(c[-1]) * lam_scaled for c in layout.coords]
+        support_lo = [b - (h + lam_scaled) for b, h in zip(box_lo, lows_max)]
+        support_hi = [b - lo for b, lo in zip(box_hi, lows_min)]
 
-        lows_min = np.asarray([lo[0] for lo in self.axis_lows], dtype=np.int64)
-        lows_max = np.asarray([lo[-1] for lo in self.axis_lows], dtype=np.int64)
-        self.support_lo = self.box_lo - (lows_max + lam_scaled)
-        self.support_hi = self.box_hi - lows_min
-        self.step = (self.support_hi - self.support_lo) >> bits
-        vol = Fraction(1)
-        for w in (self.support_hi - self.support_lo):
-            vol *= Fraction(int(w), self.scale)
-        self.support_volume = vol
-
-        # Rigorous int64 overflow bound.  A live segment's clipped lengths lie
+        # Rigorous int64 overflow bound.  A segment's clipped lengths L+ lie
         # in [0, max_len[i]], so its product is at most the product of max_len
-        # over the subspace axes and each sample's value is at most ``bound``;
-        # a dead segment's product starts at 0 and stays 0.  Coordinates,
-        # their sums with a translation and the differences that give the
-        # per-axis lengths stay within 4*coord_mag.
-        max_len = [
-            min(int(lam_scaled), int(self.box_hi[i] - self.box_lo[i]))
-            for i in range(n)
-        ]
+        # over the subspace axes and each sample's value is at most ``bound``.
+        # Coordinates, their sums with a translation and the differences that
+        # give the per-axis lengths stay within 4*coord_mag.
+        max_len = [min(lam_scaled, box_hi[i] - box_lo[i]) for i in range(n)]
         bound = 0
-        for _, starts, seg_ranks in layout.subspaces:
+        for _, incidence, seg_ranks in layout.subspaces:
             prod = 1
             for i, _ in seg_ranks:
                 prod *= max(max_len[i], 1)
-            bound += prod * max(len(starts), 1)
-        coord_mag = max(
-            int(np.abs(lows_min).max(initial=0)),
-            int(np.abs(lows_max + lam_scaled).max(initial=0)),
-            int(np.abs(self.support_lo).max(initial=0)),
-            int(np.abs(self.support_hi).max(initial=0)),
-        )
+            bound += prod * incidence.shape[0]
+        ends = [*lows_min, *(h + lam_scaled for h in lows_max), *support_lo, *support_hi]
+        coord_mag = max(map(abs, ends), default=0)
         self.int64_safe = bound < (1 << 62) and 4 * coord_mag < (1 << 62)
+        if not self.int64_safe:
+            return
+
+        self.lam_scaled = lam_scaled
+        self.axis_lows = [c * lam_scaled for c in layout.coords]
+        self.box_lo = np.asarray(box_lo, dtype=np.int64)
+        self.box_hi = np.asarray(box_hi, dtype=np.int64)
+        self.support_lo = np.asarray(support_lo, dtype=np.int64)
+        self.support_hi = np.asarray(support_hi, dtype=np.int64)
+        self.step = (self.support_hi - self.support_lo) >> bits
+        vol = Fraction(1)
+        for lo, hi in zip(support_lo, support_hi):
+            vol *= Fraction(hi - lo, self.scale)
+        self.support_volume = vol
 
     def sample_points(self, t: np.ndarray) -> np.ndarray:
         """Scaled translations for dyadic draws t in [0, 2^bits)^n."""
@@ -374,24 +386,35 @@ class _ElementSampler:
 
     def values(self, q_scaled: np.ndarray) -> np.ndarray:
         """Integer per-sample values: V'_k at q equals values/scale^k."""
-        nsamp = q_scaled.shape[0]
-        layout = self.layout
         lengths = []
-        alive = np.ones((nsamp, layout.ranks.shape[0]), dtype=bool)
+        alive = []
         for i in range(self.n):
-            lows = self.axis_lows[i][None, :] + q_scaled[:, i, None]
+            lows = self.axis_lows[i][:, None] + q_scaled[None, :, i]
             lo = np.maximum(lows, self.box_lo[i])
             hi = np.minimum(lows + self.lam_scaled, self.box_hi[i])
-            length = hi - lo                                # (nsamp, U_i)
-            alive &= (length >= 0)[:, layout.ranks[:, i]]
-            lengths.append(length)
-        out = np.zeros(nsamp, dtype=np.int64)
-        for order, starts, seg_ranks in layout.subspaces:
-            prod = np.logical_or.reduceat(alive[:, order], starts, axis=1).astype(np.int64)
+            length = hi - lo                                # (U_i, nsamp)
+            alive.append(length >= 0)
+            lengths.append(np.maximum(length, 0))
+        out = np.zeros(q_scaled.shape[0], dtype=np.int64)
+        for q_ranks, incidence, seg_ranks in self.layout.subspaces:
+            live = np.ones((incidence.shape[1], q_scaled.shape[0]), dtype=bool)
+            for j, ranks in q_ranks:
+                live &= alive[j][ranks]                     # (W, nsamp)
+            prod = (incidence @ live.astype(np.float32) > 0).astype(np.int64)
             for i, ranks in seg_ranks:
-                prod *= lengths[i][:, ranks]
-            out += prod.sum(axis=1)
+                prod *= lengths[i][ranks]                   # (segments, nsamp)
+            out += prod.sum(axis=0)
         return out
+
+
+def _fit_sampler(layout: _ElementLayout, box: RatBox, bits: int) -> _ElementSampler:
+    """The sampler at the highest depth from ``bits`` down to 4 whose int64
+    path cannot overflow."""
+    for b in range(bits, 3, -1):
+        sampler = _ElementSampler(layout, box, b)
+        if sampler.int64_safe:
+            return sampler
+    raise ValueError("coordinates too large for the int64 sampling path")
 
 
 def kinematic_higher_mc(
@@ -429,14 +452,7 @@ def kinematic_higher_mc(
     est_sum = 0.0
     var_sum = 0.0
     for e_idx, g in enumerate(group):
-        layout = _ElementLayout(x, g, k)
-        sampler = None
-        for b in range(bits, 3, -1):
-            sampler = _ElementSampler(layout, box, b)
-            if sampler.int64_safe:
-                break
-        if sampler is None or not sampler.int64_safe:
-            raise ValueError("coordinates too large for the int64 sampling path")
+        sampler = _fit_sampler(_ElementLayout(x, g, k), box, bits)
         scale_k = float(sampler.scale) ** k
         total = 0.0
         total_sq = 0.0

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1geo import (
     BoxUnion,
@@ -15,10 +17,12 @@ from l1geo import (
     SignedPerm,
     cell_box,
     clip_translate,
+    coordinate_subspaces,
     crofton_integral,
     crofton_profile,
     exact_clip_valuation,
     gen_random_box,
+    gen_random_cellset,
     gen_random_convex,
     higher_kinematic_rhs,
     hyperoctahedral_group,
@@ -33,7 +37,7 @@ from l1geo import (
     steiner_profile,
     union_volume,
 )
-from l1geo.integral_geometry import _ElementLayout, _ElementSampler
+from l1geo.integral_geometry import _ElementLayout, _ElementSampler, _fit_sampler
 
 F = Fraction
 
@@ -59,6 +63,35 @@ def full_group_principal_lhs(x: CellSet, box: RatBox) -> Fraction:
             )
         total += union_volume(BoxUnion(n, boxes))
     return total / len(group)
+
+
+def reduceat_values(sampler: _ElementSampler, q_scaled: np.ndarray, k: int) -> np.ndarray:
+    """Reference for ``_ElementSampler.values``: the per-axis liveness ANDed
+    into one (samples, cells) array, then per subspace a gather of it into
+    segment order and a logical-or reduceat over the segments."""
+    layout = sampler.layout
+    m, n = layout.ranks.shape
+    lengths = []
+    alive = np.ones((q_scaled.shape[0], m), dtype=bool)
+    for i in range(n):
+        lows = sampler.axis_lows[i][None, :] + q_scaled[:, i, None]
+        lo = np.maximum(lows, sampler.box_lo[i])
+        hi = np.minimum(lows + sampler.lam_scaled, sampler.box_hi[i])
+        alive &= (hi - lo >= 0)[:, layout.ranks[:, i]]
+        lengths.append(hi - lo)
+    out = np.zeros(q_scaled.shape[0], dtype=np.int64)
+    for sub in coordinate_subspaces(n, k):
+        axes = list(sub.axes)
+        order = np.lexsort(layout.ranks[:, axes].T[::-1]) if axes else np.arange(m)
+        keys = layout.ranks[order][:, axes]
+        new_seg = np.ones(m, dtype=bool)
+        new_seg[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        starts = np.flatnonzero(new_seg)
+        prod = np.logical_or.reduceat(alive[:, order], starts, axis=1).astype(np.int64)
+        for i in axes:
+            prod *= lengths[i][:, layout.ranks[order[starts], i]]
+        out += prod.sum(axis=1)
+    return out
 
 
 class TestSteiner:
@@ -281,6 +314,65 @@ class TestHigherKinematic:
                             point = tuple(F(int(row[i]), sampler.scale) for i in range(n))
                             exact = exact_clip_valuation(x, g, point, box, k)
                             assert F(int(v), sampler.scale**k) == exact
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["convex", "random"]),
+        bits=st.sampled_from([16, 5]),
+        shift=st.sampled_from([0, 2**45 - 3]),
+        min_side=st.sampled_from([0, 1]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_values_match_reduceat_oracle(self, n, kind, bits, shift, min_side, seed):
+        """The complement-projection kernel equals the (samples, cells)
+        reduceat kernel integer for integer, for every degree and group
+        element; near 2^45 the 16-bit request falls back to a lower depth."""
+        res = (1, F(1, 2), F(2, 3))[seed % 3]
+        if kind == "convex":
+            base = gen_random_convex(n, 4, 0.5, seed, resolution=res)
+        else:
+            size = (2, 4**n // 4, 4**n // 2)[seed // 3 % 3]
+            base = gen_random_cellset(n, 4, size, seed, resolution=res)
+        x = CellSet(n, {tuple(v + shift for v in c) for c in base.cells}, res)
+        box = gen_random_box(
+            n, seed, low=shift, high=shift + 4, min_side=min_side, resolution=res
+        )
+        rng = np.random.default_rng(seed)
+        for k in range(n + 1):
+            for g in hyperoctahedral_group(n):
+                sampler = _fit_sampler(_ElementLayout(x, g, k), box, bits)
+                if shift and bits == 16:
+                    assert sampler.bits < bits
+                t = rng.integers(0, 1 << sampler.bits, size=(40, n), dtype=np.int64)
+                q_scaled = sampler.sample_points(t)
+                got = sampler.values(q_scaled)
+                assert np.array_equal(got, reduceat_values(sampler, q_scaled, k))
+
+    def test_far_coordinates_fall_back_to_a_safe_depth(self):
+        """Depths are chosen from exact extremes: at 16 bits the first set
+        puts the box corner at 2^63 and the second wraps 2^48 * 2^16 in
+        int64; both must drop to the depth that fits and sample the right
+        place.  Sets at 2^58 and 2^70 fit no depth down to 4 bits."""
+        cases = [
+            (CellSet(1, {(2**47,), (2**47 + 1,)}), RatBox((2**47,), (2**47 + 3,)), [12, 11]),
+            (CellSet(1, {(2**48,), (2**48 + 1,)}), RatBox((0,), (3,)), [11, 11]),
+        ]
+        for x, box, depths in cases:
+            group = hyperoctahedral_group(1)
+            samplers = [_fit_sampler(_ElementLayout(x, g, 1), box, 16) for g in group]
+            assert [s.bits for s in samplers] == depths
+            for g, sampler in zip(group, samplers):
+                t = np.arange(0, 1 << sampler.bits, 1 << (sampler.bits - 4), dtype=np.int64)
+                q_scaled = sampler.sample_points(t[:, None])
+                for row, v in zip(q_scaled, sampler.values(q_scaled)):
+                    point = (F(int(row[0]), sampler.scale),)
+                    assert F(int(v), sampler.scale) == exact_clip_valuation(x, g, point, box, 1)
+            est = kinematic_higher_mc(x, box, 1, 2000, seed=1)
+            assert abs(est.estimate - float(est.exact_rhs)) <= 4 * est.standard_error
+        for far in (CellSet(1, {(2**58,), (2**58 + 1,)}), CellSet(1, {(2**70,)})):
+            with pytest.raises(ValueError, match="too large"):
+                kinematic_higher_mc(far, RatBox((0,), (3,)), 1, 100, seed=0)
 
     @pytest.mark.parametrize(
         "case, estimate, standard_error",
