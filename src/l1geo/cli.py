@@ -2,7 +2,8 @@
 
 Subcommands operate on set documents (JSON text, see `documents`) given as a
 file path or `-` for stdin.  Exit codes: 0 success/pass, 1 check failure
-(non-convex input or a failed identity), 2 usage or parse errors.  Reports
+(non-convex input or a failed identity), 2 usage or parse errors and inputs
+the library refuses with a ValueError.  Reports
 print as text by default or as JSON with --json.
 """
 
@@ -40,7 +41,7 @@ from .suites import (
 from .valuations import (
     ball_intrinsic_volumes,
     cellset_product,
-    intrinsic_volumes_boxunion,
+    intrinsic_volumes,
     intrinsic_volumes_cellset,
     product_rhs,
 )
@@ -132,12 +133,10 @@ def _cmd_check_convex(args) -> int:
 def _cmd_volumes(args) -> int:
     doc, _ = _load_document(args.file)
     obj = to_object(doc)
-    if isinstance(obj, CellSet):
-        iv = intrinsic_volumes_cellset(obj)
-    elif isinstance(obj, BoxUnion):
-        iv = intrinsic_volumes_boxunion(obj)
-    else:
+    if isinstance(obj, L1Ball):
         iv = ball_intrinsic_volumes(obj.dimension, obj.radius)
+    else:
+        iv = intrinsic_volumes(obj)
     if args.json:
         print(json.dumps({"intrinsic_volumes": [frac_str(v) for v in iv]}, indent=2))
     else:
@@ -153,8 +152,6 @@ def _cmd_pixellate(args) -> int:
     if isinstance(obj, L1Ball):
         shape = obj
     elif isinstance(obj, BoxUnion):
-        if obj.is_empty:
-            raise CliError("cannot pixellate an empty box union")
         shape = BoxUnionShape(obj)
     else:
         raise CliError("pixellate expects a shape or boxunion document")
@@ -171,37 +168,26 @@ def _cmd_convexify(args) -> int:
 def _cmd_steiner(args) -> int:
     x, text = _load_cellset(args.file)
     started = time.perf_counter()
-    records = []
-    for m in range(1, args.max_dilation + 1):
-        lhs, rhs = steiner_profile(x, m)
-        records.append(exact_record(f"steiner[m={m}]", lhs.values, rhs.values))
+    # largest dilation first, so a request too large to build fails at once
+    profiles = {m: steiner_profile(x, m) for m in range(args.max_dilation, 0, -1)}
+    records = [
+        exact_record(f"steiner[m={m}]", lhs.values, rhs.values)
+        for m, (lhs, rhs) in sorted(profiles.items())
+    ]
     return _emit_report(_report("steiner", text, args.seed, records, started), args.json)
 
 
-def _cmd_crofton(args) -> int:
+def _cmd_profile(args) -> int:
+    """``crofton`` and ``kubota``: one record per flat or subspace dimension k."""
+    profile = {"crofton": crofton_profile, "kubota": kubota_profile}[args.command]
     x, text = _load_cellset(args.file)
     started = time.perf_counter()
     ks = [args.k] if args.k is not None else list(range(x.dimension + 1))
     records = []
     for k in ks:
-        if not 0 <= k <= x.dimension:
-            raise CliError(f"--k must lie in 0..{x.dimension}")
-        lhs, rhs = crofton_profile(x, k)
-        records.append(exact_record(f"crofton[k={k}]", lhs, rhs))
-    return _emit_report(_report("crofton", text, args.seed, records, started), args.json)
-
-
-def _cmd_kubota(args) -> int:
-    x, text = _load_cellset(args.file)
-    started = time.perf_counter()
-    ks = [args.k] if args.k is not None else list(range(x.dimension + 1))
-    records = []
-    for k in ks:
-        if not 0 <= k <= x.dimension:
-            raise CliError(f"--k must lie in 0..{x.dimension}")
-        lhs, rhs = kubota_profile(x, k)
-        records.append(exact_record(f"kubota[k={k}]", lhs, rhs))
-    return _emit_report(_report("kubota", text, args.seed, records, started), args.json)
+        lhs, rhs = profile(x, k)
+        records.append(exact_record(f"{args.command}[k={k}]", lhs, rhs))
+    return _emit_report(_report(args.command, text, args.seed, records, started), args.json)
 
 
 def _cmd_kinematic(args) -> int:
@@ -212,8 +198,6 @@ def _cmd_kinematic(args) -> int:
             raise CliError("--box-min and --box-max must be given together")
         mins = _parse_vector_flag(args.box_min, n, "--box-min")
         maxs = _parse_vector_flag(args.box_max, n, "--box-max")
-        if any(a > b for a, b in zip(mins, maxs)):
-            raise CliError("--box-min must be <= --box-max componentwise")
         box = RatBox(mins, maxs)
     else:
         box = RatBox((Fraction(0),) * n, (Fraction(1),) * n)
@@ -222,8 +206,6 @@ def _cmd_kinematic(args) -> int:
         lhs, rhs = kinematic_principal(x, box)
         records = [exact_record("kinematic[k=0]", lhs, rhs)]
     else:
-        if not 1 <= args.degree <= n:
-            raise CliError(f"--degree must lie in 0..{n}")
         est = kinematic_higher_mc(x, box, args.degree, args.samples, args.seed)
         records = [mc_record(f"kinematic-mc[k={args.degree}]", est)]
     return _emit_report(_report("kinematic", text, args.seed, records, started), args.json)
@@ -232,8 +214,6 @@ def _cmd_kinematic(args) -> int:
 def _cmd_product(args) -> int:
     x, text_x = _load_cellset(args.file)
     y, text_y = _load_cellset(args.other)
-    if x.resolution != y.resolution:
-        raise CliError("product factors must share a resolution")
     started = time.perf_counter()
     prod = cellset_product(x, y)
     lhs = intrinsic_volumes_cellset(prod)
@@ -247,34 +227,27 @@ def _cmd_product(args) -> int:
 def _cmd_gen(args) -> int:
     n = args.dimension[0] if args.dimension else 2
     resolution = _parse_rational_flag(args.resolution, "--resolution")
-    try:
-        x = gen_random_convex(
-            n, args.bound, args.density, args.seed, mode=args.mode, resolution=resolution
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    x = gen_random_convex(
+        n, args.bound, args.density, args.seed, mode=args.mode, resolution=resolution
+    )
     sys.stdout.write(print_set(from_object(x)))
     return 0
 
 
 def _cmd_verify(args) -> int:
     dims = tuple(args.dimension) if args.dimension else (2, 3)
-    try:
-        cfg = VerifyConfig(
-            dimensions=dims,
-            instances=args.instances,
-            seed=args.seed,
-            samples=args.samples,
-            mc_cases=args.mc_cases,
-            bound=args.bound,
-            density=args.density,
-            resolution=as_fraction(args.resolution),
-            threads=args.threads,
-        )
-        report = verify(args.suite, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return _emit_report(report, args.json)
+    cfg = VerifyConfig(
+        dimensions=dims,
+        instances=args.instances,
+        seed=args.seed,
+        samples=args.samples,
+        mc_cases=args.mc_cases,
+        bound=args.bound,
+        density=args.density,
+        resolution=_parse_rational_flag(args.resolution, "--resolution"),
+        threads=args.threads,
+    )
+    return _emit_report(verify(args.suite, cfg), args.json)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crofton", parents=[common], help="flat-integral identity check")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None, help="flat dimension (default: all)")
-    p.set_defaults(func=_cmd_crofton)
+    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("kubota", parents=[common], help="projection-sum identity check")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None, help="subspace dimension (default: all)")
-    p.set_defaults(func=_cmd_kubota)
+    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("kinematic", parents=[common], help="collision-measure identity check")
     p.add_argument("file")
@@ -372,7 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # bad input, or a library refusing it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

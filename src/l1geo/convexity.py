@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import ceil, floor
 
 import numpy as np
 
-from .lattice import Cell, CellSet, RatBox, cell_box
+from .lattice import Cell, CellSet, RatBox, clip_cells
 
 _PREFIX_GRID_LIMIT = 30_000_000
 _WAVEFRONT_CELLS = 256
@@ -49,8 +50,8 @@ class ConvexityVerdict:
 
 
 def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted cells as an int64 array, plus the compressed copy the witness
-    scans run on.
+    """Sorted cells (an index array or rows of ints) as an int64 array, plus
+    the compressed copy the witness scans run on.
 
     On each axis the compressed coordinates keep the order of the distinct
     values, keep every gap of 1 and shrink every larger gap to 2.  That keeps
@@ -195,25 +196,19 @@ def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, unreachable: np.n
     return far, sel, anchors[sel[0]], later[sel[1]]
 
 
-def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
-    """Pairwise scan with explicit betweenness tests, anchors chunked so the
-    (chunk, m, m, n) comparison block stays small.  Returns the first (lex
+def _scan_chunks(arr: np.ndarray, chunk: int, count_between, collect: bool, unreachable):
+    """The loop of both witness scans: anchors in chunks, each paired with
+    the later cells; ``count_between(lo, hi)`` counts the cells in the index
+    box [lo, hi] of each candidate pair, and a pair with fewer than 3 (the
+    pair itself and one more) violates the criterion.  Returns the first (lex
     order) violating index pair, or with ``collect`` the array of all pairs;
     given the rows of ``_unreachable``, it tests only the unreachable pairs."""
-    m = arr.shape[0]
-    if m < 2:
-        return [] if collect else None
-    chunk = max(1, 2_000_000 // (m * m))
     found = []
-    for start in range(0, m, chunk):
-        anchors = arr[start:start + chunk]          # (c, n)
-        later = arr[start:]                         # an anchor pairs only with later cells
-        far, sel, a, b = _pairs(anchors, later, start, unreachable)
+    for start in range(0, arr.shape[0], chunk):
+        far, sel, a, b = _pairs(arr[start:start + chunk], arr[start:], start, unreachable)
         if not far.any():
             continue
-        lo, hi = np.minimum(a, b), np.maximum(a, b)  # (c, m - start, n) or (pairs, n)
-        between = ((arr >= lo[..., None, :]) & (arr <= hi[..., None, :])).all(axis=-1)
-        far[sel] &= between.sum(axis=-1) < 3
+        far[sel] &= count_between(np.minimum(a, b), np.maximum(a, b)) < 3
         if not far.any():
             continue
         pairs = np.argwhere(far) + start            # row-major: lex order
@@ -223,6 +218,19 @@ def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndar
     if collect:
         return np.concatenate(found) if found else []
     return None
+
+
+def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
+    """Pairwise scan with explicit betweenness tests, anchors chunked so the
+    (chunk, m, m, n) comparison block stays small.  Contract of ``_scan_chunks``."""
+    m = arr.shape[0]
+    if m < 2:
+        return [] if collect else None
+
+    def count_between(lo, hi):  # (c, m - start, n) or (pairs, n)
+        return ((arr >= lo[..., None, :]) & (arr <= hi[..., None, :])).all(axis=-1).sum(axis=-1)
+
+    return _scan_chunks(arr, max(1, 2_000_000 // (m * m)), count_between, collect, unreachable)
 
 
 def _witness_prefix(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
@@ -247,32 +255,18 @@ def _witness_prefix(arr: np.ndarray, collect: bool = False, unreachable: np.ndar
     padded[tuple(slice(1, None) for _ in range(n))] = grid
     strides = np.asarray(padded.strides, dtype=np.int64) // padded.itemsize
     flat = padded.ravel()
-
     corners = list(itertools.product((0, 1), repeat=n))
-    chunk = max(1, 1_000_000 // m)
-    found = []
-    for start in range(0, m, chunk):
-        anchors = shifted[start:start + chunk]      # (c, n)
-        later = shifted[start:]
-        far, sel, a, b = _pairs(anchors, later, start, unreachable)
-        if not far.any():
-            continue
-        blo, bhi = np.minimum(a, b), np.maximum(a, b) + 1  # inclusive, exclusive
+
+    def count_between(blo, bhi):
+        bhi = bhi + 1                               # inclusive, exclusive
         counts = np.zeros(blo.shape[:-1], dtype=np.int64)
         for corner in corners:
             pick = np.where(np.asarray(corner, dtype=bool), bhi, blo)
             sign = -1 if (n - sum(corner)) % 2 else 1
             counts += sign * flat[pick @ strides]
-        far[sel] &= counts < 3
-        if not far.any():
-            continue
-        pairs = np.argwhere(far) + start
-        if not collect:
-            return int(pairs[0, 0]), int(pairs[0, 1])
-        found.append(pairs)
-    if collect:
-        return np.concatenate(found) if found else []
-    return None
+        return counts
+
+    return _scan_chunks(shifted, max(1, 1_000_000 // m), count_between, collect, unreachable)
 
 
 def is_l1_convex(x: CellSet) -> ConvexityVerdict:
@@ -281,10 +275,9 @@ def is_l1_convex(x: CellSet) -> ConvexityVerdict:
     Returns the lexicographically smallest violating pair as witness when not
     convex (pairs ordered by (h, h') with h < h' lexicographically).
     """
-    m = len(x.cells)
-    if m <= 1:
+    if len(x) <= 1:
         return ConvexityVerdict(True, None)
-    arr, comp = _cell_arrays(x.sorted_cells())
+    arr, comp = _cell_arrays(x.indices)
     hit = _scan(comp)
     if hit is None:
         return ConvexityVerdict(True, None)
@@ -303,22 +296,16 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
     result further.  Raises ValueError when two cells lie so far apart on an
     axis that the result could not be built.
     """
-    if bound is not None and x.cells:
-        lam = x.resolution
-        for c in x.cells:
-            cube = cell_box(c, lam)
-            inside = all(
-                bound.mins[i] <= cube.mins[i] and cube.maxs[i] <= bound.maxs[i]
-                for i in range(x.dimension)
-            )
-            if not inside:
-                raise ValueError(f"cell {c} lies outside the stated bound")
-    cells = set(x.cells)
-    n = x.dimension
-    while True:
-        if len(cells) < 2:
-            return CellSet(n, cells, x.resolution)
-        arr, comp = _cell_arrays(sorted(cells))
+    n, lam = x.dimension, x.resolution
+    if bound is not None and not x.is_empty:
+        # cube lam * (c + [0, 1]) lies in [a, b] iff ceil(a/lam) <= c <= floor(b/lam) - 1
+        lo = [ceil(v / lam) for v in bound.mins]
+        hi = [floor(v / lam) - 1 for v in bound.maxs]
+        inside = clip_cells(x, lo, hi)
+        if len(inside) != len(x):
+            raise ValueError(f"cell {min(x.cells - inside.cells)} lies outside the stated bound")
+    while len(x) >= 2:
+        arr, comp = _cell_arrays(x.indices)
         span = max(int(hi) - int(lo) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
         if span >= _PREFIX_GRID_LIMIT:
             # a convex set holding two cells `span` apart on one axis holds
@@ -329,24 +316,23 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
             )
         pairs = _scan(comp, collect=True)
         if len(pairs) == 0:
-            return CellSet(n, cells, x.resolution)
+            break
         lo, hi = arr[pairs[:, 0]], arr[pairs[:, 1]]
-        mids = lo + (hi - lo) // 2
-        before = len(cells)
-        cells.update(map(tuple, np.unique(mids, axis=0).tolist()))
-        if len(cells) == before:
+        grown = CellSet._from_array(n, np.concatenate((arr, lo + (hi - lo) // 2)), lam)
+        if len(grown) == len(x):
             raise AssertionError("violating pairs produced no new midpoint cell")
+        x = grown
+    return x
 
 
 def split_halves(x: CellSet, axis: int, threshold: int) -> tuple[CellSet, CellSet]:
     """Partition by cell index along an axis: (cells with h_axis >= t, rest)."""
     if not 0 <= axis < x.dimension:
         raise ValueError("axis out of range")
-    upper = {c for c in x.cells if c[axis] >= threshold}
-    lower = x.cells - upper
+    upper = x.indices[:, axis] >= threshold
     return (
-        CellSet(x.dimension, upper, x.resolution),
-        CellSet(x.dimension, lower, x.resolution),
+        CellSet._from_array(x.dimension, x.indices[upper], x.resolution),
+        CellSet._from_array(x.dimension, x.indices[~upper], x.resolution),
     )
 
 
@@ -356,17 +342,15 @@ def is_orthogonally_convex(x: CellSet) -> bool:
     A necessary condition for convexity: group the cells by all coordinates
     but one and require the remaining coordinate to fill an integer interval.
     """
-    n = x.dimension
-    if n == 0 or len(x.cells) < 2:
-        return True
-    for axis in range(n):
-        lines: dict[tuple[int, ...], list[int]] = {}
-        for c in x.cells:
-            key = c[:axis] + c[axis + 1 :]
-            lines.setdefault(key, []).append(c[axis])
-        for values in lines.values():
-            if max(values) - min(values) + 1 != len(values):
-                return False
+    n, rows = x.dimension, x.indices
+    for axis in range(n if len(x) >= 2 else 0):
+        # sort by the other coordinates, then by this one: a line's cells are
+        # consecutive rows, and must step by exactly 1
+        others = [a for a in range(n) if a != axis]
+        line = rows[np.lexsort([rows[:, a] for a in [axis, *reversed(others)]])]
+        same = (line[1:, others] == line[:-1, others]).all(axis=1)
+        if (same & (line[1:, axis] - line[:-1, axis] != 1)).any():
+            return False
     return True
 
 
@@ -412,6 +396,6 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
 def all_pairs_monotone_reachable(x: CellSet) -> bool:
     """Check monotone reachability for every ordered pair of cells of X with
     the wavefront of ``_unreachable``; indices outside int64 raise ValueError."""
-    if len(x.cells) <= 1:
+    if len(x) <= 1:
         return True
-    return _unreachable(_cell_arrays(x.sorted_cells())[1]) is None
+    return _unreachable(_cell_arrays(x.indices)[1]) is None

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from ._util import RationalLike, as_fraction, derive_seed
 from .convexity import convexify, is_l1_convex
 from .lattice import CellSet, RatBox
@@ -65,14 +67,8 @@ def gen_random_convex(
     elif mode == "staircase" and density > 0:
         weights = [rng.randint(1, 4) for _ in range(n)]
         threshold = round(density * sum(w * (bound - 1) for w in weights))
-        cells = {
-            _unrank_cell(i, n, bound)
-            for i in range(bound**n)
-        }
-        cells = {
-            c for c in cells if sum(w * h for w, h in zip(weights, c)) <= threshold
-        }
-        out = CellSet(n, cells, lam)
+        grid = np.indices((bound,) * n).reshape(n, -1).T
+        out = CellSet._from_array(n, grid[grid @ np.asarray(weights) <= threshold], lam)
     else:
         total = bound**n
         target = max(1, min(total, round(density * total)))

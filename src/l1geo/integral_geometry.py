@@ -36,13 +36,14 @@ from .lattice import (
     IVVector,
     RatBox,
     SignedPerm,
-    box_intersection,
+    apply_isometry,
+    boxunion_intersection,
     boxunion_minkowski_box,
-    cell_box,
     cellset_to_boxunion,
     coordinate_subspaces,
     hyperoctahedral_group,
     minkowski_sum_box,
+    project,
     union_volume,
 )
 from .valuations import (
@@ -130,13 +131,12 @@ def crofton_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fra
     lhs = [Fraction(0)] * (k + 1)
     weight = lam ** (n - k)
     for sub in coordinate_subspaces(n, k):
-        comp = sub.complement().axes
-        groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-        for c in x.cells:
-            key = tuple(c[a] for a in comp)
-            groups.setdefault(key, set()).add(tuple(c[a] for a in sub.axes))
-        for cells in groups.values():
-            slice_iv = intrinsic_volumes_cellset(CellSet(k, cells, lam))
+        # complement axes first: sorted, the cells of one slice are one run of rows
+        cols = [*sub.complement().axes, *sub.axes]
+        rows = CellSet._from_array(n, x.indices[:, cols], lam).indices
+        cuts = np.flatnonzero((rows[1:, : n - k] != rows[:-1, : n - k]).any(axis=1)) + 1
+        for piece in np.split(rows[:, n - k :], cuts):
+            slice_iv = intrinsic_volumes_cellset(CellSet._from_array(k, piece, lam))
             for j in range(k + 1):
                 lhs[j] += weight * slice_iv[j]
     base = intrinsic_volumes_cellset(x)
@@ -158,8 +158,6 @@ def crofton_integral(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:
 
 def kubota_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """lhs/rhs tuples over j = 0..k for projections onto k-subspaces."""
-    from .lattice import project
-
     n = x.dimension
     if not 0 <= k <= n:
         raise ValueError("subspace dimension out of range")
@@ -234,14 +232,10 @@ def clip_translate(x: CellSet, g: SignedPerm, translation, box: RatBox) -> BoxUn
     q = tuple(as_fraction(v) for v in translation)
     if g.dimension != n or box.dimension != n or len(q) != n:
         raise ValueError("dimension mismatch")
-    lam = x.resolution
-    pieces = []
-    for c in sorted(x.cells):
-        cube = cell_box(g.apply_cell(c), lam).translate(q)
-        hit = box_intersection(cube, box)
-        if hit is not None:
-            pieces.append(hit)
-    return BoxUnion(n, pieces)
+    moved = apply_isometry(x, g, q)
+    if isinstance(moved, CellSet):
+        moved = cellset_to_boxunion(moved)
+    return boxunion_intersection(moved, BoxUnion(n, [box]))
 
 
 def exact_clip_valuation(x: CellSet, g: SignedPerm, translation, box: RatBox, k: int) -> Fraction:
@@ -264,7 +258,8 @@ def higher_kinematic_rhs(x: CellSet, box: RatBox, k: int) -> Fraction:
 class _ElementLayout:
     """The cells of gX arranged for the sampler; independent of bit depth.
 
-    The cells of gX are taken in sorted order.  On each axis, ``coords[i]``
+    The cells of gX are the rows of ``g.apply_rows(x.indices)``, which fit
+    int64 exactly when those of X do.  On each axis, ``coords[i]``
     lists their distinct coordinates and ``ranks[:, i]`` gives each cell's
     position in that list.  Per coordinate k-subspace P, with complement
     axes Q, ``subspaces`` holds (Q ranks, incidence, segment ranks).  A
@@ -279,10 +274,9 @@ class _ElementLayout:
 
     def __init__(self, x: CellSet, g: SignedPerm, k: int):
         n = x.dimension
-        cells = [g.apply_cell(c) for c in x.sorted_cells()]
-        if any(abs(v) >= 1 << 62 for c in cells for v in c):  # fits no bit depth
+        if x.indices.dtype == object:  # indices of 2^62 or more fit no bit depth
             raise ValueError("coordinates too large for the int64 sampling path")
-        cells = np.asarray(cells, dtype=np.int64)
+        cells = g.apply_rows(x.indices)
         m = cells.shape[0]
         if m >= 1 << 24:
             raise ValueError("too many cells for the sampler's float32 incidence counts")

@@ -12,13 +12,18 @@ is used only as an integer/bool array engine, never with floats.  A BoxUnion
 stores its corners once as integer arrays over one denominator; the
 box-union kernels read and return those arrays (``_common_arrays`` puts
 several unions on one denominator), and Fractions are built only at the API
-edge.  The arrays are int64 when a bound proves it safe and exact big-int
-(object) arrays otherwise, with one code path for both.
+edge.  A CellSet likewise stores its cells once, as a sorted integer index
+array, and the cell kernels (projection, refinement, isometries, Minkowski
+sums with aligned boxes, clipping) select, gather and add on its columns.
+The arrays are int64 when a bound proves it safe and exact big-int (object)
+arrays otherwise, with one code path for both.  Operations that multiply
+cells check the number they would build against ``_CELL_LIMIT`` first.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -31,6 +36,7 @@ Cell = tuple[int, ...]
 
 _UNION_GRID_LIMIT = 60_000_000  # refuse compression grids bigger than this
 _INT64_SAFE = 1 << 62
+_CELL_LIMIT = 4_000_000  # refuse to build more cells than this in one operation
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +47,19 @@ _INT64_SAFE = 1 << 62
 class CellSet:
     """A finite set of grid cells at a common rational resolution.
 
-    ``cells`` are integer index vectors; the represented point set is the
-    union of the closed cubes ``resolution * (h + [0,1]^n)``.  The empty set
-    is a CellSet with no cells.  Dimension 0 is allowed (the single cell is
-    the empty tuple) so that projections onto zero axes stay in-type.
+    A cell is an integer index vector h; the represented point set is the
+    union of the closed cubes ``resolution * (h + [0,1]^n)``.  The cells are
+    stored once, as the read-only (cells x dimension) array ``indices``: its
+    rows are sorted lexicographically and distinct, and it is int64 when every
+    index is below 2^62 in size and exact big-int (object) otherwise, the rule
+    BoxUnion uses.  ``cells`` is the frozenset-of-tuples view, built on first
+    use; equality and hashing compare ``(dimension, cells, resolution)``.  The
+    empty set is a CellSet with no cells.  Dimension 0 is allowed (the single
+    cell is the empty tuple) so that projections onto zero axes stay in-type.
     """
 
     dimension: int
-    cells: frozenset[Cell]
+    indices: np.ndarray
     resolution: Fraction
 
     def __init__(self, dimension: int, cells=(), resolution: RationalLike = 1):
@@ -57,36 +68,105 @@ class CellSet:
         res = as_fraction(resolution)
         if res <= 0:
             raise ValueError("resolution must be positive")
-        norm = []
-        for cell in cells:
-            tup = tuple(cell)
-            if len(tup) != dimension:
-                raise ValueError(f"cell {tup} does not have dimension {dimension}")
-            if not all(isinstance(c, (int, np.integer)) for c in tup):
-                raise ValueError(f"cell {tup} has non-integer coordinates")
-            norm.append(tuple(int(c) for c in tup))
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "cells", frozenset(norm))
-        object.__setattr__(self, "resolution", res)
+        cells = list(cells)
+        try:
+            rows = np.asarray(cells) if cells else np.zeros((0, dimension), dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            rows = None
+        if rows is None or rows.dtype.kind not in "iu" or rows.shape != (len(cells), dimension):
+            # ragged, non-integer or beyond-int64 input: checked cell by cell
+            rows = np.array([_checked_cell(c, dimension) for c in cells], dtype=object)
+        self._store(int(dimension), rows.reshape(len(cells), dimension), res)
+
+    @classmethod
+    def _from_array(cls, dimension: int, rows: np.ndarray, resolution: Fraction) -> "CellSet":
+        """The set of the rows of an integer (m x dimension) array, which need
+        not be sorted or distinct; nothing is validated."""
+        x = object.__new__(cls)
+        x._store(dimension, rows, resolution)
+        return x
+
+    def _store(self, dimension: int, rows: np.ndarray, resolution: Fraction) -> None:
+        rows = _fit(rows)
+        m, n = rows.shape
+        if n == 0:
+            rows = rows[: min(m, 1)]
+        elif m > 1:
+            rows = rows[np.lexsort(rows.T[::-1])]
+            fresh = np.ones(m, dtype=bool)
+            fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            rows = rows[fresh]
+        rows.flags.writeable = False
+        vars(self).update(dimension=dimension, indices=rows, resolution=resolution, _cells=None)
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        if self._cells is None:
+            vars(self)["_cells"] = frozenset(map(tuple, self.indices.tolist()))
+        return self._cells
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellSet):
+            return NotImplemented
+        same = (self.dimension, self.resolution) == (other.dimension, other.resolution)
+        return same and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.dimension, self.cells, self.resolution))
+
+    def __reduce__(self):  # a copy or unpickled set gets its array read-only again
+        return CellSet._from_array, (self.dimension, self.indices, self.resolution)
+
+    def __repr__(self) -> str:
+        cells, res = self.cells, self.resolution
+        return f"CellSet(dimension={self.dimension!r}, cells={cells!r}, resolution={res!r})"
 
     @property
     def is_empty(self) -> bool:
-        return not self.cells
+        return self.indices.shape[0] == 0
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.indices.shape[0]
 
     def sorted_cells(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self.cells))
+        return tuple(map(tuple, self.indices.tolist()))
 
     def bounding_box(self) -> "RatBox":
         """Smallest RatBox containing the represented point set (nonempty only)."""
-        if not self.cells:
+        if self.is_empty:
             raise ValueError("empty cell set has no bounding box")
         lam = self.resolution
-        lo = [min(c[i] for c in self.cells) for i in range(self.dimension)]
-        hi = [max(c[i] for c in self.cells) for i in range(self.dimension)]
+        lo, hi = self.indices.min(axis=0).tolist(), self.indices.max(axis=0).tolist()
         return RatBox([lam * v for v in lo], [lam * (v + 1) for v in hi])
+
+
+def _checked_cell(cell, dimension: int) -> Cell:
+    tup = tuple(cell)
+    if len(tup) != dimension:
+        raise ValueError(f"cell {tup} does not have dimension {dimension}")
+    if not all(isinstance(c, (int, np.integer)) for c in tup):
+        raise ValueError(f"cell {tup} has non-integer coordinates")
+    return tuple(int(c) for c in tup)
+
+
+def _fit(rows: np.ndarray) -> np.ndarray:
+    """Integer rows as int64 when every entry is below 2^62 in size, else as
+    exact big-int (object) entries."""
+    safe = -_INT64_SAFE < rows.min(initial=0) and rows.max(initial=0) < _INT64_SAFE
+    return rows.astype(np.int64 if safe else object, copy=False)
+
+
+def _exact(rows: np.ndarray, scale: int, shift: int) -> np.ndarray:
+    """``rows`` in a dtype in which ``rows * scale`` plus terms up to ``shift``
+    in size cannot wrap: as given when that bound is below 2^62, else as
+    exact big-int (object) entries."""
+    mag = max(-int(rows.min(initial=0)), int(rows.max(initial=0)))
+    return rows if mag * scale + shift < _INT64_SAFE else rows.astype(object)
+
+
+def _check_cell_count(count: int) -> None:
+    if count > _CELL_LIMIT:
+        raise ValueError(f"the result would take {count} cells to build, over {_CELL_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +199,7 @@ class RatBox:
         return tuple(b - a for a, b in zip(self.mins, self.maxs))
 
     def volume(self) -> Fraction:
-        vol = Fraction(1)
-        for s in self.side_lengths():
-            vol *= s
-        return vol
+        return prod(self.side_lengths(), start=Fraction(1))
 
     def contains_point(self, point) -> bool:
         pt = tuple(as_fraction(v) for v in point)
@@ -137,8 +214,7 @@ class RatBox:
 
     def corners(self):
         """Iterate the 2^n corner points (may repeat for degenerate sides)."""
-        for choice in itertools.product(*zip(self.mins, self.maxs)):
-            yield choice
+        return itertools.product(*zip(self.mins, self.maxs))
 
 
 def _raw_box(mins: tuple, maxs: tuple) -> RatBox:
@@ -305,33 +381,23 @@ class SignedPerm:
         return SignedPerm(perm, signs)
 
     def inverse(self) -> "SignedPerm":
-        n = self.dimension
-        inv = [0] * n
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        perm = tuple(inv)
-        signs = tuple(self.signs[perm[i]] for i in range(n))
-        return SignedPerm(perm, signs)
+        perm = sorted(range(self.dimension), key=self.perm.__getitem__)
+        return SignedPerm(perm, [self.signs[p] for p in perm])
 
     def apply_cell(self, cell: Cell) -> Cell:
         """Image of the cube named by ``cell`` (the image is again a grid cube)."""
-        out = []
-        for i in range(self.dimension):
-            h = cell[self.perm[i]]
-            out.append(h if self.signs[i] == 1 else -h - 1)
-        return tuple(out)
+        return tuple(cell[p] if s == 1 else -cell[p] - 1 for p, s in zip(self.perm, self.signs))
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Images of the cells in the rows of an integer index array: a column
+        gather and a sign flip (int64 rows must lie below 2^62 in size)."""
+        gathered = rows[:, list(self.perm)]
+        return np.where(np.asarray(self.signs, dtype=np.int64) < 0, -1 - gathered, gathered)
 
     def apply_box(self, box: RatBox) -> RatBox:
-        mins, maxs = [], []
-        for i in range(self.dimension):
-            a, b = box.mins[self.perm[i]], box.maxs[self.perm[i]]
-            if self.signs[i] == 1:
-                mins.append(a)
-                maxs.append(b)
-            else:
-                mins.append(-b)
-                maxs.append(-a)
-        return RatBox(mins, maxs)
+        lo, hi, pairs = box.mins, box.maxs, zip(self.perm, self.signs)
+        sides = [(lo[p], hi[p]) if s == 1 else (-hi[p], -lo[p]) for p, s in pairs]
+        return RatBox([a for a, _ in sides], [b for _, b in sides])
 
 
 @dataclass(frozen=True)
@@ -405,12 +471,10 @@ def cell_box(cell: Cell, resolution: Fraction) -> RatBox:
 def cellset_to_boxunion(x: CellSet) -> BoxUnion:
     """One box per cell, in sorted cell order (deterministic): the corners
     are the cell indices times the resolution's numerator, over its
-    denominator.  They are computed in exact Python ints, so no corner can
-    wrap around, and stored as int64 when they fit."""
-    n, lam = x.dimension, x.resolution
-    rows = x.sorted_cells()
-    lows = np.asarray(rows, dtype=object).reshape(len(rows), n) * lam.numerator
-    return BoxUnion._from_arrays(n, lam.denominator, lows, lows + lam.numerator)
+    denominator, computed in int64 only when no corner can wrap around."""
+    num = x.resolution.numerator
+    lows = _exact(x.indices, num, num) * num
+    return BoxUnion._from_arrays(x.dimension, x.resolution.denominator, lows, lows + num)
 
 
 def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:
@@ -423,35 +487,35 @@ def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:
         raise ValueError("dimension mismatch")
     if x.resolution != y.resolution:
         raise ValueError("resolution mismatch; subdivide to a common grid first")
-    if op == "union":
-        cells = x.cells | y.cells
-    elif op == "intersection":
-        cells = x.cells & y.cells
-    elif op == "difference":
-        cells = x.cells - y.cells
-    else:
+    ops = {"union": operator.or_, "intersection": operator.and_, "difference": operator.sub}
+    if op not in ops:
         raise ValueError(f"unknown boolean op {op!r}")
-    return CellSet(x.dimension, cells, x.resolution)
+    return CellSet(x.dimension, ops[op](x.cells, y.cells), x.resolution)
 
 
 def clip_cells(x: CellSet, lo: Cell, hi: Cell) -> CellSet:
     """Cells of X whose index lies in the integer box [lo, hi] (inclusive)."""
     if len(lo) != x.dimension or len(hi) != x.dimension:
         raise ValueError("bound dimension mismatch")
-    kept = [c for c in x.cells if all(a <= v <= b for a, v, b in zip(lo, c, hi))]
-    return CellSet(x.dimension, kept, x.resolution)
+    kept = np.ones(len(x), dtype=bool)
+    for col, a, b in zip(x.indices.T, lo, hi):
+        kept &= (col >= a) & (col <= b)
+    return CellSet._from_array(x.dimension, x.indices[kept], x.resolution)
+
+
+def _shifted_copies(rows: np.ndarray, sides) -> np.ndarray:
+    """Every row plus every integer point of the box [0, sides], as one array."""
+    dims = [s + 1 for s in sides]
+    offs = np.indices(dims).reshape(len(dims), prod(dims)).T
+    return (rows[:, None, :] + offs).reshape(len(rows) * len(offs), len(dims))
 
 
 def _refine(x: CellSet, m: int, resolution: Fraction) -> CellSet:
     """Replace every cell by the m^n cells of its m-fold refinement."""
     n = x.dimension
-    offs = list(itertools.product(range(m), repeat=n))
-    cells = [
-        tuple(m * c[i] + d[i] for i in range(n))
-        for c in x.cells
-        for d in offs
-    ]
-    return CellSet(n, cells, resolution)
+    _check_cell_count(len(x) * m**n)
+    rows = _exact(x.indices, m, m) * m
+    return CellSet._from_array(n, _shifted_copies(rows, [m - 1] * n), resolution)
 
 
 def subdivide(x: CellSet, m: int) -> CellSet:
@@ -485,11 +549,9 @@ def project(x: CellSet | BoxUnion, subspace: CoordSubspace) -> CellSet | BoxUnio
     """
     if subspace.ambient != x.dimension:
         raise ValueError("subspace ambient dimension mismatch")
-    axes = subspace.axes
+    cols = list(subspace.axes)
     if isinstance(x, CellSet):
-        cells = {tuple(c[a] for a in axes) for c in x.cells}
-        return CellSet(len(axes), cells, x.resolution)
-    cols = list(axes)
+        return CellSet._from_array(len(cols), x.indices[:, cols], x.resolution)
     return BoxUnion._from_arrays(len(cols), x.den, x.lows[:, cols], x.highs[:, cols])
 
 
@@ -510,11 +572,8 @@ def apply_isometry(x: CellSet | BoxUnion, g: SignedPerm, translation=None) -> Ce
         shifts = [qi / lam for qi in q]
         if all(s.denominator == 1 for s in shifts):
             t = [int(s) for s in shifts]
-            cells = set()
-            for c in x.cells:
-                img = g.apply_cell(c)
-                cells.add(tuple(img[i] + t[i] for i in range(n)))
-            return CellSet(n, cells, lam)
+            rows = g.apply_rows(_exact(x.indices, 1, 1 + max(map(abs, t), default=0)))
+            return CellSet._from_array(n, rows + np.asarray(t, dtype=rows.dtype), lam)
         x = cellset_to_boxunion(x)
     boxes = [g.apply_box(b).translate(q) for b in x.boxes]
     return BoxUnion(n, boxes)
@@ -547,15 +606,10 @@ def minkowski_sum_box(x: CellSet | BoxUnion, box: RatBox) -> CellSet | BoxUnion:
         if all(v.denominator == 1 for v in lo + hi):
             t = [int(v) for v in lo]
             m = [int(b) - int(a) for a, b in zip(lo, hi)]
-            if not x.cells:
-                return CellSet(n, (), lam)
-            offs = list(itertools.product(*[range(mi + 1) for mi in m]))
-            cells = {
-                tuple(c[i] + d[i] + t[i] for i in range(n))
-                for c in x.cells
-                for d in offs
-            }
-            return CellSet(n, cells, lam)
+            _check_cell_count(len(x) * prod(w + 1 for w in m))
+            rows = _exact(x.indices, 1, max((abs(a) + w for a, w in zip(t, m)), default=0))
+            rows = rows + np.asarray(t, dtype=rows.dtype)
+            return CellSet._from_array(n, _shifted_copies(rows, m), lam)
         x = cellset_to_boxunion(x)
     return boxunion_minkowski_box(x, box)
 
@@ -569,8 +623,7 @@ def embed(x: CellSet, position: int) -> BoxUnion:
     if not 0 <= position <= n:
         raise ValueError(f"insert position must be in 0..{n}")
     u = cellset_to_boxunion(x)
-    lows = np.insert(u.lows, position, 0, axis=1)
-    highs = np.insert(u.highs, position, 0, axis=1)
+    lows, highs = (np.insert(a, position, 0, axis=1) for a in (u.lows, u.highs))
     return BoxUnion._from_arrays(n + 1, u.den, lows, highs)
 
 

@@ -28,6 +28,7 @@ from .lattice import (
     _common_arrays,
     _covered_bricks,
     _directed_distance_scaled,
+    _exact,
     cellset_to_boxunion,
     point_box_distance,
     union_volume,  # noqa: F401  (benchmarks/tests/test_tracer.py checks this alias)
@@ -168,12 +169,11 @@ def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
         # a cube lies in the ball iff its farthest corner does: per axis the
         # distance to the center is largest at one of the two corner values
         _, step, center, radius = _scaled_ball(shape, lam)
-        cells = []
-        for cell in meets.cells:
-            far = sum(max(abs(step * h - c), abs(step * (h + 1) - c)) for h, c in zip(cell, center))
-            if far > radius:
-                cells.append(cell)
-        return CellSet(n, cells, lam)
+        reach = max(map(abs, center), default=0)
+        rows = _exact(meets.indices, n * step, n * (step + reach))
+        lows = rows * step - np.asarray(center, dtype=rows.dtype)
+        far = np.maximum(abs(lows), abs(lows + step)).sum(axis=1) > radius
+        return CellSet._from_array(n, meets.indices[far], lam)
     # One compression grid holds the corners of the region and of the cubes,
     # so each brick lies in a box of the region or has its interior outside
     # it, and lies in the cube of a meeting cell h iff h = floor(lower corner

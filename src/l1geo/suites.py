@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from ._util import as_fraction, derive_seed, frac_str
 from .convexity import (
@@ -248,6 +249,11 @@ def exact_record(name: str, lhs, rhs, note: str = "") -> CheckRecord:
     )
 
 
+def bound_record(name: str, ok: bool, lhs: str, rhs: str) -> CheckRecord:
+    """An exact check decided by the caller, with both sides as printed text."""
+    return CheckRecord(name=name, kind="exact", passed=ok, lhs=lhs, rhs=rhs, equal=ok)
+
+
 def property_record(name: str, ok: bool, note: str = "") -> CheckRecord:
     return CheckRecord(name=name, kind="property", passed=bool(ok), note=note)
 
@@ -459,16 +465,8 @@ def _algebra_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
             boxunion_minkowski_box(bu_x, ibox), boxunion_minkowski_box(bu_y, ibox)
         )
         eq = boxunion_equal_pointsets(lhs_bu, rhs_bu)
-        out.append(
-            CheckRecord(
-                name=name,
-                kind="exact",
-                passed=eq,
-                lhs=f"vol={frac_str(union_volume(lhs_bu))}",
-                rhs=f"vol={frac_str(union_volume(rhs_bu))}",
-                equal=eq,
-            )
-        )
+        vols = [f"vol={frac_str(union_volume(u))}" for u in (lhs_bu, rhs_bu)]
+        out.append(bound_record(name, eq, *vols))
 
     name = f"algebra.project-distributivity{tag}"
     if not hyp_union:
@@ -488,14 +486,9 @@ def _algebra_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
 def _align_up(box: RatBox, lam: Fraction) -> RatBox:
     """Round a box outward to grid multiples of lam (used where an identity
     requires a cell-aligned interval)."""
-    mins = []
-    maxs = []
-    for lo, hi in zip(box.mins, box.maxs):
-        q_lo = (lo / lam).__floor__()
-        q_hi = -((-hi / lam).__floor__())
-        mins.append(lam * q_lo)
-        maxs.append(lam * max(q_hi, q_lo))
-    return RatBox(tuple(mins), tuple(maxs))
+    lo = [floor(v / lam) for v in box.mins]
+    hi = [max(ceil(v / lam), a) for a, v in zip(lo, box.maxs)]
+    return RatBox([lam * a for a in lo], [lam * b for b in hi])
 
 
 def _valuation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
@@ -626,13 +619,11 @@ def _pixellation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord
         uppers.append(upper)
         ok = lower <= n * lam and upper <= n * (lam + delta / 2)
         out.append(
-            CheckRecord(
-                name=f"pixellation.bracket{tag}@{frac_str(lam)}",
-                kind="exact",
-                passed=ok,
-                lhs=f"[{frac_str(lower)}, {frac_str(upper)}]",
-                rhs=f"lower<={frac_str(n * lam)}, upper<={frac_str(n * (lam + delta / 2))}",
-                equal=ok,
+            bound_record(
+                f"pixellation.bracket{tag}@{frac_str(lam)}",
+                ok,
+                f"[{frac_str(lower)}, {frac_str(upper)}]",
+                f"lower<={frac_str(n * lam)}, upper<={frac_str(n * (lam + delta / 2))}",
             )
         )
     out.append(
@@ -647,16 +638,8 @@ def _pixellation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord
         d_fine = union_volume(cellset_to_boxunion(boundary_region(shape, lam)))
         d_coarse = union_volume(cellset_to_boxunion(boundary_region(shape, 3 * lam)))
         ok = d_fine <= shrink * d_coarse
-        out.append(
-            CheckRecord(
-                name=f"pixellation.boundary{tag}@{frac_str(lam)}",
-                kind="exact",
-                passed=ok,
-                lhs=frac_str(d_fine),
-                rhs=f"<= {frac_str(shrink * d_coarse)}",
-                equal=ok,
-            )
-        )
+        name = f"pixellation.boundary{tag}@{frac_str(lam)}"
+        out.append(bound_record(name, ok, frac_str(d_fine), f"<= {frac_str(shrink * d_coarse)}"))
     return out
 
 

@@ -11,12 +11,18 @@ multiplicative under cartesian products.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial, prod
+
+import numpy as np
 
 from ._util import RationalLike, as_fraction
 from .lattice import (
+    _INT64_SAFE,
     BoxUnion,
     CellSet,
     IVVector,
+    _check_cell_count,
     coordinate_subspaces,
     project,
     union_volume,
@@ -25,19 +31,27 @@ from .lattice import (
 def intrinsic_volumes_cellset(x: CellSet) -> IVVector:
     """Exact intrinsic-volume vector of a cell set.
 
-    Degree i counts distinct projected cell indices over every i-subset of
-    axes, scaled by resolution^i.
+    Degree i counts the distinct rows of ``indices[:, axes]`` over every
+    i-subset of axes, scaled by resolution^i.  The count for every subset at
+    once: shifted to start at 0, a row's mixed-radix key over the subset's
+    axes names its projection one to one, so each subset is one column of
+    keys, and a column's distinct keys are counted after a sort.  The keys
+    are int64 when the whole radix product is below 2^62, else exact ints.
     """
     n = x.dimension
-    if not x.cells:
+    if x.is_empty:
         return IVVector((Fraction(0),) * (n + 1))
-    lam = x.resolution
-    values: list[Fraction] = [Fraction(1)]
+    rows = x.indices - x.indices.min(axis=0)
+    radix = (rows.max(axis=0) + 1).tolist()
+    dtype = np.int64 if prod(radix) < _INT64_SAFE else object
+    subsets = [axes for i in range(1, n + 1) for axes in combinations(range(n), i)]
+    weights = [[prod(radix[:a]) if a in axes else 0 for axes in subsets] for a in range(n)]
+    keys = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype).reshape(n, len(subsets))
+    keys.sort(axis=0)
+    counts = iter((1 + (keys[1:] != keys[:-1]).sum(axis=0)).tolist())
+    values = [Fraction(1)]
     for i in range(1, n + 1):
-        total = 0
-        for sub in coordinate_subspaces(n, i):
-            total += len({tuple(c[a] for a in sub.axes) for c in x.cells})
-        values.append(lam**i * total)
+        values.append(x.resolution**i * sum(next(counts) for _ in range(comb(n, i))))
     return IVVector(values)
 
 
@@ -66,8 +80,7 @@ def intrinsic_volumes(x: CellSet | BoxUnion) -> IVVector:
 def euler_characteristic(x: CellSet | BoxUnion) -> int:
     """The nonempty indicator — the combinatorial Euler characteristic of a
     taxicab-convex set (convex sets are contractible)."""
-    empty = x.is_empty
-    return 0 if empty else 1
+    return int(not x.is_empty)
 
 
 def elementary_symmetric(lengths) -> tuple[Fraction, ...]:
@@ -96,8 +109,9 @@ def cellset_product(x: CellSet, y: CellSet) -> CellSet:
     """Cartesian product of two cell sets on a common resolution."""
     if x.resolution != y.resolution:
         raise ValueError("resolution mismatch")
-    cells = {cx + cy for cx in x.cells for cy in y.cells}
-    return CellSet(x.dimension + y.dimension, cells, x.resolution)
+    _check_cell_count(len(x) * len(y))
+    rows = np.hstack((np.repeat(x.indices, len(y), axis=0), np.tile(y.indices, (len(x), 1))))
+    return CellSet._from_array(x.dimension + y.dimension, rows, x.resolution)
 
 
 def product_rhs(vx: IVVector, vy: IVVector) -> IVVector:
@@ -116,8 +130,6 @@ def product_rhs(vx: IVVector, vy: IVVector) -> IVVector:
 def ball_intrinsic_volumes(n: int, radius: RationalLike = 1) -> IVVector:
     """Exact intrinsic volumes of the taxicab ball of a given radius:
     degree i equals C(n, i) * (2r)^i / i!."""
-    from math import comb, factorial
-
     r = as_fraction(radius)
     vals = [Fraction(comb(n, i)) * (2 * r) ** i / factorial(i) for i in range(n + 1)]
     return IVVector(vals)

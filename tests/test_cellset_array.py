@@ -1,0 +1,285 @@
+"""The array-backed CellSet against set-of-tuples oracles.
+
+Each oracle below is the set-comprehension body a kernel had when a CellSet
+stored a frozenset of tuples.  The oracles read only Python ints, so they
+share no code with the array kernels they check.  Inputs cover dimensions
+0-3, empty sets, duplicate and NumPy-integer cells, and cells shifted by
+about 2^62, where the index array switches from int64 to exact big ints.
+"""
+
+import copy
+import itertools
+import pickle
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from l1geo import (
+    CellSet,
+    CoordSubspace,
+    L1Ball,
+    RatBox,
+    SignedPerm,
+    apply_isometry,
+    boundary_region,
+    cell_box,
+    cellset_product,
+    cellset_to_boxunion,
+    clip_cells,
+    coordinate_subspaces,
+    intrinsic_volumes_cellset,
+    is_l1_convex,
+    minkowski_sum_box,
+    outer_pixellate,
+    project,
+    scale,
+    split_halves,
+    subdivide,
+)
+from l1geo.pixellation import _scaled_ball
+
+BIG = 2**62
+RESOLUTIONS = (F(1), F(1, 2), F(3))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the former set-based kernel bodies
+
+
+def project_oracle(cells, axes):
+    return {tuple(c[a] for a in axes) for c in cells}
+
+
+def refine_oracle(cells, n, m):
+    offs = list(itertools.product(range(m), repeat=n))
+    return {tuple(m * c[i] + d[i] for i in range(n)) for c in cells for d in offs}
+
+
+def minkowski_oracle(cells, n, t, m):
+    offs = list(itertools.product(*[range(mi + 1) for mi in m]))
+    return {tuple(c[i] + d[i] + t[i] for i in range(n)) for c in cells for d in offs}
+
+
+def isometry_oracle(cells, g, t):
+    out = set()
+    for c in cells:
+        img = g.apply_cell(c)
+        out.add(tuple(img[i] + t[i] for i in range(len(t))))
+    return out
+
+
+def product_oracle(cx, cy):
+    return {a + b for a in cx for b in cy}
+
+
+def clip_oracle(cells, lo, hi):
+    return {c for c in cells if all(a <= v <= b for a, v, b in zip(lo, c, hi))}
+
+
+def split_oracle(cells, axis, threshold):
+    upper = {c for c in cells if c[axis] >= threshold}
+    return upper, set(cells) - upper
+
+
+def volumes_oracle(cells, n, lam):
+    if not cells:
+        return (F(0),) * (n + 1)
+    values = [F(1)]
+    for i in range(1, n + 1):
+        total = 0
+        for sub in coordinate_subspaces(n, i):
+            total += len({tuple(c[a] for a in sub.axes) for c in cells})
+        values.append(lam**i * total)
+    return tuple(values)
+
+
+def ball_boundary_oracle(ball, lam):
+    meets = outer_pixellate(ball, lam)
+    _, step, center, radius = _scaled_ball(ball, lam)
+    cells = set()
+    for cell in meets.cells:
+        far = sum(max(abs(step * h - c), abs(step * (h + 1) - c)) for h, c in zip(cell, center))
+        if far > radius:
+            cells.add(cell)
+    return cells
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def assert_cellset(x, dimension, cells, resolution):
+    """x holds exactly ``cells``, stored in the canonical array form."""
+    cells = set(cells)
+    assert x.dimension == dimension and x.resolution == resolution
+    assert isinstance(x.cells, frozenset) and x.cells == cells
+    assert x.sorted_cells() == tuple(sorted(cells))
+    assert len(x) == len(cells) and x.is_empty == (not cells)
+    assert x.indices.shape == (len(cells), dimension)
+    big = any(abs(v) >= BIG for c in cells for v in c)
+    assert x.indices.dtype == (object if big else np.int64)
+    assert not x.indices.flags.writeable
+
+
+@st.composite
+def cell_inputs(draw, max_dim=3):
+    """(n, cells as passed, the same cells as Python-int tuples, resolution)."""
+    n = draw(st.integers(0, max_dim))
+    base = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=8))
+    shift = draw(st.sampled_from([0, BIG - 6, 6 - BIG, BIG - 2, -BIG - 1, 2**63 + 5]))
+    cells = [tuple(v + shift for v in c) for c in base]
+    given_cells = list(cells) + cells[: draw(st.integers(0, 2))]  # duplicates
+    if draw(st.booleans()) and abs(shift) < 2**63 - 8:
+        given_cells = [tuple(np.int64(v) for v in c) for c in given_cells]
+    return n, given_cells, cells, draw(st.sampled_from(RESOLUTIONS))
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestAgainstOracles:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), inputs=cell_inputs())
+    def test_kernels_match_set_oracles(self, data, inputs):
+        n, given_cells, cells, lam = inputs
+        x = CellSet(n, given_cells, lam)
+        assert_cellset(x, n, cells, lam)
+
+        axes = sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
+        sub = CoordSubspace(n, axes)
+        assert_cellset(project(x, sub), len(axes), project_oracle(cells, axes), lam)
+
+        m = data.draw(st.integers(2, 3))
+        assert_cellset(subdivide(x, m), n, refine_oracle(cells, n, m), lam / m)
+        assert_cellset(scale(x, m), n, refine_oracle(cells, n, m), lam)
+
+        offsets = st.sampled_from([0, -2, 3, BIG, 2**63 - 4, -(2**63)])
+        t = data.draw(st.lists(offsets, min_size=n, max_size=n))
+        sides = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        box = RatBox([lam * a for a in t], [lam * (a + w) for a, w in zip(t, sides)])
+        assert_cellset(minkowski_sum_box(x, box), n, minkowski_oracle(cells, n, t, sides), lam)
+
+        perm = data.draw(st.permutations(range(n)))
+        g = SignedPerm(perm, data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+        moved = apply_isometry(x, g, [lam * v for v in t])
+        assert_cellset(moved, n, isometry_oracle(cells, g, t), lam)
+
+        k = data.draw(st.integers(0, 2))
+        other_cells = data.draw(st.sets(st.tuples(*[st.integers(-1, 1)] * k), max_size=3))
+        y = CellSet(k, other_cells, lam)
+        assert_cellset(cellset_product(x, y), n + k, product_oracle(cells, other_cells), lam)
+
+        lo = data.draw(st.lists(st.sampled_from([-2**70, -1, 0, BIG]), min_size=n, max_size=n))
+        hi = [a + data.draw(st.sampled_from([0, 2, 2**64])) for a in lo]
+        assert_cellset(clip_cells(x, lo, hi), n, clip_oracle(cells, lo, hi), lam)
+
+        if n:
+            axis = data.draw(st.integers(0, n - 1))
+            threshold = data.draw(st.sampled_from([0, 1, BIG - 1, -2**70]))
+            upper, lower = split_halves(x, axis, threshold)
+            want_upper, want_lower = split_oracle(cells, axis, threshold)
+            assert_cellset(upper, n, want_upper, lam)
+            assert_cellset(lower, n, want_lower, lam)
+
+        assert intrinsic_volumes_cellset(x).values == volumes_oracle(cells, n, lam)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 3),
+        center=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+        radius=st.integers(1, 8),
+        lam=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+        shift=st.sampled_from([0, 2**61, BIG, -BIG - 5]),
+    )
+    def test_ball_boundary_matches_oracle(self, n, center, radius, lam, shift):
+        ball = L1Ball([F(c, 4) + shift * lam for c in center[:n]], F(radius, 4))
+        assert_cellset(boundary_region(ball, lam), n, ball_boundary_oracle(ball, lam), lam)
+
+
+class TestValueSemantics:
+    def test_equality_and_hash_ignore_input_order(self):
+        cells = [(3, -1), (0, 0), (2**70, 5), (0, 1), (-2**65, 2)]
+        for perm in itertools.permutations(cells):
+            x = CellSet(2, perm + perm[:2], F(1, 2))
+            y = CellSet(2, reversed(perm), F(1, 2))
+            assert x == y and hash(x) == hash(y)
+            assert hash(x) == hash((2, frozenset(cells), F(1, 2)))
+        small = [(1, 2), (0, 0), (np.int64(5), -3)]
+        assert CellSet(2, small) == CellSet(2, small[::-1])
+        assert CellSet(2, small) != CellSet(2, small[:2])
+        assert CellSet(2, small) != CellSet(2, small, 2)
+        assert CellSet(1, {(0,)}) != CellSet(2, {(0, 0)})
+
+    def test_storage(self):
+        x = CellSet(2, [(1, 0), (0, 5), (1, 0)])
+        assert isinstance(x.cells, frozenset) and x.cells == {(1, 0), (0, 5)}
+        assert x.indices.tolist() == [[0, 5], [1, 0]]
+        assert not x.indices.flags.writeable
+        with pytest.raises(ValueError):
+            x.indices[0, 0] = 7
+        assert CellSet(0, [(), ()]).indices.shape == (1, 0)
+        assert CellSet(3).indices.shape == (0, 3)
+        assert repr(CellSet(1, {(4,)})) == (
+            "CellSet(dimension=1, cells=frozenset({(4,)}), resolution=Fraction(1, 1))"
+        )
+
+    def test_copies_keep_the_array_read_only(self):
+        x = CellSet(2, {(0, 1), (2**70, 3)}, F(1, 2))
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert y == x and not y.indices.flags.writeable
+
+    def test_error_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"^cell \(1, 2, 3\) does not have dimension 2$"):
+            CellSet(2, [(0, 0), (1, 2, 3)])
+        with pytest.raises(ValueError, match=r"^cell \(1,\) does not have dimension 2$"):
+            CellSet(2, [(1,)])
+        with pytest.raises(ValueError, match=r"^cell \(1, 2.5\) has non-integer coordinates$"):
+            CellSet(2, [(1, 2.5)])
+        with pytest.raises(ValueError, match=r"^cell \(1.0, 2.0\) has non-integer coordinates$"):
+            CellSet(2, [(1.0, 2.0)])
+        with pytest.raises(ValueError, match=r"^cell \('a', 'b'\) has non-integer coordinates$"):
+            CellSet(2, ["ab"])
+
+    def test_results_past_int64_are_exact(self):
+        cells = {(BIG - 1, 0), (-3, 1 - BIG)}
+        x = CellSet(2, cells)
+        t, sides = (2**63 - 4, -(2**63)), (2, 1)
+        box = RatBox(t, [a + w for a, w in zip(t, sides)])
+        assert_cellset(minkowski_sum_box(x, box), 2, minkowski_oracle(cells, 2, t, sides), 1)
+        g = SignedPerm((1, 0), (-1, 1))
+        assert_cellset(apply_isometry(x, g, t), 2, isometry_oracle(cells, g, t), 1)
+        assert_cellset(scale(x, 3), 2, refine_oracle(cells, 2, 3), 1)
+        lam = F(3, 2)
+        cubes = cellset_to_boxunion(CellSet(2, cells, lam))
+        assert cubes.boxes == tuple(cell_box(c, lam) for c in sorted(cells))
+
+    @pytest.mark.parametrize("far", [2**40, 2**62 - 1, 2**65])
+    def test_volumes_of_spread_out_cells(self, far):
+        cells = {(0, 0, 0), (far, 1, 0), (far, far, far), (-far, 0, far)}
+        lam = F(2, 3)
+        assert intrinsic_volumes_cellset(CellSet(3, cells, lam)).values == volumes_oracle(
+            cells, 3, lam
+        )
+
+    def test_int64_extremes_are_not_convex(self):
+        x = CellSet(1, {(2**63 - 1,), (-(2**63),)})
+        assert x.indices.dtype == object
+        assert not is_l1_convex(x)
+
+
+class TestCellLimit:
+    def test_subdivide_refuses_before_allocating(self):
+        with pytest.raises(ValueError, match=r"1000000000000 cells"):
+            subdivide(CellSet(3, [(0, 0, 0)]), 10**4)
+
+    def test_minkowski_and_product_refuse(self):
+        x = CellSet(3, [(0, 0, 0)])
+        with pytest.raises(ValueError, match=r"8012006001 cells"):
+            minkowski_sum_box(x, RatBox((0, 0, 0), (2000, 2000, 2000)))
+        line = CellSet(1, [(i,) for i in range(3000)])
+        with pytest.raises(ValueError, match=r"9000000 cells"):
+            cellset_product(line, line)

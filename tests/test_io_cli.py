@@ -367,6 +367,23 @@ class TestCli:
         assert main(["check-convex", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_library_refusal_exits_2(self, tmp_path, capsys):
+        far = tmp_path / "far.json"
+        doc = {"kind": "cellset", "dimension": 1, "resolution": "1", "cells": [[2**62]]}
+        far.write_text(json.dumps(doc))
+        assert main(["kinematic", "--degree", "1", str(far)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_oversized_steiner_exits_2(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        doc = {"kind": "cellset", "dimension": 3, "resolution": "1", "cells": [[0, 0, 0]]}
+        one.write_text(json.dumps(doc))
+        assert main(["steiner", "--max-dilation", "2000", str(one)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "8012006001 cells" in err
+
     def test_missing_file(self, capsys):
         assert main(["volumes", "/nonexistent/path.json"]) == 2
 
