@@ -21,6 +21,10 @@ through the between-cell, which keeps the joined path monotone.  Below 256
 cells the pairwise criterion decides; from 256 cells the all-pairs
 reachability wavefront decides, and the pairwise scan runs only on a set that
 fails, over the pairs no path joins, to find the lexicographic witness.
+
+Both run on a compressed int64 copy of the indices (``_compressed``) that
+keeps every relation the criterion reads, so verdicts and witnesses are exact
+at any index size, big-int (object) indices included.
 """
 
 from __future__ import annotations
@@ -49,38 +53,35 @@ class ConvexityVerdict:
         return self.is_convex
 
 
-def _cell_arrays(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted cells (an index array or rows of ints) as an int64 array, plus
-    the compressed copy the witness scans run on.
+def _compressed(rows: np.ndarray) -> np.ndarray:
+    """The int64 copy of a cell index array that the witness scans and the
+    reachability wavefront run on.
 
     On each axis the compressed coordinates keep the order of the distinct
     values, keep every gap of 1 and shrink every larger gap to 2.  That keeps
     the pairwise criterion (order, and whether an axis gap is >= 2) and the
     lexicographic order of the cells, and it bounds every coordinate by 2m:
     no scan overflows and the prefix grid stays small however far apart the
-    cells lie.  Indices outside int64 raise ValueError.
+    cells lie.  The gaps are taken in the array's own dtype, which is exact
+    for big-int (object) indices and cannot wrap for int64 ones, whose
+    entries lie below 2^62 in size.
     """
-    try:
-        arr = np.asarray(cells, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("cell indices must lie in [-2^63, 2^63)") from None
-    order = np.argsort(arr, axis=0, kind="stable")
-    ranked = np.take_along_axis(arr, order, axis=0)
-    up = ranked[1:] > ranked[:-1]
-    # a gap of 2^63 or more wraps around in the subtraction, but never to 1
-    steps = up.astype(np.int64) + (up & (ranked[1:] - ranked[:-1] != 1))
-    comp = np.empty_like(arr)
+    order = np.argsort(rows, axis=0, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=0)
+    gaps = ranked[1:] - ranked[:-1]
+    steps = (gaps > 0).astype(np.int64) + (gaps > 1)
+    comp = np.empty(rows.shape, dtype=np.int64)
     np.put_along_axis(
-        comp, order, np.concatenate((np.zeros_like(arr[:1]), np.cumsum(steps, axis=0))), axis=0
+        comp, order, np.concatenate((np.zeros_like(comp[:1]), np.cumsum(steps, axis=0))), axis=0
     )
-    return arr, comp
+    return comp
 
 
 def _unreachable(comp: np.ndarray) -> np.ndarray | None:
     """Bit-packed rows of the cell pairs no monotone path joins, or None when
     every pair is joined.
 
-    Runs on the compressed coordinates of ``_cell_arrays``, which keep every
+    Runs on the compressed coordinates of ``_compressed``, which keep every
     gap of 1 (so king-move adjacency) and the order on each axis (so
     monotonicity).  Row c has bit t set (``np.packbits`` layout over the m
     cells) when c does not reach t and t lies in a closed orthant
@@ -277,12 +278,11 @@ def is_l1_convex(x: CellSet) -> ConvexityVerdict:
     """
     if len(x) <= 1:
         return ConvexityVerdict(True, None)
-    arr, comp = _cell_arrays(x.indices)
-    hit = _scan(comp)
+    hit = _scan(_compressed(x.indices))
     if hit is None:
         return ConvexityVerdict(True, None)
-    i, j = hit
-    return ConvexityVerdict(False, (tuple(map(int, arr[i])), tuple(map(int, arr[j]))))
+    a, b = x.indices[list(hit)].tolist()
+    return ConvexityVerdict(False, (tuple(a), tuple(b)))
 
 
 def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
@@ -305,7 +305,7 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
         if len(inside) != len(x):
             raise ValueError(f"cell {min(x.cells - inside.cells)} lies outside the stated bound")
     while len(x) >= 2:
-        arr, comp = _cell_arrays(x.indices)
+        arr = x.indices
         span = max(int(hi) - int(lo) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
         if span >= _PREFIX_GRID_LIMIT:
             # a convex set holding two cells `span` apart on one axis holds
@@ -314,7 +314,7 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
                 f"cells lie {span} apart on one axis; the convex result would "
                 f"hold more than {_PREFIX_GRID_LIMIT} cells"
             )
-        pairs = _scan(comp, collect=True)
+        pairs = _scan(_compressed(arr), collect=True)
         if len(pairs) == 0:
             break
         lo, hi = arr[pairs[:, 0]], arr[pairs[:, 1]]
@@ -395,7 +395,7 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
 
 def all_pairs_monotone_reachable(x: CellSet) -> bool:
     """Check monotone reachability for every ordered pair of cells of X with
-    the wavefront of ``_unreachable``; indices outside int64 raise ValueError."""
+    the wavefront of ``_unreachable``, exactly at any index size."""
     if len(x) <= 1:
         return True
-    return _unreachable(_cell_arrays(x.indices)[1]) is None
+    return _unreachable(_compressed(x.indices)) is None

@@ -36,6 +36,7 @@ from .lattice import (
     IVVector,
     RatBox,
     SignedPerm,
+    _int_dtype,
     apply_isometry,
     boxunion_intersection,
     boxunion_minkowski_box,
@@ -255,11 +256,15 @@ def higher_kinematic_rhs(x: CellSet, box: RatBox, k: int) -> Fraction:
     return total
 
 
+_BITS = 16  # sample translations are dyadic rationals of this depth
+_BLOCK_SIZE = 8192  # samples drawn per RNG stream
+
+
 class _ElementLayout:
     """The cells of gX arranged for the sampler; independent of bit depth.
 
-    The cells of gX are the rows of ``g.apply_rows(x.indices)``, which fit
-    int64 exactly when those of X do.  On each axis, ``coords[i]``
+    The cells of gX are the rows of ``g.apply_rows(x.indices)``, int64 or
+    exact big-int (object) as those of X are.  On each axis, ``coords[i]``
     lists their distinct coordinates and ``ranks[:, i]`` gives each cell's
     position in that list.  Per coordinate k-subspace P, with complement
     axes Q, ``subspaces`` holds (Q ranks, incidence, segment ranks).  A
@@ -274,8 +279,6 @@ class _ElementLayout:
 
     def __init__(self, x: CellSet, g: SignedPerm, k: int):
         n = x.dimension
-        if x.indices.dtype == object:  # indices of 2^62 or more fit no bit depth
-            raise ValueError("coordinates too large for the int64 sampling path")
         cells = g.apply_rows(x.indices)
         m = cells.shape[0]
         if m >= 1 << 24:
@@ -303,12 +306,15 @@ class _ElementSampler:
 
     All coordinates are scaled by a common denominator times 2^bits so that
     dyadic sample translations, cube corners, and the clip box are integers;
-    per-sample values are integer multiples of scale^-k.  The clipped length
-    of a cell on axis i depends only on its coordinate on that axis, so it is
-    computed once per distinct coordinate.  Per coordinate subspace P, cells
-    sharing a projection onto P form one segment whose side lengths are
-    common to the segment, and V'_k of the clipped union (clipped cubes of
-    distinct segments have disjoint interiors) factorises as
+    per-sample values are integer multiples of scale^-k.  The arrays are
+    int64 when a bound on every coordinate and value proves that nothing
+    wraps, and exact big-int (object) otherwise, so every depth is exact.
+    The clipped length of a cell on axis i depends only on its coordinate on
+    that axis, so it is computed once per distinct coordinate.  Per
+    coordinate subspace P, cells sharing a projection onto P form one
+    segment whose side lengths are common to the segment, and V'_k of the
+    clipped union (clipped cubes of distinct segments have disjoint
+    interiors) factorises as
 
         value_P(q) = sum over segments of G_seg * prod_{i in P} L+_i,
 
@@ -320,7 +326,7 @@ class _ElementSampler:
     2^24.  No (cells, samples) array is built.
     """
 
-    def __init__(self, layout: _ElementLayout, box: RatBox, bits: int):
+    def __init__(self, layout: _ElementLayout, box: RatBox, bits: int = _BITS):
         n = box.dimension
         lam = layout.resolution
         denom = lcm(
@@ -334,8 +340,8 @@ class _ElementSampler:
         self.denom = denom
         self.scale = denom << bits
 
-        # The extremes are checked in Python ints; int64 arrays are built
-        # only once they are known to fit, so no wrapped value is checked.
+        # The extremes are computed in Python ints, so the bound below is
+        # exact; the arrays are built only once it has chosen their dtype.
         lam_scaled = int(lam * denom) << bits
         box_lo = [int(v * denom) << bits for v in box.mins]
         box_hi = [int(v * denom) << bits for v in box.maxs]
@@ -344,7 +350,7 @@ class _ElementSampler:
         support_lo = [b - (h + lam_scaled) for b, h in zip(box_lo, lows_max)]
         support_hi = [b - lo for b, lo in zip(box_hi, lows_min)]
 
-        # Rigorous int64 overflow bound.  A segment's clipped lengths L+ lie
+        # Rigorous overflow bound.  A segment's clipped lengths L+ lie
         # in [0, max_len[i]], so its product is at most the product of max_len
         # over the subspace axes and each sample's value is at most ``bound``.
         # Coordinates, their sums with a translation and the differences that
@@ -358,16 +364,14 @@ class _ElementSampler:
             bound += prod * incidence.shape[0]
         ends = [*lows_min, *(h + lam_scaled for h in lows_max), *support_lo, *support_hi]
         coord_mag = max(map(abs, ends), default=0)
-        self.int64_safe = bound < (1 << 62) and 4 * coord_mag < (1 << 62)
-        if not self.int64_safe:
-            return
+        self.dtype = dtype = _int_dtype(max(bound, 4 * coord_mag))
 
         self.lam_scaled = lam_scaled
-        self.axis_lows = [c * lam_scaled for c in layout.coords]
-        self.box_lo = np.asarray(box_lo, dtype=np.int64)
-        self.box_hi = np.asarray(box_hi, dtype=np.int64)
-        self.support_lo = np.asarray(support_lo, dtype=np.int64)
-        self.support_hi = np.asarray(support_hi, dtype=np.int64)
+        self.axis_lows = [c.astype(dtype, copy=False) * lam_scaled for c in layout.coords]
+        self.box_lo = np.asarray(box_lo, dtype=dtype)
+        self.box_hi = np.asarray(box_hi, dtype=dtype)
+        self.support_lo = np.asarray(support_lo, dtype=dtype)
+        self.support_hi = np.asarray(support_hi, dtype=dtype)
         self.step = (self.support_hi - self.support_lo) >> bits
         vol = Fraction(1)
         for lo, hi in zip(support_lo, support_hi):
@@ -389,38 +393,19 @@ class _ElementSampler:
             length = hi - lo                                # (U_i, nsamp)
             alive.append(length >= 0)
             lengths.append(np.maximum(length, 0))
-        out = np.zeros(q_scaled.shape[0], dtype=np.int64)
+        out = np.zeros(q_scaled.shape[0], dtype=self.dtype)
         for q_ranks, incidence, seg_ranks in self.layout.subspaces:
             live = np.ones((incidence.shape[1], q_scaled.shape[0]), dtype=bool)
             for j, ranks in q_ranks:
                 live &= alive[j][ranks]                     # (W, nsamp)
-            prod = (incidence @ live.astype(np.float32) > 0).astype(np.int64)
+            prod = (incidence @ live.astype(np.float32) > 0).astype(self.dtype)
             for i, ranks in seg_ranks:
                 prod *= lengths[i][ranks]                   # (segments, nsamp)
             out += prod.sum(axis=0)
         return out
 
 
-def _fit_sampler(layout: _ElementLayout, box: RatBox, bits: int) -> _ElementSampler:
-    """The sampler at the highest depth from ``bits`` down to 4 whose int64
-    path cannot overflow."""
-    for b in range(bits, 3, -1):
-        sampler = _ElementSampler(layout, box, b)
-        if sampler.int64_safe:
-            return sampler
-    raise ValueError("coordinates too large for the int64 sampling path")
-
-
-def kinematic_higher_mc(
-    x: CellSet,
-    box: RatBox,
-    k: int,
-    samples: int,
-    seed: int,
-    *,
-    bits: int = 16,
-    block_size: int = 8192,
-) -> MCEstimate:
+def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the integrated degree-k valuation of clipped
     placements, with its exact closed-form comparison value.
 
@@ -446,16 +431,16 @@ def kinematic_higher_mc(
     est_sum = 0.0
     var_sum = 0.0
     for e_idx, g in enumerate(group):
-        sampler = _fit_sampler(_ElementLayout(x, g, k), box, bits)
+        sampler = _ElementSampler(_ElementLayout(x, g, k), box)
         scale_k = float(sampler.scale) ** k
         total = 0.0
         total_sq = 0.0
         done = 0
         block = 0
         while done < samples:
-            count = min(block_size, samples - done)
+            count = min(_BLOCK_SIZE, samples - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, e_idx, block]))
-            t = rng.integers(0, 1 << sampler.bits, size=(block_size, n), dtype=np.int64)
+            t = rng.integers(0, 1 << sampler.bits, size=(_BLOCK_SIZE, n), dtype=np.int64)
             vals = sampler.values(sampler.sample_points(t[:count]))
             real = vals.astype(np.float64) / scale_k
             total += float(real.sum())

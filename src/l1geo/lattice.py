@@ -149,19 +149,26 @@ def _checked_cell(cell, dimension: int) -> Cell:
     return tuple(int(c) for c in tup)
 
 
-def _fit(rows: np.ndarray) -> np.ndarray:
-    """Integer rows as int64 when every entry is below 2^62 in size, else as
-    exact big-int (object) entries."""
-    safe = -_INT64_SAFE < rows.min(initial=0) and rows.max(initial=0) < _INT64_SAFE
-    return rows.astype(np.int64 if safe else object, copy=False)
+def _int_dtype(bound: int):
+    """The dtype for integer arrays whose values, and every value a kernel
+    computes from them, stay below ``bound`` in size: int64 when ``bound`` is
+    below 2^62, which leaves room to add two such values, and exact big-int
+    (object) otherwise.  Every int64 shortcut takes its dtype from here."""
+    return np.int64 if bound < _INT64_SAFE else object
 
 
-def _exact(rows: np.ndarray, scale: int, shift: int) -> np.ndarray:
-    """``rows`` in a dtype in which ``rows * scale`` plus terms up to ``shift``
-    in size cannot wrap: as given when that bound is below 2^62, else as
-    exact big-int (object) entries."""
+def _fit(rows: np.ndarray, *, scale: int = 1, shift: int = 0) -> np.ndarray:
+    """An integer array re-typed by ``_int_dtype`` so that ``entry * scale``
+    plus terms up to ``shift`` in size cannot wrap; not copied when it has
+    that dtype already."""
     mag = max(-int(rows.min(initial=0)), int(rows.max(initial=0)))
-    return rows if mag * scale + shift < _INT64_SAFE else rows.astype(object)
+    return rows.astype(_int_dtype(mag * scale + shift), copy=False)
+
+
+def _corner_mag(lows: np.ndarray, highs: np.ndarray) -> int:
+    """The largest size of a corner of the boxes ``[lows[b], highs[b]]``:
+    with ``lows <= highs`` it takes one reduction per array."""
+    return max(-int(lows.min(initial=0)), int(highs.max(initial=0)))
 
 
 def _check_cell_count(count: int) -> None:
@@ -254,8 +261,7 @@ class BoxUnion:
         corners = [b.mins + b.maxs for b in tup]
         den = lcm(*{val.denominator for row in corners for val in row})
         flat = [val.numerator * (den // val.denominator) for row in corners for val in row]
-        safe = -_INT64_SAFE < min(flat, default=0) and max(flat, default=0) < _INT64_SAFE
-        dtype = np.int64 if safe else object
+        dtype = _int_dtype(max(map(abs, flat), default=0))
         arr = np.asarray(flat, dtype=dtype).reshape(len(tup), 2 * dimension)
         self._store(int(dimension), den, arr[:, :dimension], arr[:, dimension:], tup)
 
@@ -263,8 +269,7 @@ class BoxUnion:
     def _from_arrays(cls, dimension: int, den: int, lows: np.ndarray, highs: np.ndarray):
         """A union over integer corner arrays (``lows <= highs``), re-typed to
         int64 or object by the size of its corners."""
-        safe = -_INT64_SAFE < lows.min(initial=0) and highs.max(initial=0) < _INT64_SAFE
-        dtype = np.int64 if safe else object
+        dtype = _int_dtype(_corner_mag(lows, highs))
         u = object.__new__(cls)
         u._store(dimension, den, lows.astype(dtype, copy=False), highs.astype(dtype, copy=False))
         return u
@@ -293,6 +298,9 @@ class BoxUnion:
 
     def __hash__(self) -> int:
         return hash((self.dimension, self.boxes))
+
+    def __reduce__(self):  # a copy or unpickled union gets its arrays read-only again
+        return BoxUnion._from_arrays, (self.dimension, self.den, self.lows, self.highs)
 
     def __repr__(self) -> str:
         return f"BoxUnion(dimension={self.dimension!r}, boxes={self.boxes!r})"
@@ -473,7 +481,7 @@ def cellset_to_boxunion(x: CellSet) -> BoxUnion:
     are the cell indices times the resolution's numerator, over its
     denominator, computed in int64 only when no corner can wrap around."""
     num = x.resolution.numerator
-    lows = _exact(x.indices, num, num) * num
+    lows = _fit(x.indices, scale=num, shift=num) * num
     return BoxUnion._from_arrays(x.dimension, x.resolution.denominator, lows, lows + num)
 
 
@@ -514,7 +522,7 @@ def _refine(x: CellSet, m: int, resolution: Fraction) -> CellSet:
     """Replace every cell by the m^n cells of its m-fold refinement."""
     n = x.dimension
     _check_cell_count(len(x) * m**n)
-    rows = _exact(x.indices, m, m) * m
+    rows = _fit(x.indices, scale=m, shift=m) * m
     return CellSet._from_array(n, _shifted_copies(rows, [m - 1] * n), resolution)
 
 
@@ -572,7 +580,7 @@ def apply_isometry(x: CellSet | BoxUnion, g: SignedPerm, translation=None) -> Ce
         shifts = [qi / lam for qi in q]
         if all(s.denominator == 1 for s in shifts):
             t = [int(s) for s in shifts]
-            rows = g.apply_rows(_exact(x.indices, 1, 1 + max(map(abs, t), default=0)))
+            rows = g.apply_rows(_fit(x.indices, shift=1 + max(map(abs, t), default=0)))
             return CellSet._from_array(n, rows + np.asarray(t, dtype=rows.dtype), lam)
         x = cellset_to_boxunion(x)
     boxes = [g.apply_box(b).translate(q) for b in x.boxes]
@@ -607,7 +615,7 @@ def minkowski_sum_box(x: CellSet | BoxUnion, box: RatBox) -> CellSet | BoxUnion:
             t = [int(v) for v in lo]
             m = [int(b) - int(a) for a, b in zip(lo, hi)]
             _check_cell_count(len(x) * prod(w + 1 for w in m))
-            rows = _exact(x.indices, 1, max((abs(a) + w for a, w in zip(t, m)), default=0))
+            rows = _fit(x.indices, shift=max((abs(a) + w for a, w in zip(t, m)), default=0))
             rows = rows + np.asarray(t, dtype=rows.dtype)
             return CellSet._from_array(n, _shifted_copies(rows, m), lam)
         x = cellset_to_boxunion(x)
@@ -645,7 +653,7 @@ def union_volume(u: BoxUnion) -> Fraction:
     breaks, covered = _covered_bricks(u.lows, u.highs)
     scaled_weights = [np.diff(bk).tolist() for bk in breaks]
     bound = prod(sum(w) for w in scaled_weights)
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    dtype = _int_dtype(bound)
     acc = covered.astype(dtype)
     for w in reversed(scaled_weights):
         acc = acc @ np.asarray(w, dtype=dtype)
@@ -705,9 +713,8 @@ def _common_arrays(unions, den: int = 1):
 
     Returns ``(den, [(lows, highs), ...])`` with one pair per union; ``den``
     is the lcm of the given ``den`` and the unions' own, so callers can fold
-    in one of their own.  An int64 pair whose scaled corners could reach
-    2^62 in size is switched to exact big-int (object) arrays before the
-    multiplication.
+    in one of their own.  A pair is re-typed by ``_int_dtype`` before the
+    multiplication, so no scaled corner wraps.
     """
     den = lcm(den, *(u.den for u in unions))
     out = []
@@ -715,9 +722,8 @@ def _common_arrays(unions, den: int = 1):
         lows, highs = u.lows, u.highs
         factor = den // u.den
         if factor != 1:
-            mag = max(-int(lows.min(initial=0)), int(highs.max(initial=0)), 1)
-            if lows.dtype == np.int64 and factor * mag >= _INT64_SAFE:
-                lows, highs = lows.astype(object), highs.astype(object)
+            dtype = _int_dtype(_corner_mag(lows, highs) * factor)
+            lows, highs = lows.astype(dtype, copy=False), highs.astype(dtype, copy=False)
             lows, highs = lows * factor, highs * factor
         out.append((lows, highs))
     return den, out
@@ -826,10 +832,9 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
 
     denom, corners = _common_arrays((u, v), d.denominator)
     step = d.numerator * (denom // d.denominator)
-    # Samples lie inside the boxes, so no coordinate exceeds `mag` in size
-    # and no distance exceeds 2*n*mag.
-    mag = max(int(abs(a).max()) for pair in corners for a in pair)
-    dtype = np.int64 if 2 * n * mag < _INT64_SAFE else object
+    # Samples lie inside the boxes, so no coordinate exceeds the corners'
+    # size and no distance exceeds 2n times it.
+    dtype = _int_dtype(2 * n * max(_corner_mag(*pair) for pair in corners))
     (mu, xu), (mv, xv) = ((a.astype(dtype, copy=False) for a in pair) for pair in corners)
 
     def sample_array(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

@@ -21,14 +21,13 @@ import numpy as np
 
 from ._util import RationalLike, as_fraction, common_denominator
 from .lattice import (
-    _INT64_SAFE,
     BoxUnion,
     CellSet,
     _block_entries,
     _common_arrays,
     _covered_bricks,
     _directed_distance_scaled,
-    _exact,
+    _fit,
     cellset_to_boxunion,
     point_box_distance,
     union_volume,  # noqa: F401  (benchmarks/tests/test_tracer.py checks this alias)
@@ -170,7 +169,7 @@ def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
         # distance to the center is largest at one of the two corner values
         _, step, center, radius = _scaled_ball(shape, lam)
         reach = max(map(abs, center), default=0)
-        rows = _exact(meets.indices, n * step, n * (step + reach))
+        rows = _fit(meets.indices, scale=n * step, shift=n * (step + reach))
         lows = rows * step - np.asarray(center, dtype=rows.dtype)
         far = np.maximum(abs(lows), abs(lows + step)).sum(axis=1) > radius
         return CellSet._from_array(n, meets.indices[far], lam)
@@ -222,12 +221,11 @@ def pixellation_error_bracket(
     offsets = sorted({0, lam_i} | {k * step_i for k in range(1, lam_i // step_i + 1) if k * step_i < lam_i})
 
     # The scan runs in int64 when the sizes bound every distance below 2^62,
-    # and on exact big-int arrays otherwise: a sample point is at most
-    # corner_mag + lam_i from the origin and a shape point at most
+    # and on exact big-int arrays otherwise: a sample point is at most a
+    # corner's size plus lam_i from the origin and a shape point at most
     # shape_mag, so every per-axis gap is at most their sum.
-    corner_mag = max(int(lows.max(initial=0)), -int(lows.min(initial=0)))
-    dtype = np.int64 if n * (corner_mag + lam_i + shape_mag) < _INT64_SAFE else object
-    corners = lows.astype(dtype, copy=False)
+    corners = _fit(lows, scale=n, shift=n * (lam_i + shape_mag))
+    dtype = corners.dtype
     offs = np.asarray(list(itertools.product(offsets, repeat=n)), dtype=dtype)
 
     best = 0

@@ -18,11 +18,11 @@ import numpy as np
 
 from ._util import RationalLike, as_fraction
 from .lattice import (
-    _INT64_SAFE,
     BoxUnion,
     CellSet,
     IVVector,
     _check_cell_count,
+    _int_dtype,
     coordinate_subspaces,
     project,
     union_volume,
@@ -43,7 +43,7 @@ def intrinsic_volumes_cellset(x: CellSet) -> IVVector:
         return IVVector((Fraction(0),) * (n + 1))
     rows = x.indices - x.indices.min(axis=0)
     radix = (rows.max(axis=0) + 1).tolist()
-    dtype = np.int64 if prod(radix) < _INT64_SAFE else object
+    dtype = _int_dtype(prod(radix))
     subsets = [axes for i in range(1, n + 1) for axes in combinations(range(n), i)]
     weights = [[prod(radix[:a]) if a in axes else 0 for axes in subsets] for a in range(n)]
     keys = rows.astype(dtype, copy=False) @ np.array(weights, dtype=dtype).reshape(n, len(subsets))

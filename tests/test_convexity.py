@@ -30,7 +30,7 @@ from l1geo import (
 from l1geo.convexity import (
     _PREFIX_GRID_LIMIT,
     _WAVEFRONT_CELLS,
-    _cell_arrays,
+    _compressed,
     _scan,
     _unreachable,
     _witness_direct,
@@ -45,10 +45,11 @@ def fixpoint_reach(x: CellSet) -> np.ndarray:
     Jacobi fixpoint over all 3^n - 1 king-move steps on dense m x m arrays,
     where reach[t, c] says cell c reaches target t (cells in sorted order).
     Each allowed step strictly decreases the taxicab distance to the target,
-    so the fixpoint is reachability.  Exact while cells and their
-    differences stay inside int64."""
+    so the fixpoint is reachability.  It runs on the cells translated to
+    the origin (reachability is translation-invariant), so it is exact while
+    the set's extent stays inside int64."""
     m = len(x.cells)
-    arr = np.asarray(x.sorted_cells(), dtype=np.int64)
+    arr = (x.indices - x.indices.min(axis=0)).astype(np.int64)
     n = x.dimension
     index = {tuple(map(int, arr[i])): i for i in range(m)}
 
@@ -170,14 +171,18 @@ class TestIsConvex:
         assert not is_l1_convex(CellSet(2, cells))
 
     def test_far_cells(self):
-        # the extent of these sets does not fit in int64
-        t = 2**62
+        # the extent of these sets does not fit in int64, and from 2^63 on
+        # neither do the indices: the verdicts stay exact
         row = {(i, 0) for i in range(50)}
-        verdict = is_l1_convex(CellSet(2, row | {(-t, 0), (t, 0)}))
-        assert verdict.witness == ((-t, 0), (0, 0))
-        assert is_l1_convex(CellSet(2, {(t + i, -t - i) for i in range(50)}))
-        with pytest.raises(ValueError, match="must lie in"):
-            is_l1_convex(CellSet(2, {(2**63, 0), (0, 0)}))
+        for t in (2**62, 2**63, 2**70):
+            verdict = is_l1_convex(CellSet(2, row | {(-t, 0), (t, 0)}))
+            assert verdict.witness == ((-t, 0), (0, 0))
+            assert is_l1_convex(CellSet(2, {(t + i, -t - i) for i in range(50)}))
+            assert is_l1_convex(CellSet(2, {(t, 0), (t + 1, 1), (t + 2, 1)}))
+        assert is_l1_convex(CellSet(2, {(2**63, 0), (0, 0)})).witness == ((0, 0), (2**63, 0))
+        verdict = is_l1_convex(CellSet(1, {(-(2**63) - 1,), (-(2**63) + 1,)}))
+        assert verdict.witness == ((-(2**63) - 1,), (-(2**63) + 1,))
+        assert is_l1_convex(CellSet(1, {(2**64 + i,) for i in range(-3, 3)}))
 
     def test_verdict_truthiness(self):
         assert bool(is_l1_convex(CellSet(1, {(0,)})))
@@ -224,7 +229,7 @@ class TestPathEquivalence:
     def test_scans_agree(self, n, count, spread, seed):
         # the smallest grid that holds `count` cells, widened by `spread`
         bound = next(b for b in range(2, 81) if b**n >= count) + spread
-        _, comp = _cell_arrays(gen_random_cellset(n, bound, count, seed).sorted_cells())
+        comp = _compressed(gen_random_cellset(n, bound, count, seed).indices)
         assert _witness_direct(comp) == _witness_prefix(comp)
         direct, prefix = _witness_direct(comp, collect=True), _witness_prefix(comp, collect=True)
         assert np.array_equal(np.asarray(direct).reshape(-1, 2), np.asarray(prefix).reshape(-1, 2))
@@ -235,7 +240,7 @@ class TestPathEquivalence:
         # corner (w - 1, 0) with the far cell, an anchor past the first chunk
         far = (w + 60, 0)
         x = CellSet(2, {(a, b) for a in range(w) for b in range(h)} | {far})
-        _, comp = _cell_arrays(x.sorted_cells())
+        comp = _compressed(x.indices)
         pair = ((w - 1) * h, w * h)
         # the direct scan is too slow on the larger set, where only the
         # prefix scan splits its anchors into chunks
@@ -262,7 +267,7 @@ class TestPathEquivalence:
     def test_gated_scan_matches_ungated(self, n, kind, size, shift, seed):
         x = large_case(n, kind, size, shift, seed)
         assert len(x.cells) == size
-        _, comp = _cell_arrays(x.sorted_cells())
+        comp = _compressed(x.indices)
         grid = int(np.prod(comp.max(axis=0) + 1, dtype=object))
         ungated = _witness_prefix if grid <= _PREFIX_GRID_LIMIT else _witness_direct
         witness = ungated(comp)
@@ -413,16 +418,21 @@ class TestReachability:
         assert not all_pairs_monotone_reachable(x)
         near = CellSet(n, {(2**63 - 1, *pad), (2**63 - 2, *pad)})
         assert all_pairs_monotone_reachable(near)
-        for bad in (2**63, -(2**63) - 1):
-            with pytest.raises(ValueError):
-                all_pairs_monotone_reachable(CellSet(n, {(bad, *pad), (0, *pad)}))
+        # indices outside int64 get exact verdicts too
+        for far in (2**63, -(2**63) - 1, 2**70):
+            x = CellSet(n, {(far, *pad), (0, *pad)})
+            assert not monotone_reachable(x, (far, *pad), (0, *pad))
+            assert not all_pairs_monotone_reachable(x)
+            run = CellSet(n, {(far + i, *pad) for i in range(3)})
+            assert all(monotone_reachable(run, a, b) for a in run.cells for b in run.cells)
+            assert all_pairs_monotone_reachable(run)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(1, 3),
         kind=st.sampled_from(["random", "disconnected", "staircase", "blob", "ball"]),
         size=st.integers(1, 40),
-        shift=st.sampled_from([0, 2**62, -(2**62)]),
+        shift=st.sampled_from([0, 2**62, -(2**62), 2**64 + 3, -(2**70)]),
         seed=st.integers(0, 10**6),
     )
     def test_matches_fixpoint_and_pairwise(self, n, kind, size, shift, seed):
@@ -449,7 +459,7 @@ class TestReachability:
         m = len(x.cells)
         if m < 2:
             return
-        rows = _unreachable(_cell_arrays(x.sorted_cells())[1])
+        rows = _unreachable(_compressed(x.indices))
         missing = ~fixpoint_reach(x)                # symmetric: paths reverse
         got = np.zeros((m, m), dtype=bool)
         if rows is not None:

@@ -368,10 +368,11 @@ class TestCli:
         assert "line" in capsys.readouterr().err
 
     def test_library_refusal_exits_2(self, tmp_path, capsys):
-        far = tmp_path / "far.json"
-        doc = {"kind": "cellset", "dimension": 1, "resolution": "1", "cells": [[2**62]]}
-        far.write_text(json.dumps(doc))
-        assert main(["kinematic", "--degree", "1", str(far)]) == 2
+        # the library, not the flag parser, refuses the empty interval
+        one = tmp_path / "one.json"
+        doc = {"kind": "cellset", "dimension": 2, "resolution": "1", "cells": [[0, 0]]}
+        one.write_text(json.dumps(doc))
+        assert main(["kinematic", "--box-min", "2,0", "--box-max", "1,1", str(one)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

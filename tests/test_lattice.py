@@ -1,6 +1,8 @@
 """Core value types, measure, point-set operations, metrics."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -450,6 +452,13 @@ class TestRepresentation:
         assert u.bounding_box() == RatBox((0, 0), (3, 2))
         with pytest.raises(ValueError):
             empty.bounding_box()
+
+    def test_copies_keep_the_arrays_read_only(self):
+        u = BoxUnion(2, [RatBox((0, F(1, 3)), (2**70, 1)), RatBox((0, 0), (0, 0))])
+        for v in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), copy.copy(u)):
+            assert v == u and hash(v) == hash(u) and v.den == u.den
+            assert not (v.lows.flags.writeable or v.highs.flags.writeable)
+            assert np.array_equal(v.lows, u.lows) and np.array_equal(v.highs, u.highs)
 
     def test_printed_kernel_results(self):
         u = BoxUnion(2, [RatBox((0, 0), (F(3, 2), 1)), RatBox((F(1, 3), F(1, 2)), (2, 2))])
