@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import numpy as np
 
-from .lattice import Cell, CellSet, RatBox, clip_cells
+from .lattice import Cell, CellSet, RatBox, _corner_indices, _summed_area, clip_cells
 
 _PREFIX_GRID_LIMIT = 30_000_000
 _WAVEFRONT_CELLS = 256
@@ -172,10 +172,7 @@ def _scan(comp: np.ndarray, collect: bool = False):
         unreachable = _unreachable(comp)
         if unreachable is None:
             return [] if collect else None
-    grid_size = 1
-    for e in comp.max(axis=0) + 1:
-        grid_size *= int(e)
-    if comp.shape[0] >= 16 and grid_size <= _PREFIX_GRID_LIMIT:
+    if comp.shape[0] >= 16 and prod((comp.max(axis=0) + 1).tolist()) <= _PREFIX_GRID_LIMIT:
         return _witness_prefix(comp, collect, unreachable)
     return _witness_direct(comp, collect, unreachable)
 
@@ -235,39 +232,29 @@ def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndar
 
 
 def _witness_prefix(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
-    """Prefix-sum variant: counts cells in an index box by inclusion-exclusion.
-
-    Builds the cumulative count grid of the cell indicator over the bounding
-    box, then answers every pair's "how many cells lie between" query in
-    O(2^n) gathers, vectorized over anchor chunks.  Same contract as
-    ``_witness_direct``.
+    """Prefix-sum variant: counts cells in an index box by inclusion-exclusion
+    over the 2^n corners (``lattice._corner_indices``) of the summed-area
+    table of the cells scattered at ``c + 1`` (``lattice._summed_area``),
+    whose entry x counts the cells below x on every axis.  Vectorized over
+    anchor chunks; same contract as ``_witness_direct``.
     """
     m, n = arr.shape
     if m < 2:
         return [] if collect else None
-    lo = arr.min(axis=0)
-    extent = arr.max(axis=0) - lo + 1
-    grid = np.zeros(extent, dtype=np.int32)
-    shifted = arr - lo
-    grid[tuple(shifted.T)] = 1
-    for axis in range(n):
-        np.cumsum(grid, axis=axis, out=grid)
-    padded = np.zeros(tuple(e + 1 for e in extent), dtype=np.int32)
-    padded[tuple(slice(1, None) for _ in range(n))] = grid
-    strides = np.asarray(padded.strides, dtype=np.int64) // padded.itemsize
-    flat = padded.ravel()
-    corners = list(itertools.product((0, 1), repeat=n))
+    shifted = arr - arr.min(axis=0)
+    shape = tuple(int(e) + 2 for e in shifted.max(axis=0))
+    table = _summed_area(shape, np.ravel_multi_index(tuple((shifted + 1).T), shape), 1, m).reshape(-1)
 
     def count_between(blo, bhi):
-        bhi = bhi + 1                               # inclusive, exclusive
-        counts = np.zeros(blo.shape[:-1], dtype=np.int64)
-        for corner in corners:
-            pick = np.where(np.asarray(corner, dtype=bool), bhi, blo)
-            sign = -1 if (n - sum(corner)) % 2 else 1
-            counts += sign * flat[pick @ strides]
-        return counts
+        bhi += 1  # exclusive, in place: a fresh array of _scan_chunks
+        # the query's sign (-1)^(n - popcount) is the scatter's times (-1)^n
+        flat, sign = _corner_indices(blo, bhi, shape)
+        terms = table[flat]
+        counts = np.multiply(terms, sign, out=terms).sum(axis=0, dtype=np.int64)
+        return -counts if n % 2 else counts
 
-    return _scan_chunks(shifted, max(1, 1_000_000 // m), count_between, collect, unreachable)
+    # 2^n corner indices a pair, 2^16 a chunk: about a megabyte of arrays
+    return _scan_chunks(shifted, max(1, (1 << 16 >> n) // m), count_between, collect, unreachable)
 
 
 def is_l1_convex(x: CellSet) -> ConvexityVerdict:
@@ -363,32 +350,20 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
     once, and the convexity test uses it from 256 cells.
     """
     a, b = tuple(a), tuple(b)
-    if a not in x.cells or b not in x.cells:
-        raise ValueError("both endpoints must be cells of X")
     cells = x.cells
-    n = x.dimension
-    seen = set()
-    stack = [a]
+    if a not in cells or b not in cells:
+        raise ValueError("both endpoints must be cells of X")
+    seen, stack = {a}, [a]
     while stack:
         c = stack.pop()
         if c == b:
             return True
-        if c in seen:
-            continue
-        seen.add(c)
-        options = []
-        for i in range(n):
-            if b[i] > c[i]:
-                options.append((0, 1))
-            elif b[i] < c[i]:
-                options.append((0, -1))
-            else:
-                options.append((0,))
-        for step in itertools.product(*options):
-            if all(s == 0 for s in step):
-                continue
-            nxt = tuple(c[i] + step[i] for i in range(n))
+        # on each axis a step moves one toward b or stays; the zero step is seen
+        toward = [(0, 1 if q > p else -1) if q != p else (0,) for p, q in zip(c, b)]
+        for step in itertools.product(*toward):
+            nxt = tuple(p + s for p, s in zip(c, step))
             if nxt in cells and nxt not in seen:
+                seen.add(nxt)
                 stack.append(nxt)
     return False
 

@@ -459,11 +459,8 @@ def coordinate_subspaces(n: int, k: int) -> tuple[CoordSubspace, ...]:
 def hyperoctahedral_group(n: int) -> tuple[SignedPerm, ...]:
     """All 2^n * n! signed permutations of R^n, in a fixed deterministic order
     (permutations lexicographically, then sign patterns with +1 before -1)."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(SignedPerm(perm, signs))
-    return tuple(out)
+    signs = list(itertools.product((1, -1), repeat=n))
+    return tuple(SignedPerm(perm, s) for perm in itertools.permutations(range(n)) for s in signs)
 
 
 # ---------------------------------------------------------------------------
@@ -642,47 +639,79 @@ def embed(x: CellSet, position: int) -> BoxUnion:
 def union_volume(u: BoxUnion) -> Fraction:
     """Exact Lebesgue volume of a union of boxes via coordinate compression.
 
-    Breakpoints along each axis cut the union into grid bricks on which
-    coverage is constant; the volume is the sum of covered brick volumes.
-    Arithmetic is exact: the grid is built from the union's integer
-    corners, and the covered-brick sum runs in int64 when a precomputed
-    bound proves it cannot overflow and on exact big-int arrays otherwise.
+    Breakpoints along each axis cut the union into grid bricks; the
+    summed-area table of ``_covered_bricks`` marks the covered ones, and the
+    volume sums their volumes.  Arithmetic is exact: the grid is built from
+    the union's integer corners, and the covered-brick sum runs in int64 when
+    a bound proves it cannot overflow, on exact big-int arrays otherwise.
     """
     if u.is_empty:
         return Fraction(0)
-    breaks, covered = _covered_bricks(u.lows, u.highs)
+    breaks = _breakpoints(u.lows, u.highs)
     scaled_weights = [np.diff(bk).tolist() for bk in breaks]
-    bound = prod(sum(w) for w in scaled_weights)
-    dtype = _int_dtype(bound)
-    acc = covered.astype(dtype)
+    dtype = _int_dtype(prod(sum(w) for w in scaled_weights))
+    acc = _covered_bricks(breaks, u.lows, u.highs).astype(dtype)
     for w in reversed(scaled_weights):
         acc = acc @ np.asarray(w, dtype=dtype)
     return Fraction(int(acc), u.den**u.dimension)
 
 
-def _covered_bricks(lows: np.ndarray, highs: np.ndarray, *more: np.ndarray):
-    """Coordinate compression of the boxes ``[lows[b], highs[b]]``.
-
-    On each axis the breakpoints are the sorted distinct corner coordinates
-    of these boxes and of the corner arrays in ``more``; the bricks between
-    consecutive breakpoints form the grid.  Returns the breakpoints and the
-    bool table of the bricks that some box covers.  Dimension 0 gives a 0-d
-    table, True when there is a box.
-    """
-    n = lows.shape[1]
-    breaks = [
-        np.unique(np.concatenate([a[:, i] for a in (lows, highs, *more)])) for i in range(n)
-    ]
-    shape = [len(bk) - 1 for bk in breaks]
-    total_cells = prod(shape)
+def _breakpoints(*corners: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the sorted distinct coordinates of some corner arrays: the
+    compression grid, refused above ``_UNION_GRID_LIMIT`` bricks."""
+    breaks = [np.unique(np.concatenate(cols)) for cols in zip(*(a.T for a in corners))]
+    total_cells = prod(max(len(bk) - 1, 0) for bk in breaks)
     if total_cells > _UNION_GRID_LIMIT:
         raise ValueError(f"compression grid of {total_cells} bricks is too large")
-    covered = np.zeros(shape, dtype=bool)
-    starts = [np.searchsorted(breaks[i], lows[:, i]) for i in range(n)]
-    stops = [np.searchsorted(breaks[i], highs[:, i]) for i in range(n)]
-    for b in range(lows.shape[0]):
-        covered[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
-    return breaks, covered
+    return breaks
+
+
+def _covered_bricks(breaks: list[np.ndarray], lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """The bool table of the bricks of the grid ``breaks`` that some box
+    ``[lows[b], highs[b]]`` (corners on the grid) covers: the summed-area
+    table of the boxes' signed brick corners counts the boxes over a brick
+    (a difference array).  A flat axis leaves no bricks and builds no table;
+    dimension 0 gives a 0-d table, True when there is a box."""
+    shape = tuple(max(len(bk) - 1, 0) for bk in breaks)
+    if 0 in shape:
+        return np.zeros(shape, dtype=bool)
+    padded = tuple(s + 1 for s in shape)
+    corners = np.stack((lows, highs))
+    index = np.empty(corners.shape, dtype=np.intp)
+    for i, bk in enumerate(breaks):
+        index[..., i] = np.searchsorted(bk, corners[..., i])
+    table = _summed_area(padded, *_corner_indices(*index, padded), len(lows))
+    return table[(*map(slice, shape), ...)].astype(bool)
+
+
+def _corner_indices(lo: np.ndarray, hi: np.ndarray, shape: tuple[int, ...]):
+    """The 2^n corners of the index boxes ``[lo, hi)`` (integer (..., n)
+    arrays) as flat indices (2^n, ...) into a C-order table of ``shape``,
+    corner k taking ``hi`` on the axes of the bits of k (the first axis
+    highest), and their int8 signs (-1)^(bits of k), shaped to broadcast."""
+    flat = np.zeros((2 ** len(shape), *lo.shape[:-1]), dtype=np.intp)
+    sign = np.ones(len(flat), dtype=np.int8)
+    stride, done = 1, 1
+    for i in reversed(range(len(shape))):  # the corners so far, once with lo and once with hi
+        np.add(flat[:done], hi[..., i] * stride, out=flat[done:2 * done])
+        flat[:done] += lo[..., i] * stride
+        sign[done:2 * done] = -sign[:done]
+        stride, done = stride * shape[i], 2 * done
+    return flat, sign.reshape(-1, *[1] * (lo.ndim - 1))
+
+
+def _summed_area(shape: tuple[int, ...], flat: np.ndarray, sign, count: int) -> np.ndarray:
+    """The summed-area table (Crow, SIGGRAPH 1984) of ``sign`` placed at the
+    flat indices ``flat`` of a table of ``shape``: entry x is the signed count
+    at the indices <= x.  ``count`` bounds every partial sum in size and picks
+    the narrowest signed dtype; the table is summed in place along each axis."""
+    dtype = np.int8 if count < 2**7 else np.int16 if count < 2**15 else np.int32
+    table = np.zeros(shape, dtype=dtype)
+    # sign broadcasts along trailing axes: NumPy 2.4.6 mis-adds int8 ones on a leading axis
+    np.add.at(table.reshape(-1), flat, sign)
+    for axis in range(len(shape)):
+        np.add.accumulate(table, axis=axis, out=table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +726,8 @@ def box_intersection(a: RatBox, b: RatBox) -> RatBox | None:
     """
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
-    mins, maxs = [], []
-    for i in range(a.dimension):
-        lo = max(a.mins[i], b.mins[i])
-        hi = min(a.maxs[i], b.maxs[i])
-        if lo > hi:
-            return None
-        mins.append(lo)
-        maxs.append(hi)
-    return RatBox(mins, maxs)
+    mins, maxs = tuple(map(max, a.mins, b.mins)), tuple(map(min, a.maxs, b.maxs))
+    return None if any(lo > hi for lo, hi in zip(mins, maxs)) else _raw_box(mins, maxs)
 
 
 def _common_arrays(unions, den: int = 1):
@@ -768,9 +790,8 @@ def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
     # corners below 2^62 in size double to less than 2^63: no int64 wraparound
     _, ((umin, umax), (vmin, vmax)) = _common_arrays((u, v))
     img_u, img_v = (2 * umin, 2 * umax + 1), (2 * vmin, 2 * vmax + 1)
-    _, covered_u = _covered_bricks(*img_u, *img_v)
-    _, covered_v = _covered_bricks(*img_v, *img_u)
-    return bool(np.array_equal(covered_u, covered_v))
+    breaks = _breakpoints(*img_u, *img_v)
+    return bool(np.array_equal(_covered_bricks(breaks, *img_u), _covered_bricks(breaks, *img_v)))
 
 
 # ---------------------------------------------------------------------------
@@ -782,10 +803,8 @@ def point_box_distance(point, box: RatBox) -> Fraction:
     pt = tuple(as_fraction(v) for v in point)
     if len(pt) != box.dimension:
         raise ValueError("dimension mismatch")
-    dist = Fraction(0)
-    for x, lo, hi in zip(pt, box.mins, box.maxs):
-        dist += max(lo - x, x - hi, Fraction(0))
-    return dist
+    gaps = (max(lo - x, x - hi, Fraction(0)) for x, lo, hi in zip(pt, box.mins, box.maxs))
+    return sum(gaps, Fraction(0))
 
 
 def _block_entries(dtype: np.dtype) -> int:

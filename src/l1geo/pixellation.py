@@ -24,6 +24,7 @@ from .lattice import (
     BoxUnion,
     CellSet,
     _block_entries,
+    _breakpoints,
     _common_arrays,
     _covered_bricks,
     _directed_distance_scaled,
@@ -176,15 +177,18 @@ def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
     # One compression grid holds the corners of the region and of the cubes,
     # so each brick lies in a box of the region or has its interior outside
     # it, and lies in the cube of a meeting cell h iff h = floor(lower corner
-    # / step) on every axis.  The boundary cells are the meeting cells that
-    # the uncovered bricks name.
+    # / step) on every axis.  OR-ing the uncovered bricks over each run of
+    # equal floors leaves one entry per cube: set for the boundary cells.
     cubes = cellset_to_boxunion(meets)
     den, ((lows, highs), (cube_lo, cube_hi)) = _common_arrays((shape.region, cubes))
-    breaks, covered = _covered_bricks(lows, highs, cube_lo, cube_hi)
+    breaks = _breakpoints(lows, highs, cube_lo, cube_hi)
     step = lam.numerator * (den // lam.denominator)
-    gaps = np.argwhere(~covered)
-    owners = zip(*((breaks[i][gaps[:, i]] // step).tolist() for i in range(n)))
-    return CellSet(n, meets.cells & set(owners), lam)
+    gaps, named = ~_covered_bricks(breaks, lows, highs), []
+    for i, bk in enumerate(breaks):
+        owners, runs = np.unique(bk[:-1] // step, return_index=True)
+        gaps = np.logical_or.reduceat(gaps, runs, axis=i)
+        named.append(np.searchsorted(owners, meets.indices[:, i]))
+    return CellSet._from_array(n, meets.indices[np.reshape(gaps[tuple(named)], -1)], lam)
 
 
 def pixellation_error_bracket(

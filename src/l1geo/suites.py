@@ -181,7 +181,8 @@ def _record_line(r: CheckRecord) -> str:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for a suite run; every field participates in the input digest."""
+    """Knobs for a suite run; every field but ``threads``, which cannot
+    change a report, enters the input digest."""
 
     dimensions: tuple[int, ...] = (2, 3)
     instances: int = 20

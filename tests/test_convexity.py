@@ -282,6 +282,22 @@ class TestPathEquivalence:
             assert np.array_equal(restricted, pairs)
 
 
+class TestPrefixTable:
+    def test_table_memory(self):
+        # 1,500 cells on a diagonal, 2 apart on both axes, make a 3,000 x
+        # 3,000 prefix table; the scan used to build an int32 grid of 2,999^2
+        # entries and an int32 padded copy of it
+        comp = np.repeat(np.arange(0, 3000, 2)[:, None], 2, axis=1)
+        tracemalloc.start()
+        try:
+            pairs = _witness_prefix(comp, collect=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(pairs, np.column_stack((np.arange(1499), np.arange(1, 1500))))
+        assert peak <= 4 * 2999**2 + 4 * 3000**2
+
+
 class TestConvexify:
     def test_already_convex_unchanged(self):
         x = CellSet(2, {(0, 0), (1, 0)})

@@ -4,8 +4,10 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from l1geo import (
     subdivide,
     union_volume,
 )
+from l1geo.lattice import _breakpoints, _covered_bricks
 
 F = Fraction
 
@@ -407,6 +410,96 @@ class TestUnionVolume:
         ]
         with pytest.raises(ValueError):
             union_volume(BoxUnion(2, boxes))
+
+
+def slice_loop_bricks(lows, highs, *more):
+    """The breakpoints and covered-brick table of ``_covered_bricks`` by one
+    slice assignment per box: the oracle for its summed-area fill."""
+    n = lows.shape[1]
+    breaks = [np.unique(np.concatenate([a[:, i] for a in (lows, highs, *more)])) for i in range(n)]
+    covered = np.zeros([max(len(bk) - 1, 0) for bk in breaks], dtype=bool)
+    starts = [np.searchsorted(breaks[i], lows[:, i]) for i in range(n)]
+    stops = [np.searchsorted(breaks[i], highs[:, i]) for i in range(n)]
+    for b in range(lows.shape[0]):
+        covered[tuple(slice(starts[i][b], stops[i][b]) for i in range(n))] = True
+    return breaks, covered
+
+
+def assert_fill_matches_oracle(lows, highs, *more):
+    breaks = _breakpoints(lows, highs, *more)
+    covered = _covered_bricks(breaks, lows, highs)
+    want_breaks, want = slice_loop_bricks(lows, highs, *more)
+    assert len(breaks) == len(want_breaks) == lows.shape[1]
+    assert all(np.array_equal(a, b) for a, b in zip(breaks, want_breaks))
+    assert isinstance(covered, np.ndarray) and covered.dtype == bool
+    assert covered.shape == want.shape and np.array_equal(covered, want)
+
+
+class TestSummedAreaFill:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 3),
+        count=st.sampled_from([0, 1, 2, 3, 5, 8, 40, 127, 128, 300]),
+        flat=st.sets(st.integers(0, 2)),
+        more=st.integers(0, 2),
+        big=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_fill_matches_slice_loop(self, n, count, flat, more, big, seed):
+        # boxes with zero sides (degenerate), axes on which every box is
+        # flat at one coordinate, extra break arrays, no boxes at all, big-int
+        # corners; 127 and 128 boxes straddle the int8/int16 count tables
+        rng = np.random.default_rng(seed)
+        lows = rng.integers(-6, 6, (count, n))
+        highs = lows + rng.integers(0, 4, (count, n))
+        for axis in flat & set(range(n)):
+            lows[:, axis] = highs[:, axis] = 2
+        extra = [rng.integers(-8, 8, (int(rng.integers(1, 5)), n)) for _ in range(more)]
+        arrays = [lows, highs, *extra]
+        if big:
+            arrays = [a.astype(object) + 2**64 for a in arrays]
+        assert_fill_matches_oracle(*arrays)
+
+    @pytest.mark.parametrize("copies", [2**8, 2**16])
+    def test_fill_counts_past_the_narrow_dtypes(self, copies):
+        # copies of one box, apart from 100 other boxes: the count of the
+        # copies wraps around to 0 in a dtype too narrow for it
+        rng = np.random.default_rng(3)
+        lows = rng.integers(5, 10, (copies + 100, 2))
+        highs = lows + rng.integers(0, 4, lows.shape)
+        lows[:copies], highs[:copies] = 0, 3
+        assert_fill_matches_oracle(lows, highs)
+
+    def test_flat_axis_builds_no_table(self):
+        # every box is flat on axis 0: no bricks, where a table padded by one
+        # entry per axis would hold 20,001^2 entries
+        u = BoxUnion(3, [RatBox((0, 2 * i, 2 * i), (0, 2 * i + 1, 2 * i + 1)) for i in range(10_000)])
+        tracemalloc.start()
+        try:
+            assert union_volume(u) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        with pytest.raises(ValueError, match="compression grid of .* bricks is too large"):
+            union_volume(BoxUnion(3, u.boxes + (RatBox((1, 0, 0), (1, 0, 0)),)))
+
+    def test_table_memory_near_the_grid_limit(self):
+        # 2,721 boxes on the diagonal: 5,441^2 = 29.6 M bricks, counted in
+        # an int16 table of 2 bytes a brick, next to the 1-byte bool result
+        lows = np.repeat(2 * np.arange(2721)[:, None], 2, axis=1)
+        highs = lows + 1
+        breaks = _breakpoints(lows, highs)
+        bricks = prod(len(bk) - 1 for bk in breaks)
+        assert bricks == 5441**2
+        tracemalloc.start()
+        try:
+            covered = _covered_bricks(breaks, lows, highs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * bricks
+        assert covered.sum() == 2721 and covered[::2, ::2].diagonal().all()
 
 
 _SHIFT = 2**63
