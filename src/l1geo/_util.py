@@ -26,6 +26,15 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int, str, or Fraction, got {type(value).__name__}")
 
 
+def as_point(values, dimension: int) -> tuple[Fraction, ...]:
+    """A point or offset of ``dimension`` exact coordinates (``as_fraction``
+    each); a vector of another length raises ValueError."""
+    point = tuple(as_fraction(v) for v in values)
+    if len(point) != dimension:
+        raise ValueError("dimension mismatch")
+    return point
+
+
 def frac_str(value: Fraction) -> str:
     """Canonical string for a rational: reduced "p/q", or plain "p" for integers."""
     return str(value)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from ._util import as_fraction, frac_str
 from .convexity import convexify, is_l1_convex
-from .documents import ParseError, SetDocument, from_object, parse_set, print_set, to_object
+from .documents import KIND, ParseError, parse_set, print_set
 from .generators import MODES, gen_random_convex
 from .integral_geometry import (
     crofton_profile,
@@ -61,7 +61,7 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_document(path: str) -> tuple[SetDocument, str]:
+def _load_document(path: str) -> tuple[CellSet | BoxUnion | L1Ball, str]:
     text = _read_text(path)
     try:
         return parse_set(text), text
@@ -70,10 +70,10 @@ def _load_document(path: str) -> tuple[SetDocument, str]:
 
 
 def _load_cellset(path: str) -> tuple[CellSet, str]:
-    doc, text = _load_document(path)
-    if doc.kind != "cellset":
-        raise CliError(f"{path}: expected a cellset document, got kind={doc.kind!r}")
-    return to_object(doc), text
+    obj, text = _load_document(path)
+    if not isinstance(obj, CellSet):
+        raise CliError(f"{path}: expected a cellset document, got kind={KIND[type(obj)]!r}")
+    return obj, text
 
 
 def _digest(text: str) -> str:
@@ -131,8 +131,7 @@ def _cmd_check_convex(args) -> int:
 
 
 def _cmd_volumes(args) -> int:
-    doc, _ = _load_document(args.file)
-    obj = to_object(doc)
+    obj, _ = _load_document(args.file)
     if isinstance(obj, L1Ball):
         iv = ball_intrinsic_volumes(obj.dimension, obj.radius)
     else:
@@ -146,22 +145,21 @@ def _cmd_volumes(args) -> int:
 
 
 def _cmd_pixellate(args) -> int:
-    doc, _ = _load_document(args.file)
+    obj, _ = _load_document(args.file)
     resolution = _parse_rational_flag(args.resolution, "--resolution")
-    obj = to_object(doc)
     if isinstance(obj, L1Ball):
         shape = obj
     elif isinstance(obj, BoxUnion):
         shape = BoxUnionShape(obj)
     else:
         raise CliError("pixellate expects a shape or boxunion document")
-    sys.stdout.write(print_set(from_object(outer_pixellate(shape, resolution))))
+    sys.stdout.write(print_set(outer_pixellate(shape, resolution)))
     return 0
 
 
 def _cmd_convexify(args) -> int:
     x, _ = _load_cellset(args.file)
-    sys.stdout.write(print_set(from_object(convexify(x))))
+    sys.stdout.write(print_set(convexify(x)))
     return 0
 
 
@@ -230,7 +228,7 @@ def _cmd_gen(args) -> int:
     x = gen_random_convex(
         n, args.bound, args.density, args.seed, mode=args.mode, resolution=resolution
     )
-    sys.stdout.write(print_set(from_object(x)))
+    sys.stdout.write(print_set(x))
     return 0
 
 

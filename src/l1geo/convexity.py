@@ -178,38 +178,35 @@ def _scan(comp: np.ndarray, collect: bool = False):
 
 
 def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, unreachable: np.ndarray | None):
-    """Mask ``far`` of the pairs of a scan chunk (anchors and later cells
-    from cell ``start`` on, upper triangle) >= 2 apart on some axis, an index
-    ``sel`` into it and the two cells of each pair it selects: the whole
-    block, or with ``_unreachable`` rows only the unreachable far pairs."""
+    """Mask of the pairs of a scan chunk (anchors and later cells from cell
+    ``start`` on, upper triangle) >= 2 apart on some axis: the pairs that can
+    violate the criterion, and with ``_unreachable`` rows only those of them
+    no monotone path joins."""
     far = np.zeros((anchors.shape[0], later.shape[0]), dtype=bool)
     for i in range(anchors.shape[1]):  # one (c, m) plane per axis, no (c, m, n) block
         far |= np.abs(anchors[:, None, i] - later[None, :, i]) >= 2
     far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
-    if unreachable is None:
-        return far, ..., anchors[:, None, :], later[None, :, :]
-    rows = unreachable[start:start + anchors.shape[0]]
-    far &= np.unpackbits(rows, axis=1, count=start + later.shape[0])[:, start:].view(bool)
-    sel = np.nonzero(far)
-    return far, sel, anchors[sel[0]], later[sel[1]]
+    if unreachable is not None:
+        rows = unreachable[start:start + anchors.shape[0]]
+        far &= np.unpackbits(rows, axis=1, count=start + later.shape[0])[:, start:].view(bool)
+    return far
 
 
 def _scan_chunks(arr: np.ndarray, chunk: int, count_between, collect: bool, unreachable):
     """The loop of both witness scans: anchors in chunks, each paired with
     the later cells; ``count_between(lo, hi)`` counts the cells in the index
-    box [lo, hi] of each candidate pair, and a pair with fewer than 3 (the
-    pair itself and one more) violates the criterion.  Returns the first (lex
-    order) violating index pair, or with ``collect`` the array of all pairs;
-    given the rows of ``_unreachable``, it tests only the unreachable pairs."""
+    box [lo, hi] of each pair of ``_pairs``, given as (pairs, n) arrays,
+    and a pair with fewer than 3 (the pair itself and one more) violates the
+    criterion.  Returns the first (lex order) violating index pair, or with
+    ``collect`` the array of all pairs."""
     found = []
     for start in range(0, arr.shape[0], chunk):
-        far, sel, a, b = _pairs(arr[start:start + chunk], arr[start:], start, unreachable)
-        if not far.any():
+        sel = np.nonzero(_pairs(arr[start:start + chunk], arr[start:], start, unreachable))
+        a, b = arr[start + sel[0]], arr[start + sel[1]]
+        bad = count_between(np.minimum(a, b), np.maximum(a, b)) < 3
+        if not bad.any():
             continue
-        far[sel] &= count_between(np.minimum(a, b), np.maximum(a, b)) < 3
-        if not far.any():
-            continue
-        pairs = np.argwhere(far) + start            # row-major: lex order
+        pairs = np.stack(sel, axis=1)[bad] + start  # row-major: lex order
         if not collect:
             return int(pairs[0, 0]), int(pairs[0, 1])
         found.append(pairs)
@@ -225,8 +222,8 @@ def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndar
     if m < 2:
         return [] if collect else None
 
-    def count_between(lo, hi):  # (c, m - start, n) or (pairs, n)
-        return ((arr >= lo[..., None, :]) & (arr <= hi[..., None, :])).all(axis=-1).sum(axis=-1)
+    def count_between(lo, hi):  # (pairs, n) -> (pairs,)
+        return ((arr >= lo[:, None, :]) & (arr <= hi[:, None, :])).all(axis=-1).sum(axis=-1)
 
     return _scan_chunks(arr, max(1, 2_000_000 // (m * m)), count_between, collect, unreachable)
 

@@ -5,36 +5,24 @@ A document is a JSON object with a ``kind`` of ``cellset``, ``boxunion`` or
 (integers may drop the denominator); floats are rejected to keep every value
 exact.  Printing is canonical — sorted cells, reduced fractions, fixed key
 order — so parse/print round-trips are the identity on canonical text.
+``parse_set`` returns the ``CellSet``, ``BoxUnion`` or ``L1Ball`` a document
+describes, and ``print_set`` writes the canonical text of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import frac_str
 from .lattice import BoxUnion, CellSet, RatBox
 from .pixellation import L1Ball
 
-KINDS = ("cellset", "boxunion", "shape")
+KIND = {CellSet: "cellset", BoxUnion: "boxunion", L1Ball: "shape"}  # document kind of each type
 
 
 class ParseError(ValueError):
     """A malformed document; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class SetDocument:
-    """Parsed form of a set document; exactly one payload group is set."""
-
-    kind: str
-    dimension: int
-    resolution: Fraction | None = None
-    cells: tuple[tuple[int, ...], ...] | None = None
-    boxes: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...] | None = None
-    center: tuple[Fraction, ...] | None = None
-    radius: Fraction | None = None
 
 
 def _fail(where: str, message: str) -> ParseError:
@@ -75,8 +63,9 @@ def _require_fields(obj: dict, allowed: tuple[str, ...], where: str) -> None:
             raise _fail(where, f"missing field {key!r}")
 
 
-def parse_set(text: str) -> SetDocument:
-    """Parse a document, rejecting duplicates, floats and malformed fields."""
+def parse_set(text: str) -> CellSet | BoxUnion | L1Ball:
+    """The set a document describes, its boxes sorted; rejects duplicates,
+    floats and malformed fields."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -84,8 +73,8 @@ def parse_set(text: str) -> SetDocument:
     if not isinstance(obj, dict):
         raise _fail("document", "top level must be a JSON object")
     kind = obj.get("kind")
-    if kind not in KINDS:
-        raise _fail("kind", f"must be one of {', '.join(KINDS)}; got {kind!r}")
+    if kind not in KIND.values():
+        raise _fail("kind", f"must be one of {', '.join(KIND.values())}; got {kind!r}")
     n = _parse_int(obj.get("dimension"), "dimension")
     if n < 0:
         raise _fail("dimension", "must be >= 0")
@@ -107,12 +96,7 @@ def parse_set(text: str) -> SetDocument:
         if len(set(cells)) != len(cells):
             dup = next(c for i, c in enumerate(cells) if c in cells[:i])
             raise _fail("cells", f"duplicate cell {list(dup)}")
-        return SetDocument(
-            kind="cellset",
-            dimension=n,
-            resolution=resolution,
-            cells=tuple(sorted(cells)),
-        )
+        return CellSet(n, cells, resolution)
 
     if kind == "boxunion":
         _require_fields(obj, ("kind", "dimension", "boxes"), "document")
@@ -131,7 +115,7 @@ def parse_set(text: str) -> SetDocument:
                 if mins[j] > maxs[j]:
                     raise _fail(f"{where}.min[{j}]", "exceeds the matching max")
             boxes.append((mins, maxs))
-        return SetDocument(kind="boxunion", dimension=n, boxes=tuple(sorted(boxes)))
+        return BoxUnion(n, [RatBox(mins, maxs) for mins, maxs in sorted(boxes)])
 
     _require_fields(obj, ("kind", "dimension", "shape"), "document")
     shape = obj["shape"]
@@ -144,57 +128,27 @@ def parse_set(text: str) -> SetDocument:
     radius = _parse_rational(shape["radius"], "shape.radius")
     if radius <= 0:
         raise _fail("shape.radius", "must be positive")
-    return SetDocument(kind="shape", dimension=n, center=center, radius=radius)
+    return L1Ball(center, radius)
 
 
-def print_set(doc: SetDocument) -> str:
-    """Canonical text for a document: fixed key order, sorted payload."""
-    obj: dict = {"kind": doc.kind, "dimension": doc.dimension}
-    if doc.kind == "cellset":
-        obj["resolution"] = frac_str(doc.resolution)
-        obj["cells"] = [list(c) for c in sorted(doc.cells)]
-    elif doc.kind == "boxunion":
-        obj["boxes"] = [
-            {"min": [frac_str(v) for v in mins], "max": [frac_str(v) for v in maxs]}
-            for mins, maxs in sorted(doc.boxes)
-        ]
-    elif doc.kind == "shape":
-        obj["shape"] = {
-            "type": "ball",
-            "center": [frac_str(v) for v in doc.center],
-            "radius": frac_str(doc.radius),
-        }
-    else:
-        raise ValueError(f"unknown kind {doc.kind!r}")
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def to_object(doc: SetDocument) -> CellSet | BoxUnion | L1Ball:
-    """Build the geometric object a document describes."""
-    if doc.kind == "cellset":
-        return CellSet(doc.dimension, doc.cells, doc.resolution)
-    if doc.kind == "boxunion":
-        return BoxUnion(doc.dimension, [RatBox(m, M) for m, M in doc.boxes])
-    return L1Ball(doc.center, doc.radius)
-
-
-def from_object(obj: CellSet | BoxUnion | L1Ball) -> SetDocument:
-    """Describe a geometric object as a canonical document."""
+def print_set(obj: CellSet | BoxUnion | L1Ball) -> str:
+    """Canonical text for a set: fixed key order, sorted cells and boxes."""
+    kind = KIND.get(type(obj))
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    doc: dict = {"kind": kind, "dimension": obj.dimension}
     if isinstance(obj, CellSet):
-        return SetDocument(
-            kind="cellset",
-            dimension=obj.dimension,
-            resolution=obj.resolution,
-            cells=obj.sorted_cells(),
-        )
-    if isinstance(obj, BoxUnion):
-        return SetDocument(
-            kind="boxunion",
-            dimension=obj.dimension,
-            boxes=tuple(sorted((b.mins, b.maxs) for b in obj.boxes)),
-        )
-    if isinstance(obj, L1Ball):
-        return SetDocument(
-            kind="shape", dimension=obj.dimension, center=obj.center, radius=obj.radius
-        )
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        doc["resolution"] = frac_str(obj.resolution)
+        doc["cells"] = obj.indices.tolist()
+    elif isinstance(obj, BoxUnion):
+        doc["boxes"] = [
+            {"min": [frac_str(v) for v in mins], "max": [frac_str(v) for v in maxs]}
+            for mins, maxs in sorted((b.mins, b.maxs) for b in obj.boxes)
+        ]
+    else:
+        doc["shape"] = {
+            "type": "ball",
+            "center": [frac_str(v) for v in obj.center],
+            "radius": frac_str(obj.radius),
+        }
+    return json.dumps(doc, indent=2) + "\n"

@@ -29,7 +29,7 @@ from math import comb, lcm, sqrt
 
 import numpy as np
 
-from ._util import as_fraction
+from ._util import as_point
 from .lattice import (
     BoxUnion,
     CellSet,
@@ -185,13 +185,7 @@ def kubota_sum(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:
 
 
 def principal_kinematic_rhs(x: CellSet, box: RatBox) -> Fraction:
-    vx = intrinsic_volumes_cellset(x)
-    e = elementary_symmetric(box.side_lengths())
-    n = x.dimension
-    return sum(
-        (Fraction(1, comb(n, i)) * vx[i] * e[n - i] for i in range(n + 1)),
-        start=Fraction(0),
-    )
+    return higher_kinematic_rhs(x, box, 0)
 
 
 def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fraction]:
@@ -230,8 +224,8 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
 def clip_translate(x: CellSet, g: SignedPerm, translation, box: RatBox) -> BoxUnion:
     """The exact box union (gX + q) clipped to a box; degenerate pieces kept."""
     n = x.dimension
-    q = tuple(as_fraction(v) for v in translation)
-    if g.dimension != n or box.dimension != n or len(q) != n:
+    q = as_point(translation, n)
+    if g.dimension != n or box.dimension != n:
         raise ValueError("dimension mismatch")
     moved = apply_isometry(x, g, q)
     if isinstance(moved, CellSet):

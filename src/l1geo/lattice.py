@@ -30,7 +30,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from ._util import RationalLike, as_fraction
+from ._util import RationalLike, as_fraction, as_point
 
 Cell = tuple[int, ...]
 
@@ -209,11 +209,11 @@ class RatBox:
         return prod(self.side_lengths(), start=Fraction(1))
 
     def contains_point(self, point) -> bool:
-        pt = tuple(as_fraction(v) for v in point)
+        pt = as_point(point, self.dimension)
         return all(a <= x <= b for a, x, b in zip(self.mins, pt, self.maxs))
 
     def translate(self, offset) -> "RatBox":
-        off = tuple(as_fraction(v) for v in offset)
+        off = as_point(offset, self.dimension)
         return RatBox(
             tuple(a + d for a, d in zip(self.mins, off)),
             tuple(b + d for b, d in zip(self.maxs, off)),
@@ -377,7 +377,7 @@ class SignedPerm:
         return SignedPerm(tuple(range(n)), (1,) * n)
 
     def apply_point(self, point):
-        pt = tuple(as_fraction(v) for v in point)
+        pt = as_point(point, self.dimension)
         return tuple(self.signs[i] * pt[self.perm[i]] for i in range(self.dimension))
 
     def compose(self, other: "SignedPerm") -> "SignedPerm":
@@ -569,9 +569,7 @@ def apply_isometry(x: CellSet | BoxUnion, g: SignedPerm, translation=None) -> Ce
     n = x.dimension
     if g.dimension != n:
         raise ValueError("isometry dimension mismatch")
-    q = tuple(as_fraction(v) for v in translation) if translation is not None else (Fraction(0),) * n
-    if len(q) != n:
-        raise ValueError("translation dimension mismatch")
+    q = as_point(translation, n) if translation is not None else (Fraction(0),) * n
     if isinstance(x, CellSet):
         lam = x.resolution
         shifts = [qi / lam for qi in q]
@@ -800,9 +798,7 @@ def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
 
 def point_box_distance(point, box: RatBox) -> Fraction:
     """Exact taxicab distance from a point to a closed box."""
-    pt = tuple(as_fraction(v) for v in point)
-    if len(pt) != box.dimension:
-        raise ValueError("dimension mismatch")
+    pt = as_point(point, box.dimension)
     gaps = (max(lo - x, x - hi, Fraction(0)) for x, lo, hi in zip(pt, box.mins, box.maxs))
     return sum(gaps, Fraction(0))
 

@@ -19,7 +19,7 @@ from math import lcm
 
 import numpy as np
 
-from ._util import RationalLike, as_fraction, common_denominator
+from ._util import RationalLike, as_fraction, as_point, common_denominator
 from .lattice import (
     BoxUnion,
     CellSet,
@@ -75,7 +75,7 @@ Shape = L1Ball | BoxUnionShape
 
 
 def shape_contains_point(shape: Shape, point) -> bool:
-    pt = tuple(as_fraction(v) for v in point)
+    pt = as_point(point, shape.dimension)
     if isinstance(shape, L1Ball):
         return sum(abs(x - c) for x, c in zip(pt, shape.center)) <= shape.radius
     return any(b.contains_point(pt) for b in shape.region.boxes)
@@ -83,7 +83,7 @@ def shape_contains_point(shape: Shape, point) -> bool:
 
 def shape_point_distance(shape: Shape, point) -> Fraction:
     """Exact taxicab distance from a point to the shape."""
-    pt = tuple(as_fraction(v) for v in point)
+    pt = as_point(point, shape.dimension)
     if isinstance(shape, L1Ball):
         gap = sum(abs(x - c) for x, c in zip(pt, shape.center)) - shape.radius
         return max(gap, Fraction(0))
@@ -201,6 +201,8 @@ def pixellation_error_bracket(
     delta-grids plus endpoints on every cube (covering radius n*delta/2), and
     point-to-shape distances are exact.
     """
+    if shape.dimension != pix.dimension:
+        raise ValueError("dimension mismatch")
     d = as_fraction(delta)
     if d <= 0:
         raise ValueError("delta must be positive")

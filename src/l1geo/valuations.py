@@ -131,5 +131,7 @@ def ball_intrinsic_volumes(n: int, radius: RationalLike = 1) -> IVVector:
     """Exact intrinsic volumes of the taxicab ball of a given radius:
     degree i equals C(n, i) * (2r)^i / i!."""
     r = as_fraction(radius)
+    if r < 0:
+        raise ValueError("radius must be >= 0")
     vals = [Fraction(comb(n, i)) * (2 * r) ** i / factorial(i) for i in range(n + 1)]
     return IVVector(vals)

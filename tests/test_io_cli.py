@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1geo import (
     __version__,
@@ -12,10 +14,8 @@ from l1geo import (
     L1Ball,
     ParseError,
     RatBox,
-    from_object,
     parse_set,
     print_set,
-    to_object,
 )
 from l1geo.cli import main
 
@@ -57,44 +57,92 @@ BALL_DOC = """
 
 class TestParsing:
     def test_cellset(self):
-        doc = parse_set(CELLSET_DOC)
-        assert doc.kind == "cellset"
-        assert doc.dimension == 2
-        assert doc.resolution == F(1, 2)
-        assert set(doc.cells) == {(0, 0), (1, 0), (0, 1)}
+        x = parse_set(CELLSET_DOC)
+        assert x == CellSet(2, {(0, 0), (1, 0), (0, 1)}, F(1, 2))
+        assert x.indices.tolist() == [[0, 0], [0, 1], [1, 0]]
 
     def test_boxunion(self):
-        doc = parse_set(BOXUNION_DOC)
-        assert doc.kind == "boxunion"
-        assert len(doc.boxes) == 2
-        assert doc.boxes[0] == ((F(0), F(0)), (F(3, 2), F(1)))
+        u = parse_set(BOXUNION_DOC)
+        assert u.dimension == 2 and len(u.boxes) == 2
+        assert u.boxes[0] == RatBox((0, 0), (F(3, 2), 1))
 
     def test_ball(self):
-        doc = parse_set(BALL_DOC)
-        assert doc.kind == "shape"
-        assert doc.center == (F(1, 2), F(0))
-        assert doc.radius == F(5, 4)
+        ball = parse_set(BALL_DOC)
+        assert ball == L1Ball((F(1, 2), 0), F(5, 4))
 
     def test_round_trips(self):
         for text in (CELLSET_DOC, BOXUNION_DOC, BALL_DOC):
-            doc = parse_set(text)
-            assert parse_set(print_set(doc)) == doc
+            x = parse_set(text)
+            assert parse_set(print_set(x)) == x
+            assert print_set(parse_set(print_set(x))) == print_set(x)
 
     def test_object_round_trips(self):
-        for text in (CELLSET_DOC, BOXUNION_DOC, BALL_DOC):
-            doc = parse_set(text)
-            assert from_object(to_object(doc)) == parse_set(print_set(doc))
+        boxes = [RatBox((0, 0), (F(3, 2), 1)), RatBox((1, 0), (2, 2))]
+        objects = (
+            CellSet(2, {(1, 0), (0, 0), (0, 1)}, F(1, 2)),
+            BoxUnion(2, boxes),
+            L1Ball((F(1, 2), 0), F(5, 4)),
+        )
+        for x in objects:
+            assert parse_set(print_set(x)) == x
+        # boxes are printed, and parsed, in sorted order
+        assert print_set(BoxUnion(2, boxes[::-1])) == print_set(objects[1])
+        assert parse_set(print_set(BoxUnion(2, boxes[::-1]))) == objects[1]
 
-    def test_to_object_types(self):
-        assert isinstance(to_object(parse_set(CELLSET_DOC)), CellSet)
-        assert isinstance(to_object(parse_set(BOXUNION_DOC)), BoxUnion)
-        assert isinstance(to_object(parse_set(BALL_DOC)), L1Ball)
+    def test_parsed_types(self):
+        assert isinstance(parse_set(CELLSET_DOC), CellSet)
+        assert isinstance(parse_set(BOXUNION_DOC), BoxUnion)
+        assert isinstance(parse_set(BALL_DOC), L1Ball)
+        with pytest.raises(TypeError):
+            print_set(RatBox((0,), (1,)))
 
     def test_integer_resolution(self):
-        doc = parse_set(
-            '{"kind": "cellset", "dimension": 1, "resolution": "1", "cells": [[0]]}'
-        )
-        assert to_object(doc).resolution == 1
+        x = parse_set('{"kind": "cellset", "dimension": 1, "resolution": "1", "cells": [[0]]}')
+        assert x.resolution == 1
+
+
+_BIG = 2**70
+_rationals = st.builds(
+    Fraction, st.integers(-_BIG, _BIG), st.sampled_from([1, 3, 2**64 + 1])
+)
+
+
+@st.composite
+def _cellsets(draw):
+    n = draw(st.integers(0, 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(-_BIG, _BIG)] * n), max_size=6))
+    return CellSet(n, cells, draw(st.sampled_from([1, F(1, 3), F(5, 2)])))
+
+
+@st.composite
+def _boxunions(draw):
+    n = draw(st.integers(0, 3))
+    boxes = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.tuples(*[_rationals] * n))
+        # a zero width gives a degenerate side
+        widths = draw(st.tuples(*[st.sampled_from([0, 1, F(1, 3), 2**63 + 5])] * n))
+        boxes.append(RatBox(lo, [a + w for a, w in zip(lo, widths)]))
+    # parse_set returns the boxes sorted
+    return BoxUnion(n, sorted(boxes, key=lambda b: (b.mins, b.maxs)))
+
+
+_balls = st.integers(0, 3).flatmap(
+    lambda n: st.builds(
+        L1Ball,
+        st.tuples(*[_rationals] * n),
+        st.builds(Fraction, st.integers(1, _BIG), st.integers(1, 7)),
+    )
+)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_cellsets(), _boxunions(), _balls))
+    def test_parse_print_round_trip(self, x):
+        text = print_set(x)
+        assert parse_set(text) == x
+        assert print_set(parse_set(text)) == text
 
 
 class TestParseErrors:
@@ -238,19 +286,19 @@ class TestCli:
             )
         )
         assert main(["pixellate", str(shape), "--resolution", "1"]) == 0
-        doc = parse_set(capsys.readouterr().out)
-        assert doc.kind == "cellset"
-        assert len(doc.cells) == 12
+        x = parse_set(capsys.readouterr().out)
+        assert isinstance(x, CellSet)
+        assert len(x) == 12
         pix = tmp_path / "pix.json"
-        pix.write_text(print_set(doc))
+        pix.write_text(print_set(x))
         assert main(["volumes", "--json", str(pix)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["intrinsic_volumes"] == ["1", "8", "12"]
 
     def test_convexify(self, gap_file, capsys):
         assert main(["convexify", gap_file]) == 0
-        doc = parse_set(capsys.readouterr().out)
-        assert (1, 0) in set(doc.cells)
+        x = parse_set(capsys.readouterr().out)
+        assert (1, 0) in x.cells
 
     def test_steiner(self, tromino_file, capsys):
         assert main(["steiner", tromino_file, "--max-dilation", "2"]) == 0
@@ -392,6 +440,8 @@ class TestCli:
         shape = tmp_path / "shape.json"
         shape.write_text(BALL_DOC)
         assert main(["check-convex", str(shape)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {shape}: expected a cellset document, got kind='shape'\n"
 
     def test_bad_usage(self):
         with pytest.raises(SystemExit) as err:

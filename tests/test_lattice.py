@@ -33,7 +33,6 @@ from l1geo import (
     clip_cells,
     coordinate_subspaces,
     embed,
-    from_object,
     gen_random_box,
     hausdorff_distance,
     hyperoctahedral_group,
@@ -557,14 +556,14 @@ class TestRepresentation:
         u = BoxUnion(2, [RatBox((0, 0), (F(3, 2), 1)), RatBox((F(1, 3), F(1, 2)), (2, 2))])
         v = BoxUnion(2, [RatBox((1, F(-1, 4)), (F(5, 2), F(3, 4)))])
         w = boxunion_minkowski_box(boxunion_intersection(u, v), RatBox((F(-1, 2), 0), (0, F(1, 6))))
-        assert print_set(from_object(w)) == (
+        assert print_set(w) == (
             '{\n  "kind": "boxunion",\n  "dimension": 2,\n  "boxes": [\n    {\n      "min": [\n'
             '        "1/2",\n        "0"\n      ],\n      "max": [\n        "3/2",\n        "11/12"\n'
             '      ]\n    },\n    {\n      "min": [\n        "1/2",\n        "1/2"\n      ],\n'
             '      "max": [\n        "2",\n        "11/12"\n      ]\n    }\n  ]\n}\n'
         )
         e = embed(CellSet(1, {(-1,), (2,)}, F(2, 3)), 0)
-        assert print_set(from_object(e)) == (
+        assert print_set(e) == (
             '{\n  "kind": "boxunion",\n  "dimension": 2,\n  "boxes": [\n    {\n      "min": [\n'
             '        "0",\n        "-2/3"\n      ],\n      "max": [\n        "0",\n        "0"\n'
             '      ]\n    },\n    {\n      "min": [\n        "0",\n        "4/3"\n      ],\n'
@@ -709,6 +708,21 @@ class TestMetrics:
         ]
         near = [BoxUnion(2, [RatBox((a, 0), (a + 1, 1))]) for a in (0, 3)]
         assert hausdorff_distance(*shifted, F(1, 2)) == hausdorff_distance(*near, F(1, 2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RatBox((0, 0), (1, 1)).contains_point((0,)),
+            lambda: RatBox((0, 0), (1, 1)).translate((1,)),
+            lambda: SignedPerm((1, 0), (1, 1)).apply_point((1,)),
+            lambda: apply_isometry(CellSet(2, {(0, 0)}), SignedPerm.identity(2), (1,)),
+        ],
+        ids=["contains_point", "translate", "apply_point", "apply_isometry"],
+    )
+    def test_point_of_wrong_dimension(self, call):
+        # a shorter point used to be zipped short, or to index past its end
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            call()
 
     def test_hausdorff_validation(self):
         u = BoxUnion(1, [RatBox((0,), (1,))])

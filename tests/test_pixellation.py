@@ -109,6 +109,9 @@ class TestOuterPixellate:
             L1Ball((0, 0), 0)
 
 
+UNIT_SQUARE = BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (1, 1))]))
+
+
 class TestShapeQueries:
     def test_contains(self):
         ball = L1Ball((0, 0), 1)
@@ -124,6 +127,19 @@ class TestShapeQueries:
         box = BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (1, 1))]))
         assert shape_point_distance(box, (2, 3)) == 3
         assert shape_point_distance(box, (F(1, 2), F(1, 2))) == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: shape_point_distance(L1Ball((0, 0), 1), (5,)),
+            lambda: shape_contains_point(L1Ball((0, 0), 1), (0,)),
+            lambda: shape_contains_point(UNIT_SQUARE, (0,)),
+        ],
+        ids=["ball-distance", "ball-contains", "box-contains"],
+    )
+    def test_point_of_wrong_dimension(self, call):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            call()
 
 
 class TestBoundaryRegion:
@@ -300,6 +316,20 @@ class TestErrorBracket:
         # the one-point set is its own pixellation, for both shape kinds
         for shape in (L1Ball((), 1), BoxUnionShape(BoxUnion(0, [RatBox((), ())]))):
             assert pixellation_error_bracket(shape, outer_pixellate(shape, 1), 1) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "shape, n",
+        [
+            (L1Ball((0,), 1), 2),
+            (BoxUnionShape(BoxUnion(1, [RatBox((0,), (1,))])), 2),
+            (L1Ball((0, 0), 1), 3),
+        ],
+        ids=["1d-ball-2d-set", "1d-box-2d-set", "2d-ball-3d-set"],
+    )
+    def test_dimension_mismatch(self, shape, n):
+        pix = outer_pixellate(L1Ball((0,) * n, 1), 1)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            pixellation_error_bracket(shape, pix, F(1, 2))
 
     def test_validation(self):
         ball = L1Ball((0, 0), 1)

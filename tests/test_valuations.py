@@ -71,6 +71,11 @@ class TestClosedForms:
         base = ball_intrinsic_volumes(3)
         assert tuple(vec) == tuple(F(5, 2) ** i * v for i, v in enumerate(base))
 
+    def test_ball_radius_sign(self):
+        assert tuple(ball_intrinsic_volumes(2, 0)) == (1, 0, 0)
+        with pytest.raises(ValueError):
+            ball_intrinsic_volumes(2, -1)
+
     def test_pixellated_unit_ball(self):
         pix = outer_pixellate(L1Ball((0, 0), 1), 1)
         assert tuple(intrinsic_volumes_cellset(pix)) == (1, 8, 12)
