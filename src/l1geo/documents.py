@@ -93,9 +93,11 @@ def parse_set(text: str) -> CellSet | BoxUnion | L1Ball:
             if not isinstance(item, list) or len(item) != n:
                 raise _fail(where, f"expected a list of {n} integers")
             cells.append(tuple(_parse_int(v, f"{where}[{j}]") for j, v in enumerate(item)))
-        if len(set(cells)) != len(cells):
-            dup = next(c for i, c in enumerate(cells) if c in cells[:i])
-            raise _fail("cells", f"duplicate cell {list(dup)}")
+        seen = set()
+        for c in cells:
+            if c in seen:
+                raise _fail("cells", f"duplicate cell {list(c)}")
+            seen.add(c)
         return CellSet(n, cells, resolution)
 
     if kind == "boxunion":

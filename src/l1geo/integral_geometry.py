@@ -17,7 +17,9 @@ The invariant measure on placements is the uniform average over the 2^n n!
 signed permutations times Lebesgue measure on translations.  In degree 0 the
 signs drop out and only the permutation of the interval's side lengths
 matters, so the exact side takes one union volume per distinct permuted side
-tuple; the Monte Carlo side still samples every group element.
+tuple.  The Monte Carlo side draws for every group element from its own
+stream, but evaluates them with one sampler per permutation: a sign flip is
+a reflection of the draw through the centre of the interval.
 """
 
 from __future__ import annotations
@@ -252,72 +254,106 @@ def higher_kinematic_rhs(x: CellSet, box: RatBox, k: int) -> Fraction:
 
 _BITS = 16  # sample translations are dyadic rationals of this depth
 _BLOCK_SIZE = 8192  # samples drawn per RNG stream
+# Samples evaluated at once.  The work arrays of a kinematic suite set then
+# take about a megabyte; the kinematic benchmark ran faster, and with a lower
+# peak RSS, than at 2,048 or 8,192.
+_CHUNK = 4096
+
+
+def _run(rows: np.ndarray):
+    """``rows`` as a slice when they are consecutive, so that taking them is
+    a view instead of a gather."""
+    start = int(rows[0])
+    if np.array_equal(rows, np.arange(start, start + rows.size)):
+        return slice(start, start + rows.size)
+    return rows
 
 
 class _ElementLayout:
-    """The cells of gX arranged for the sampler; independent of bit depth.
+    """The cells of πX arranged for the sampler, for one permutation π of the
+    axes; independent of the box and the bit depth.
 
-    The cells of gX are the rows of ``g.apply_rows(x.indices)``, int64 or
-    exact big-int (object) as those of X are.  On each axis, ``coords[i]``
-    lists their distinct coordinates and ``ranks[:, i]`` gives each cell's
-    position in that list.  Per coordinate k-subspace P, with complement
-    axes Q, ``subspaces`` holds (Q ranks, incidence, segment ranks).  A
-    segment is a distinct P-projection of the cells; the segment ranks give
-    its coordinate on every axis of P.  The Q ranks give the coordinates of
-    the W distinct Q-projections on every axis of Q (one empty projection
-    when Q is empty), and ``incidence`` is the float32 0/1 matrix
-    (segments, W) marking which projections occur in which segment.  A
-    product with it counts incident projections, an integer at most W <= m,
-    which float32 holds exactly below 2^24 cells; more are refused.
+    The cells of πX are the rows of ``x.indices[:, perm]``, int64 or exact
+    big-int (object) as those of X are.  The 2^n signed elements with
+    permutation π share this layout: a sign flip is evaluated as a reflected
+    translation (``_ElementSampler.sample_points``).  On each axis,
+    ``coords[i]`` lists the distinct coordinates of the cells.  The lists of
+    all axes are stacked into one column of rows, axis i taking the rows
+    ``axis_rows[i]``, so a cell has one row per axis.  Per coordinate
+    k-subspace P, with complement axes Q, ``subspaces`` holds (Q rows,
+    incidence, P axes, P rows).  A segment is a distinct P-projection of the
+    cells; the P rows give its row on every axis of P.  The Q rows give the
+    rows of the W distinct Q-projections on every axis of Q (none when Q is
+    empty: then every segment is live), and ``incidence`` is the float32 0/1
+    matrix (segments, W) marking which projections occur in which segment.
+    A product with it counts incident projections, an integer at most
+    W <= m, which float32 holds exactly below 2^24 cells; more are refused.
+    Consecutive rows, as on a subspace of one axis, are kept as a slice.
     """
 
-    def __init__(self, x: CellSet, g: SignedPerm, k: int):
+    def __init__(self, x: CellSet, perm, k: int):
         n = x.dimension
-        cells = g.apply_rows(x.indices)
+        cells = x.indices[:, list(perm)]
         m = cells.shape[0]
         if m >= 1 << 24:
             raise ValueError("too many cells for the sampler's float32 incidence counts")
         self.resolution = x.resolution
         self.coords = []
-        self.ranks = np.empty((m, n), dtype=np.intp)
+        self.axis_rows = []
+        rows = np.empty((m, n), dtype=np.intp)
+        start = 0
         for i in range(n):
-            coords, self.ranks[:, i] = np.unique(cells[:, i], return_inverse=True)
+            coords, ranks = np.unique(cells[:, i], return_inverse=True)
+            rows[:, i] = ranks.reshape(-1) + start
             self.coords.append(coords)
+            self.axis_rows.append(slice(start, start + coords.size))
+            start += coords.size
+        self.row_count = start
         self.subspaces = []
         for sub in coordinate_subspaces(n, k):
             p_axes, q_axes = list(sub.axes), list(sub.complement().axes)
-            segs, seg_of = np.unique(self.ranks[:, p_axes], axis=0, return_inverse=True)
-            projs, proj_of = np.unique(self.ranks[:, q_axes], axis=0, return_inverse=True)
+            segs, seg_of = np.unique(rows[:, p_axes], axis=0, return_inverse=True)
+            projs, proj_of = np.unique(rows[:, q_axes], axis=0, return_inverse=True)
             incidence = np.zeros((segs.shape[0], projs.shape[0]), dtype=np.float32)
             incidence[seg_of.reshape(-1), proj_of.reshape(-1)] = 1
             self.subspaces.append(
-                (list(zip(q_axes, projs.T)), incidence, list(zip(p_axes, segs.T)))
+                ([_run(r) for r in projs.T], incidence, p_axes, [_run(r) for r in segs.T])
             )
 
 
 class _ElementSampler:
-    """Vectorized exact evaluator of q -> V'_k((gX + q) clipped to I).
+    """Vectorized exact evaluator of q -> V'_k((gX + q) clipped to I) for
+    every signed element g with the permutation π of a layout.
 
     All coordinates are scaled by a common denominator times 2^bits so that
     dyadic sample translations, cube corners, and the clip box are integers;
-    per-sample values are integer multiples of scale^-k.  The arrays are
-    int64 when a bound on every coordinate and value proves that nothing
-    wraps, and exact big-int (object) otherwise, so every depth is exact.
-    The clipped length of a cell on axis i depends only on its coordinate on
-    that axis, so it is computed once per distinct coordinate.  Per
-    coordinate subspace P, cells sharing a projection onto P form one
-    segment whose side lengths are common to the segment, and V'_k of the
-    clipped union (clipped cubes of distinct segments have disjoint
-    interiors) factorises as
+    per-sample values are integer multiples of scale^-k.  Values depend only
+    on where the cubes lie relative to the box, so every position is measured
+    from the box's low corner and every draw from the low corner of the
+    support: the arrays hold the box's sides, the set's extent and the
+    support's sides, whatever the set's or the box's distance from the
+    origin or from each other.  They are int64 when a bound on every
+    coordinate and value proves that nothing wraps, and exact big-int
+    (object) otherwise, so every depth is exact.
+
+    ``values`` takes draws of πX, one row per axis.  The clipped length of a
+    cell on axis i depends only on its low corner x there: it is
+    L+ = clip(x + lam) - clip(x), clipping to the box's side, and the cell
+    meets that side when -lam <= x <= side.  Both are computed once per row
+    of the layout.  Per coordinate subspace P, cells sharing a projection
+    onto P form one segment whose side lengths are common to the segment,
+    and V'_k of the clipped union (clipped cubes of distinct segments have
+    disjoint interiors) factorises as
 
         value_P(q) = sum over segments of G_seg * prod_{i in P} L+_i,
 
-    with L+ = max(length, 0): a P axis where the segment misses the box
-    makes the product 0 by itself.  G_seg is 1 when some cell of the segment
-    meets the box on every complement axis Q; it is read off the (W,
-    samples) liveness of the distinct Q-projections through one float32
-    product with the layout's incidence matrix, whose counts are exact below
-    2^24.  No (cells, samples) array is built.
+    where a P axis on which the segment misses the box gives L+ = 0.  G_seg
+    is 1 when some cell of the segment meets the box on every complement
+    axis Q; it is read off the (W, samples) liveness of the distinct
+    Q-projections through one float32 product with the layout's incidence
+    matrix, whose counts are exact below 2^24.  No (cells, samples) array is
+    built.  Every (rows, samples) array is written into work arrays that are
+    kept between calls, one set shared by all subspaces.
     """
 
     def __init__(self, layout: _ElementLayout, box: RatBox, bits: int = _BITS):
@@ -331,72 +367,122 @@ class _ElementSampler:
         self.layout = layout
         self.n = n
         self.bits = bits
-        self.denom = denom
         self.scale = denom << bits
 
         # The extremes are computed in Python ints, so the bound below is
         # exact; the arrays are built only once it has chosen their dtype.
+        # The support of {q : (πX + q) meets I} on axis i is the box's side
+        # plus the extent of the cells' cubes on that axis.
         lam_scaled = int(lam * denom) << bits
-        box_lo = [int(v * denom) << bits for v in box.mins]
-        box_hi = [int(v * denom) << bits for v in box.maxs]
-        lows_min = [int(c[0]) * lam_scaled for c in layout.coords]
-        lows_max = [int(c[-1]) * lam_scaled for c in layout.coords]
-        support_lo = [b - (h + lam_scaled) for b, h in zip(box_lo, lows_max)]
-        support_hi = [b - lo for b, lo in zip(box_hi, lows_min)]
+        sides = [int((hi - lo) * denom) << bits for lo, hi in zip(box.mins, box.maxs)]
+        extents = [(int(c[-1]) - int(c[0]) + 1) * lam_scaled for c in layout.coords]
+        support = [side + extent for side, extent in zip(sides, extents)]
 
         # Rigorous overflow bound.  A segment's clipped lengths L+ lie
         # in [0, max_len[i]], so its product is at most the product of max_len
         # over the subspace axes and each sample's value is at most ``bound``.
-        # Coordinates, their sums with a translation and the differences that
-        # give the per-axis lengths stay within 4*coord_mag.
-        max_len = [min(lam_scaled, box_hi[i] - box_lo[i]) for i in range(n)]
+        # From the support's low corner, cube lows lie in [-extent, -lam] and
+        # draws in [0, support], so every coordinate, sum and difference
+        # below stays within 2 * support.
+        max_len = [min(lam_scaled, side) for side in sides]
         bound = 0
-        for _, incidence, seg_ranks in layout.subspaces:
+        for _, incidence, p_axes, _ in layout.subspaces:
             prod = 1
-            for i, _ in seg_ranks:
+            for i in p_axes:
                 prod *= max(max_len[i], 1)
             bound += prod * incidence.shape[0]
-        ends = [*lows_min, *(h + lam_scaled for h in lows_max), *support_lo, *support_hi]
-        coord_mag = max(map(abs, ends), default=0)
-        self.dtype = dtype = _int_dtype(max(bound, 4 * coord_mag))
+        self.dtype = dtype = _int_dtype(max(bound, 2 * max(support, default=0)))
 
         self.lam_scaled = lam_scaled
-        self.axis_lows = [c.astype(dtype, copy=False) * lam_scaled for c in layout.coords]
-        self.box_lo = np.asarray(box_lo, dtype=dtype)
-        self.box_hi = np.asarray(box_hi, dtype=dtype)
-        self.support_lo = np.asarray(support_lo, dtype=dtype)
-        self.support_hi = np.asarray(support_hi, dtype=dtype)
-        self.step = (self.support_hi - self.support_lo) >> bits
+        lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in layout.coords]
+        self.row_lows = np.concatenate(lows or [np.empty(0, dtype)])[:, None]
+        sizes = [c.size for c in layout.coords]
+        self.row_sides = np.repeat(np.asarray(sides, dtype=dtype), sizes)[:, None]
+        self.support = np.asarray(support, dtype=dtype)
+        self.step = self.support >> bits
         vol = Fraction(1)
-        for lo, hi in zip(support_lo, support_hi):
-            vol *= Fraction(hi - lo, self.scale)
+        for side in support:
+            vol *= Fraction(side, self.scale)
         self.support_volume = vol
+        self._work = {}
 
-    def sample_points(self, t: np.ndarray) -> np.ndarray:
-        """Scaled translations for dyadic draws t in [0, 2^bits)^n."""
-        return self.support_lo[None, :] + t * self.step[None, :]
+    def sample_points(self, t: np.ndarray, signs) -> np.ndarray:
+        """Scaled draws, one row per axis, for dyadic t in [0, 2^bits)^n (one
+        row per sample) of the signed element with this sampler's
+        permutation and ``signs``, measured from the support's low corner.
 
-    def values(self, q_scaled: np.ndarray) -> np.ndarray:
-        """Integer per-sample values: V'_k at q equals values/scale^k."""
-        lengths = []
-        alive = []
-        for i in range(self.n):
-            lows = self.axis_lows[i][:, None] + q_scaled[None, :, i]
-            lo = np.maximum(lows, self.box_lo[i])
-            hi = np.minimum(lows + self.lam_scaled, self.box_hi[i])
-            length = hi - lo                                # (U_i, nsamp)
-            alive.append(length >= 0)
-            lengths.append(np.maximum(length, 0))
-        out = np.zeros(q_scaled.shape[0], dtype=self.dtype)
-        for q_ranks, incidence, seg_ranks in self.layout.subspaces:
-            live = np.ones((incidence.shape[1], q_scaled.shape[0]), dtype=bool)
-            for j, ranks in q_ranks:
-                live &= alive[j][ranks]                     # (W, nsamp)
-            prod = (incidence @ live.astype(np.float32) > 0).astype(self.dtype)
-            for i, ranks in seg_ranks:
-                prod *= lengths[i][ranks]                   # (segments, nsamp)
-            out += prod.sum(axis=0)
+        That element's own draw is t * step from the low corner of its
+        support.  V'_k is invariant under the reflection through the centre
+        of the box, which carries it to the draw support - t * step of πX on
+        every axis whose sign is -1.  So ``values`` at the returned draws are
+        the signed element's values at its own draws, integer for integer.
+        """
+        q = np.empty((self.n, t.shape[0]), dtype=self.dtype)
+        for i, sign in enumerate(signs):
+            row = q[i]
+            row[...] = t[:, i]
+            row *= self.step[i]
+            if sign < 0:
+                np.subtract(self.support[i], row, out=row)
+        return q
+
+    def values(self, draws: np.ndarray) -> np.ndarray:
+        """Integer per-sample values at scaled draws measured from the
+        support's low corner, one row per axis: V'_k equals values/scale^k."""
+        count = draws.shape[1]
+        out = np.zeros(count, dtype=self.dtype)
+        for start in range(0, count, _CHUNK):
+            self._add_values(draws[:, start : start + _CHUNK], out[start : start + _CHUNK])
         return out
+
+    def _work_array(self, name: str, rows: int, count: int, dtype) -> np.ndarray:
+        """A contiguous (rows, count) view of the work array ``name``, which
+        grows to the largest view asked of it and is then reused."""
+        size = rows * count
+        buf = self._work.get(name)
+        if buf is None or buf.size < size:
+            buf = self._work[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(rows, count)
+
+    def _take(self, src: np.ndarray, rows, name: str) -> np.ndarray:
+        """The given rows of ``src``: a view for a slice, else gathered into
+        the work array ``name``."""
+        if isinstance(rows, slice):
+            return src[rows]
+        out = self._work_array(name, rows.size, src.shape[1], src.dtype)
+        return np.take(src, rows, axis=0, out=out, mode="clip")
+
+    def _add_values(self, draws: np.ndarray, out: np.ndarray) -> None:
+        layout, work, dtype = self.layout, self._work_array, self.dtype
+        count = draws.shape[1]
+
+        x = work("x", layout.row_count, count, dtype)
+        for i, rows in enumerate(layout.axis_rows):
+            np.add(self.row_lows[rows], draws[i], out=x[rows])  # cube lows
+        # the cell meets the box's side exactly where this clip keeps x
+        clipped = np.clip(x, -self.lam_scaled, self.row_sides, out=work("scratch", *x.shape, dtype))
+        alive = np.equal(clipped, x, out=work("alive", *x.shape, np.float32))
+        np.maximum(clipped, 0, out=clipped)                 # clip(x)
+        x += self.lam_scaled
+        lengths = np.clip(x, 0, self.row_sides, out=x)
+        lengths -= clipped                                  # L+ per row
+
+        # clip(x) is spent, so each subspace's products reuse its work array
+        for q_rows, incidence, _, p_rows in layout.subspaces:
+            segs, projs = incidence.shape
+            prod = work("scratch", segs, count, dtype)
+            if q_rows:
+                live = self._take(alive, q_rows[0], "live")
+                for rows in q_rows[1:]:
+                    factor = self._take(alive, rows, "live_factor")
+                    live = np.multiply(live, factor, out=work("live", projs, count, np.float32))
+                counts = np.matmul(incidence, live, out=work("counts", segs, count, np.float32))
+                np.greater(counts, 0, out=prod)             # G per segment
+            else:
+                prod.fill(1)
+            for rows in p_rows:
+                prod *= self._take(lengths, rows, "prod_factor")
+            out += prod.sum(axis=0, out=work("sum", 1, count, dtype)[0])
 
 
 def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int) -> MCEstimate:
@@ -408,7 +494,9 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
     per-sample values are exact rationals, and only the mean/variance
     aggregation uses floats.  Block b of group element e draws from the RNG
     stream seeded by (seed, e, b), so results are reproducible and
-    independent of any execution schedule.
+    independent of any execution schedule.  The elements are evaluated by
+    one sampler per permutation: a sign flip reflects the draw through the
+    centre of the box.
     """
     n = x.dimension
     if not 0 <= k <= n:
@@ -424,9 +512,13 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
     group = hyperoctahedral_group(n)
     est_sum = 0.0
     var_sum = 0.0
+    perm = None
     for e_idx, g in enumerate(group):
-        sampler = _ElementSampler(_ElementLayout(x, g, k), box)
-        scale_k = float(sampler.scale) ** k
+        if g.perm != perm:  # the group lists the sign patterns of a permutation together
+            perm = g.perm
+            sampler = _ElementSampler(_ElementLayout(x, perm, k), box)
+            scale_k = float(sampler.scale) ** k
+            vol = float(sampler.support_volume)
         total = 0.0
         total_sq = 0.0
         done = 0
@@ -435,7 +527,7 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
             count = min(_BLOCK_SIZE, samples - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, e_idx, block]))
             t = rng.integers(0, 1 << sampler.bits, size=(_BLOCK_SIZE, n), dtype=np.int64)
-            vals = sampler.values(sampler.sample_points(t[:count]))
+            vals = sampler.values(sampler.sample_points(t[:count], g.signs))
             real = vals.astype(np.float64) / scale_k
             total += float(real.sum())
             total_sq += float((real * real).sum())
@@ -443,7 +535,6 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
             block += 1
         mean = total / samples
         var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        vol = float(sampler.support_volume)
         est_sum += vol * mean
         var_sum += vol * vol * var / samples
     m = len(group)

@@ -1,12 +1,14 @@
 """Dilation, flat-integral, projection, and moving-set identities."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l1geo import (
@@ -37,7 +39,9 @@ from l1geo import (
     steiner_profile,
     union_volume,
 )
+from l1geo import integral_geometry
 from l1geo.integral_geometry import _ElementLayout, _ElementSampler
+from l1geo.suites import kinematic_instance
 
 F = Fraction
 
@@ -65,32 +69,52 @@ def full_group_principal_lhs(x: CellSet, box: RatBox) -> Fraction:
     return total / len(group)
 
 
-def reduceat_values(sampler: _ElementSampler, q_scaled: np.ndarray, k: int) -> np.ndarray:
-    """Reference for ``_ElementSampler.values``: the per-axis liveness ANDed
-    into one (samples, cells) array, then per subspace a gather of it into
-    segment order and a logical-or reduceat over the segments.  Products
-    and sums are taken on exact big ints, whatever dtype the sampler chose."""
-    layout = sampler.layout
-    m, n = layout.ranks.shape
+def own_draws(x: CellSet, g: SignedPerm, box: RatBox, scale: int, bits: int, t) -> np.ndarray:
+    """The scaled translations that the signed element g draws for t, in g's
+    own frame: on axis i its support runs from box_lo - (max c_i + 1) * lam to
+    box_hi - (min c_i) * lam over the cells c of gX, and a draw is the low end
+    plus t_i steps of (width * scale) >> bits.  Exact big ints, (samples, n)."""
+    cells = g.apply_rows(x.indices)
+    lam = x.resolution
+    out = np.empty(t.shape, dtype=object)
+    for i in range(x.dimension):
+        lo = int((box.mins[i] - (int(cells[:, i].max()) + 1) * lam) * scale)
+        hi = int((box.maxs[i] - int(cells[:, i].min()) * lam) * scale)
+        out[:, i] = [lo + int(v) * ((hi - lo) >> bits) for v in t[:, i]]
+    return out
+
+
+def reduceat_values(x: CellSet, g: SignedPerm, box: RatBox, k: int, scale: int, q) -> np.ndarray:
+    """Reference for ``_ElementSampler.values`` on exact big ints, built from
+    gX itself: the per-axis liveness of every cube ANDed into one (samples,
+    cells) array, then per subspace a gather of it into segment order and a
+    logical-or reduceat over the segments.  ``q`` holds g's own scaled
+    translations, one row per sample."""
+    n = x.dimension
+    cells = g.apply_rows(x.indices).astype(object)
+    m = cells.shape[0]
+    lam = int(x.resolution * scale)
+    box_lo = [int(v * scale) for v in box.mins]
+    box_hi = [int(v * scale) for v in box.maxs]
     lengths = []
-    alive = np.ones((q_scaled.shape[0], m), dtype=bool)
+    alive = np.ones((q.shape[0], m), dtype=bool)
     for i in range(n):
-        lows = sampler.axis_lows[i][None, :] + q_scaled[:, i, None]
-        lo = np.maximum(lows, sampler.box_lo[i])
-        hi = np.minimum(lows + sampler.lam_scaled, sampler.box_hi[i])
-        alive &= (hi - lo >= 0)[:, layout.ranks[:, i]]
+        lows = cells[None, :, i] * lam + q[:, i, None]
+        lo = np.maximum(lows, box_lo[i])
+        hi = np.minimum(lows + lam, box_hi[i])
+        alive &= hi - lo >= 0
         lengths.append(hi - lo)
-    out = np.zeros(q_scaled.shape[0], dtype=object)
+    out = np.zeros(q.shape[0], dtype=object)
     for sub in coordinate_subspaces(n, k):
         axes = list(sub.axes)
-        order = np.lexsort(layout.ranks[:, axes].T[::-1]) if axes else np.arange(m)
-        keys = layout.ranks[order][:, axes]
+        order = np.asarray(sorted(range(m), key=lambda c: tuple(cells[c, axes])), dtype=np.intp)
+        keys = cells[order][:, axes]
         new_seg = np.ones(m, dtype=bool)
         new_seg[1:] = (keys[1:] != keys[:-1]).any(axis=1)
         starts = np.flatnonzero(new_seg)
         prod = np.logical_or.reduceat(alive[:, order], starts, axis=1).astype(object)
         for i in axes:
-            prod *= lengths[i][:, layout.ranks[order[starts], i]]
+            prod *= lengths[i][:, order[starts]]
         out += prod.sum(axis=1)
     return out
 
@@ -287,9 +311,10 @@ class TestHigherKinematic:
         )
 
     def test_sampler_matches_exact_valuation(self):
-        """Dual-route check: the vectorized per-sample evaluator must equal
-        the independent clip-then-measure route at every drawn point, in
-        every degree, on non-cube boxes and at resolutions other than 1."""
+        """Dual-route check: the vectorized per-sample evaluator, at the
+        points it returns for a signed element g, must equal the independent
+        clip-then-measure route at g's own draws, in every degree, on
+        non-cube boxes and at resolutions other than 1."""
         rng = random.Random(77)
         # the n = 3 trials are the ones whose boxes are not cubes
         for n, trials in ((1, range(6)), (2, range(6)), (3, (2, 3, 7))):
@@ -303,16 +328,16 @@ class TestHigherKinematic:
                 )
                 for k in range(n + 1):
                     for g in group if n < 3 else rng.sample(group, 6):
-                        sampler = _ElementSampler(_ElementLayout(x, g, k), box, bits=6)
+                        sampler = _ElementSampler(_ElementLayout(x, g.perm, k), box, bits=6)
                         t = np.asarray(
                             [[rng.randrange(0, 1 << sampler.bits) for _ in range(n)]
                              for _ in range(5)],
                             dtype=np.int64,
                         )
-                        q_scaled = sampler.sample_points(t)
-                        got = sampler.values(q_scaled)
-                        for row, v in zip(q_scaled, got):
-                            point = tuple(F(int(row[i]), sampler.scale) for i in range(n))
+                        got = sampler.values(sampler.sample_points(t, g.signs))
+                        draws = own_draws(x, g, box, sampler.scale, sampler.bits, t)
+                        for row, v in zip(draws, got):
+                            point = tuple(F(int(c), sampler.scale) for c in row)
                             exact = exact_clip_valuation(x, g, point, box, k)
                             assert F(int(v), sampler.scale**k) == exact
 
@@ -322,14 +347,24 @@ class TestHigherKinematic:
         kind=st.sampled_from(["convex", "random"]),
         bits=st.sampled_from([16, 5]),
         shift=st.sampled_from([0, 2**45 - 3]),
+        box_at_origin=st.booleans(),
+        wide_box=st.booleans(),
         min_side=st.sampled_from([0, 1]),
         seed=st.integers(0, 10**6),
     )
-    def test_values_match_reduceat_oracle(self, n, kind, bits, shift, min_side, seed):
-        """The complement-projection kernel equals the (samples, cells)
-        reduceat kernel integer for integer, for every degree and group
-        element; near 2^45 it samples at the depth asked for, on exact
-        big-int arrays where int64 could wrap."""
+    # the big-int kernel on a 3-D set, with one subspace of two complement axes
+    @example(n=3, kind="random", bits=16, shift=0, box_at_origin=False, wide_box=True,
+             min_side=1, seed=5)
+    def test_values_match_reduceat_oracle(
+        self, n, kind, bits, shift, box_at_origin, wide_box, min_side, seed
+    ):
+        """The complement-projection kernel of one sampler per permutation,
+        at the reflected points it returns for each sign pattern, equals the
+        (samples, cells) reduceat kernel on gX at g's own draws, integer for
+        integer, for every degree and group element.  Cells near 2^45 sample
+        at the depth asked for, with their box or with the box left at the
+        origin; a box 2^45 wide on axis 0 runs on exact big-int arrays at 16
+        bits."""
         res = (1, F(1, 2), F(2, 3))[seed % 3]
         if kind == "convex":
             base = gen_random_convex(n, 4, 0.5, seed, resolution=res)
@@ -337,42 +372,88 @@ class TestHigherKinematic:
             size = (2, 4**n // 4, 4**n // 2)[seed // 3 % 3]
             base = gen_random_cellset(n, 4, size, seed, resolution=res)
         x = CellSet(n, {tuple(v + shift for v in c) for c in base.cells}, res)
-        box = gen_random_box(
-            n, seed, low=shift, high=shift + 4, min_side=min_side, resolution=res
-        )
+        low = 0 if box_at_origin else shift
+        box = gen_random_box(n, seed, low=low, high=low + 4, min_side=min_side, resolution=res)
+        if wide_box:
+            box = RatBox(box.mins, (box.maxs[0] + 2**45, *box.maxs[1:]))
         rng = np.random.default_rng(seed)
         for k in range(n + 1):
-            for g in hyperoctahedral_group(n):
-                sampler = _ElementSampler(_ElementLayout(x, g, k), box, bits)
+            for perm in itertools.permutations(range(n)):
+                sampler = _ElementSampler(_ElementLayout(x, perm, k), box, bits)
                 assert sampler.bits == bits
-                t = rng.integers(0, 1 << sampler.bits, size=(40, n), dtype=np.int64)
-                q_scaled = sampler.sample_points(t)
-                got = sampler.values(q_scaled)
-                assert np.array_equal(got, reduceat_values(sampler, q_scaled, k))
+                for signs in itertools.product((1, -1), repeat=n):
+                    g = SignedPerm(perm, signs)
+                    t = rng.integers(0, 1 << sampler.bits, size=(40, n), dtype=np.int64)
+                    got = sampler.values(sampler.sample_points(t, signs))
+                    draws = own_draws(x, g, box, sampler.scale, bits, t)
+                    assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
 
     def test_far_coordinates_fall_back_to_a_safe_depth(self):
-        """Far cells sample at 16 bits: at 2^47 the box corner reaches 2^63,
-        at 2^48 the scaled cells pass it, and at 2^58 and 2^70 (indices held
-        as big ints) everything does.  The sampler switches to exact big-int
-        arrays and still samples the right place."""
-        cases = [
+        """Far cells sample at 16 bits.  The sampler measures positions from
+        the box and draws from the support, so a set runs on int64 wherever
+        it and its box lie: at 2^47, 2^48 and 2^58 cells from the box, and
+        with indices held as big ints at 2^70.  A set or a box whose own
+        extent passes 2^63 once scaled runs on exact big-int arrays.  Every
+        element samples the right place."""
+        near = [
             (CellSet(1, {(2**47,), (2**47 + 1,)}), RatBox((2**47,), (2**47 + 3,))),
             (CellSet(1, {(2**48,), (2**48 + 1,)}), RatBox((0,), (3,))),
             (CellSet(1, {(2**58,), (2**58 + 1,)}), RatBox((0,), (3,))),
             (CellSet(1, {(2**70,)}), RatBox((2**70 - 1,), (2**70 + 2,))),
         ]
-        for x, box in cases:
-            group = hyperoctahedral_group(1)
-            samplers = [_ElementSampler(_ElementLayout(x, g, 1), box) for g in group]
-            assert [(s.bits, s.dtype) for s in samplers] == [(16, object)] * 2
-            for g, sampler in zip(group, samplers):
-                t = np.arange(0, 1 << 16, 1 << 12, dtype=np.int64)
-                q_scaled = sampler.sample_points(t[:, None])
-                for row, v in zip(q_scaled, sampler.values(q_scaled)):
+        wide = [
+            (CellSet(1, {(0,), (2**47,)}), RatBox((0,), (3,))),
+            (CellSet(1, {(2**70,), (2**70 + 1,)}), RatBox((2**70,), (2**70 + 2**47,))),
+        ]
+        t = np.arange(0, 1 << 16, 1 << 12, dtype=np.int64)[:, None]
+        for (x, box), dtype in [*((c, np.int64) for c in near), *((c, object) for c in wide)]:
+            sampler = _ElementSampler(_ElementLayout(x, (0,), 1), box)
+            assert (sampler.bits, sampler.dtype) == (16, dtype)
+            for g in hyperoctahedral_group(1):
+                got = sampler.values(sampler.sample_points(t, g.signs))
+                for row, v in zip(own_draws(x, g, box, sampler.scale, 16, t), got):
                     point = (F(int(row[0]), sampler.scale),)
                     assert F(int(v), sampler.scale) == exact_clip_valuation(x, g, point, box, 1)
+        for x, box in near:
             est = kinematic_higher_mc(x, box, 1, 2000, seed=1)
             assert abs(est.estimate - float(est.exact_rhs)) <= 4 * est.standard_error
+
+    def test_one_layout_per_permutation(self, monkeypatch):
+        """The 2^n sign patterns of a permutation share its layout and
+        sampler: n! layouts, not 2^n n!."""
+        built = []
+
+        class CountingLayout(_ElementLayout):
+            def __init__(self, x, perm, k):
+                built.append(tuple(perm))
+                super().__init__(x, perm, k)
+
+        monkeypatch.setattr(integral_geometry, "_ElementLayout", CountingLayout)
+        for n in (1, 2, 3):
+            built.clear()
+            x = gen_random_convex(n, 3, 0.5, 610 + n)
+            box = gen_random_box(n, 710 + n, low=0, high=3, denominator=2, min_side=1)
+            kinematic_higher_mc(x, box, 1, 50, seed=n)
+            assert built == list(itertools.permutations(range(n)))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_values_reuse_work_arrays(self, k):
+        """A warmed ``values`` call on one 8,192-sample block of a kinematic
+        suite instance allocates almost nothing: its (rows, samples) arrays
+        live in the sampler's work arrays."""
+        x, box = kinematic_instance(3, 0, 0, 5, 0.3)
+        sampler = _ElementSampler(_ElementLayout(x, (0, 1, 2), k), box)
+        t = np.random.default_rng(k).integers(0, 1 << 16, size=(8192, 3), dtype=np.int64)
+        q = sampler.sample_points(t, (1, -1, 1))
+        warm = sampler.values(q)
+        tracemalloc.start()
+        try:
+            again = sampler.values(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again, warm)
+        assert peak < 512 * 1024
 
     @pytest.mark.parametrize(
         "case, estimate, standard_error",
@@ -386,7 +467,7 @@ class TestHigherKinematic:
     def test_mc_golden(self, case, estimate, standard_error):
         """Pins the MC estimator bit for bit: the sampler kernel, the
         16-bit depth and the block RNG streams.  The far case sits near
-        x = 2^45, where the sampler runs on exact big-int arrays."""
+        x = 2^45, with its box."""
         if case == "2d-k1":
             x = gen_random_convex(2, 3, 0.5, 601)
             box = gen_random_box(2, 701, low=0, high=3, denominator=2, min_side=1)
@@ -431,6 +512,10 @@ class TestHigherKinematic:
         assert est.samples == 300
         assert est.seed == 9
         assert est.standard_error > 0
+
+    def test_dimension_zero(self):
+        est = kinematic_higher_mc(CellSet(0, {()}), RatBox((), ()), 0, 10, seed=1)
+        assert (est.estimate, est.standard_error, est.exact_rhs) == (1.0, 0.0, 1)
 
     def test_validation(self):
         box = RatBox((0, 0), (1, 1))

@@ -173,6 +173,12 @@ class TestParseErrors:
             "duplicate",
         )
 
+    def test_first_repeated_cell_is_reported(self):
+        """Of two different duplicates, the one whose repeat comes first."""
+        head = '{"kind": "cellset", "dimension": 2, "resolution": "1", "cells": '
+        self.bad(head + "[[1, 0], [2, 0], [2, 0], [1, 0]]}", "duplicate cell [2, 0]")
+        self.bad(head + "[[1, 0], [2, 0], [1, 0], [2, 0]]}", "duplicate cell [1, 0]")
+
     def test_dimension_mismatch(self):
         self.bad(
             '{"kind": "cellset", "dimension": 2, "resolution": "1", "cells": [[0]]}',
