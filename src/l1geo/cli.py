@@ -223,10 +223,9 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    n = args.dimension[0] if args.dimension else 2
     resolution = _parse_rational_flag(args.resolution, "--resolution")
     x = gen_random_convex(
-        n, args.bound, args.density, args.seed, mode=args.mode, resolution=resolution
+        args.dimension, args.bound, args.density, args.seed, mode=args.mode, resolution=resolution
     )
     sys.stdout.write(print_set(x))
     return 0
@@ -242,7 +241,6 @@ def _cmd_verify(args) -> int:
         mc_cases=args.mc_cases,
         bound=args.bound,
         density=args.density,
-        resolution=_parse_rational_flag(args.resolution, "--resolution"),
         threads=args.threads,
     )
     return _emit_report(verify(args.suite, cfg), args.json)
@@ -253,19 +251,6 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--samples", type=int, default=20000, help="Monte Carlo samples per group element"
-    )
-    common.add_argument(
-        "--dimension",
-        type=int,
-        action="append",
-        help="ambient dimension (repeatable where several apply)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="l1geo",
         description="Exact convexity, intrinsic volumes and integral-geometry "
@@ -274,66 +259,74 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-convex", parents=[common], help="decide convexity of a cellset")
+    def command(name, func, summary, *, seed=True, samples=False):
+        """A subcommand with --json, and the shared flags its body reads."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        if samples:
+            p.add_argument(
+                "--samples", type=int, default=20000, help="Monte Carlo samples per group element"
+            )
+        p.set_defaults(func=func)
+        return p
+
+    p = command("check-convex", _cmd_check_convex, "decide convexity of a cellset", seed=False)
     p.add_argument("file", help="cellset document path or -")
-    p.set_defaults(func=_cmd_check_convex)
 
-    p = sub.add_parser("volumes", parents=[common], help="intrinsic volumes of a document")
+    p = command("volumes", _cmd_volumes, "intrinsic volumes of a document", seed=False)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_volumes)
 
-    p = sub.add_parser("pixellate", parents=[common], help="outer pixellation of a shape")
+    p = command("pixellate", _cmd_pixellate, "outer pixellation of a shape", seed=False)
     p.add_argument("file")
     p.add_argument("--resolution", default="1", help="grid resolution, e.g. 1/4")
-    p.set_defaults(func=_cmd_pixellate)
 
-    p = sub.add_parser("convexify", parents=[common], help="minimal-ish convex repair")
+    p = command("convexify", _cmd_convexify, "minimal-ish convex repair", seed=False)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_convexify)
 
-    p = sub.add_parser("steiner", parents=[common], help="cube-dilation identity check")
+    p = command("steiner", _cmd_steiner, "cube-dilation identity check")
     p.add_argument("file")
     p.add_argument("--max-dilation", type=int, default=3)
-    p.set_defaults(func=_cmd_steiner)
 
-    p = sub.add_parser("crofton", parents=[common], help="flat-integral identity check")
+    p = command("crofton", _cmd_profile, "flat-integral identity check")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None, help="flat dimension (default: all)")
-    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("kubota", parents=[common], help="projection-sum identity check")
+    p = command("kubota", _cmd_profile, "projection-sum identity check")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None, help="subspace dimension (default: all)")
-    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("kinematic", parents=[common], help="collision-measure identity check")
+    p = command("kinematic", _cmd_kinematic, "collision-measure identity check", samples=True)
     p.add_argument("file")
     p.add_argument("--degree", type=int, default=0, help="0 = exact; >0 = Monte Carlo")
     p.add_argument("--box-min", default=None, help="interval corner, e.g. 0,0")
     p.add_argument("--box-max", default=None, help="interval corner, e.g. 3/2,2")
-    p.set_defaults(func=_cmd_kinematic)
 
-    p = sub.add_parser("product", parents=[common], help="product-of-sets valuation check")
+    p = command("product", _cmd_product, "product-of-sets valuation check")
     p.add_argument("file")
     p.add_argument("other")
-    p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a random convex cellset")
+    p = command("gen", _cmd_gen, "generate a random convex cellset")
+    p.add_argument("--dimension", type=int, default=2, help="ambient dimension (default 2)")
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--mode", choices=MODES, default="blob")
     p.add_argument("--resolution", default="1")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = command("verify", _cmd_verify, "run a named verification suite", samples=True)
     p.add_argument("suite", choices=SUITES)
+    p.add_argument(
+        "--dimension",
+        type=int,
+        action="append",
+        help="ambient dimension (repeatable; default 2 and 3)",
+    )
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--mc-cases", type=int, default=3)
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--resolution", default="1")
     p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

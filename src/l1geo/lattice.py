@@ -87,15 +87,7 @@ class CellSet:
         return x
 
     def _store(self, dimension: int, rows: np.ndarray, resolution: Fraction) -> None:
-        rows = _fit(rows)
-        m, n = rows.shape
-        if n == 0:
-            rows = rows[: min(m, 1)]
-        elif m > 1:
-            rows = rows[np.lexsort(rows.T[::-1])]
-            fresh = np.ones(m, dtype=bool)
-            fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            rows = rows[fresh]
+        rows = _distinct_rows(_fit(rows))
         rows.flags.writeable = False
         vars(self).update(dimension=dimension, indices=rows, resolution=resolution, _cells=None)
 
@@ -163,6 +155,19 @@ def _fit(rows: np.ndarray, *, scale: int = 1, shift: int = 0) -> np.ndarray:
     that dtype already."""
     mag = max(-int(rows.min(initial=0)), int(rows.max(initial=0)))
     return rows.astype(_int_dtype(mag * scale + shift), copy=False)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer (m x n) array, sorted lexicographically."""
+    m, n = rows.shape
+    if n == 0:
+        return rows[: min(m, 1)]
+    if m > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(m, dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[fresh]
+    return rows
 
 
 def _corner_mag(lows: np.ndarray, highs: np.ndarray) -> int:
@@ -803,36 +808,76 @@ def point_box_distance(point, box: RatBox) -> Fraction:
     return sum(gaps, Fraction(0))
 
 
-def _block_entries(dtype: np.dtype) -> int:
-    """How many entries one temporary array of a chunked distance scan may
-    hold: fewer for exact big-int (object) arrays, whose entries are Python
-    ints of several times the size of an int64."""
-    return 2_000_000 if dtype == np.int64 else 125_000
+def _box_samples(starts, lows, highs, step: int, block: int):
+    """The sample points of the boxes ``[lows[b], highs[b]]``, yielded as
+    (points x n) arrays of at most ``block`` points or one box's samples.
+    On each axis box b is sampled at ``starts[b] + k*step`` clipped to its
+    side, for k = 0, 1, ... up to the first value at or past the high end,
+    with ``starts <= lows``.  Boxes with the same number of samples on every
+    axis share one offset grid, so no box is sampled more often than its own
+    sides ask.  Consecutive samples on a side are at most ``step`` apart and
+    both ends are samples, so the points cover every box within taxicab
+    radius n*step/2."""
+    n = starts.shape[1]
+    counts = (1 - (starts - highs) // step).astype(np.int64, copy=False)
+    cuts = []
+    if (counts != counts[0]).any():
+        # group the boxes by their counts; the cubes of a pixellation, all
+        # one group, skip the sort
+        order = np.lexsort(counts.T)
+        counts, starts, lows, highs = (a[order] for a in (counts, starts, lows, highs))
+        cuts = (np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)) + 1).tolist()
+    starts, lows, highs = starts[:, None], lows[:, None], highs[:, None]
+    for first, last in itertools.pairwise([0, *cuts, len(counts)]):
+        kind = counts[first].tolist()
+        grid = np.array(list(itertools.product(*map(range, kind))), dtype=starts.dtype) * step
+        per = max(1, block // len(grid))
+        for lo in range(first, last, per):
+            hi = min(lo + per, last)
+            pts = np.maximum(starts[lo:hi] + grid, lows[lo:hi])
+            yield np.minimum(pts, highs[lo:hi]).reshape(-1, n)
 
 
-def _directed_distance_scaled(samples: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> int:
-    """max over sample points of min over boxes of the scaled taxicab distance."""
+def _farthest_sample(starts, lows, highs, step: int, mins, maxs, radius: int = 0) -> int:
+    """The largest taxicab distance from a sample point of ``_box_samples`` to
+    the union of the boxes ``[mins[t], maxs[t]]`` dilated by ``radius`` (a
+    ball is its center, as a point box, dilated by its radius), all integers
+    on one scale.  With B the sum of the sizes of the source corners, the
+    step and the target, an unclipped sample is below 3B and a distance below
+    nB in size, so the scan is int64 when ``_int_dtype(3nB)`` allows that and
+    exact big-int otherwise.  The samples are built and scanned in chunks
+    whose (points x target boxes x n) temporaries hold a fixed number of
+    entries, fewer for big-int arrays, whose entries are Python ints."""
+    n = starts.shape[1]
+    bound = _corner_mag(starts, highs) + step + _corner_mag(mins, maxs) + radius
+    dtype = _int_dtype(3 * n * bound)
+    starts, lows, highs, mins, maxs = (
+        a.astype(dtype, copy=False) for a in (starts, lows, highs, mins, maxs)
+    )
+    chunk = max(1, (2_000_000 if dtype == np.int64 else 125_000) // (mins.shape[0] * n))
     best = 0
-    m = mins.shape[0]
-    chunk = max(1, _block_entries(samples.dtype) // max(m, 1))
-    for start in range(0, samples.shape[0], chunk):
-        pts = samples[start:start + chunk]
-        gap_lo = mins[None, :, :] - pts[:, None, :]
-        gap_hi = pts[:, None, :] - maxs[None, :, :]
-        d = np.maximum(np.maximum(gap_lo, gap_hi), 0).sum(axis=2)
-        best = max(best, int(d.min(axis=1).max()))
+    for pts in _box_samples(starts, lows, highs, step, chunk):
+        # touching boxes share samples; a sort costs about as much as a scan
+        # against three target boxes, so it pays off only against more
+        if mins.shape[0] > 8:
+            pts = _distinct_rows(pts)
+        for first in range(0, pts.shape[0], chunk):
+            block = pts[first:first + chunk, None, :]
+            gaps = np.maximum(np.maximum(mins - block, block - maxs), 0).sum(axis=2)
+            best = max(best, int(gaps.min(axis=1).max()) - radius)
     return best
 
 
 def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[Fraction, Fraction]:
     """Rigorous bracket (lower, upper) for the taxicab Hausdorff distance.
 
-    The lower bound evaluates exact point-to-union distances on a finite
-    sample set (per-axis delta-grids plus side endpoints, per box); the upper
-    bound adds the sample covering radius n*delta/2.  Both bounds are exact
-    rationals and the true distance always lies in [lower, upper].  The scan
-    runs in int64 when the scaled corners bound every distance below 2^62,
-    and on exact big-int arrays otherwise.
+    The lower bound is the largest exact distance from a sample point of one
+    union to the other union.  On each axis a box is sampled at its two
+    endpoints and at every multiple of delta between them (``_box_samples``
+    from the start point ``low - low % delta``); the samples cover each box
+    within taxicab radius n*delta/2, so the upper bound adds that radius.
+    Both bounds are exact rationals and the true distance always lies in
+    [lower, upper].
     """
     d = as_fraction(delta)
     if d <= 0:
@@ -845,28 +890,13 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
     if n == 0:
         return Fraction(0), Fraction(0)
 
-    denom, corners = _common_arrays((u, v), d.denominator)
+    denom, ((mu, xu), (mv, xv)) = _common_arrays((u, v), d.denominator)
     step = d.numerator * (denom // d.denominator)
-    # Samples lie inside the boxes, so no coordinate exceeds the corners'
-    # size and no distance exceeds 2n times it.
-    dtype = _int_dtype(2 * n * max(_corner_mag(*pair) for pair in corners))
-    (mu, xu), (mv, xv) = ((a.astype(dtype, copy=False) for a in pair) for pair in corners)
-
-    def sample_array(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        # Per box and axis: the side's endpoints plus every multiple of delta
-        # inside it.  Consecutive sample coordinates are at most delta apart,
-        # so the samples cover the box with taxicab radius <= n*delta/2, which
-        # makes the bracket sound; vertices or grid points alone would not.
-        pts = set()
-        for lo, hi in zip(lows.tolist(), highs.tolist()):
-            axes = [{a, b, *range(-(-a // step) * step, b + 1, step)} for a, b in zip(lo, hi)]
-            pts.update(itertools.product(*axes))
-        return np.asarray(sorted(pts), dtype=dtype)
-
-    su, sv = sample_array(mu, xu), sample_array(mv, xv)
+    # the starts lie on the delta-grid, less than one step below the lows
+    su, sv = (a - a % step for a in (_fit(mu, shift=step), _fit(mv, shift=step)))
     lower_scaled = max(
-        _directed_distance_scaled(su, mv, xv),
-        _directed_distance_scaled(sv, mu, xu),
+        _farthest_sample(su, mu, xu, step, mv, xv),
+        _farthest_sample(sv, mv, xv, step, mu, xu),
     )
     lower = Fraction(lower_scaled, denom)
     upper = lower + Fraction(n, 2) * d

@@ -23,11 +23,10 @@ from ._util import RationalLike, as_fraction, as_point, common_denominator
 from .lattice import (
     BoxUnion,
     CellSet,
-    _block_entries,
     _breakpoints,
     _common_arrays,
     _covered_bricks,
-    _directed_distance_scaled,
+    _farthest_sample,
     _fit,
     cellset_to_boxunion,
     point_box_distance,
@@ -197,8 +196,10 @@ def pixellation_error_bracket(
     """Bracket for the Hausdorff distance between a shape and its pixellation.
 
     The pixellation contains the shape, so the Hausdorff distance equals the
-    directed distance from the cube union to the shape.  Samples are per-axis
-    delta-grids plus endpoints on every cube (covering radius n*delta/2), and
+    directed distance from the cube union to the shape.  On each axis a cube
+    is sampled at its low corner plus every multiple of delta below its side,
+    and at its high corner (``lattice._box_samples`` started at the low
+    corner); the samples cover each cube within taxicab radius n*delta/2, and
     point-to-shape distances are exact.
     """
     if shape.dimension != pix.dimension:
@@ -211,46 +212,15 @@ def pixellation_error_bracket(
     n = pix.dimension
     if n == 0:
         return Fraction(0), Fraction(0)
-    lam = pix.resolution
     cubes = cellset_to_boxunion(pix)
     if isinstance(shape, L1Ball):
-        denom, _, center, radius = _scaled_ball(shape, lam, d.denominator)
-        _, ((lows, _),) = _common_arrays((cubes,), denom)
-        shape_mag = max(map(abs, center)) + radius
+        # the ball is its center, a point box, dilated by its radius
+        denom, _, center, radius = _scaled_ball(shape, pix.resolution, d.denominator)
+        _, ((lows, highs),) = _common_arrays((cubes,), denom)
+        mins = maxs = np.array([center], dtype=object)
     else:
-        denom, ((lows, _), (mins, maxs)) = _common_arrays((cubes, shape.region), d.denominator)
-        shape_mag = max(int(abs(mins).max()), int(abs(maxs).max()))
-
-    lam_i = int(lam * denom)
-    step_i = int(d * denom)
-    # per-cell per-axis sample offsets within [0, lam], scaled
-    offsets = sorted({0, lam_i} | {k * step_i for k in range(1, lam_i // step_i + 1) if k * step_i < lam_i})
-
-    # The scan runs in int64 when the sizes bound every distance below 2^62,
-    # and on exact big-int arrays otherwise: a sample point is at most a
-    # corner's size plus lam_i from the origin and a shape point at most
-    # shape_mag, so every per-axis gap is at most their sum.
-    corners = _fit(lows, scale=n, shift=n * (lam_i + shape_mag))
-    dtype = corners.dtype
-    offs = np.asarray(list(itertools.product(offsets, repeat=n)), dtype=dtype)
-
-    best = 0
-    if isinstance(shape, L1Ball):
-        center = np.asarray(center, dtype=dtype)
-        chunk = max(1, _block_entries(dtype) // max(len(offs), 1))
-        for start in range(0, len(corners), chunk):
-            block = corners[start:start + chunk]
-            pts = block[:, None, :] + offs[None, :, :]
-            dist = np.abs(pts - center).sum(axis=2) - radius
-            best = max(best, int(dist.max()))
-        best = max(best, 0)
-    else:
-        mins = mins.astype(dtype, copy=False)
-        maxs = maxs.astype(dtype, copy=False)
-        chunk = max(1, _block_entries(dtype) // max(len(offs) * mins.shape[0], 1))
-        for start in range(0, len(corners), chunk):
-            block = corners[start:start + chunk]
-            pts = (block[:, None, :] + offs[None, :, :]).reshape(-1, n)
-            best = max(best, _directed_distance_scaled(pts, mins, maxs))
-    lower = Fraction(best, denom)
+        denom, ((lows, highs), (mins, maxs)) = _common_arrays((cubes, shape.region), d.denominator)
+        radius = 0
+    step = d.numerator * (denom // d.denominator)
+    lower = Fraction(_farthest_sample(lows, lows, highs, step, mins, maxs, radius), denom)
     return lower, lower + Fraction(n, 2) * d

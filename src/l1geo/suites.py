@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from ._util import as_fraction, derive_seed, frac_str
+from ._util import derive_seed, frac_str
 from .convexity import (
     all_pairs_monotone_reachable,
     is_l1_convex,
@@ -191,7 +191,6 @@ class VerifyConfig:
     mc_cases: int = 3
     bound: int = 5
     density: float = 0.3
-    resolution: Fraction = Fraction(1)
     threads: int | None = None
 
     def __post_init__(self):
@@ -205,9 +204,6 @@ class VerifyConfig:
             raise ValueError("bound must be >= 1")
         if not 0 <= self.density <= 1:
             raise ValueError("density must lie in [0, 1]")
-        object.__setattr__(self, "resolution", as_fraction(self.resolution))
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
 
     def resolved_threads(self) -> int:
         return max(1, self.threads or 1)
@@ -223,7 +219,9 @@ def _digest(suite: str, cfg: VerifyConfig) -> str:
         "mc_cases": cfg.mc_cases,
         "bound": cfg.bound,
         "density": repr(cfg.density),
-        "resolution": frac_str(cfg.resolution),
+        # a constant: the corpora cycle through _RESOLUTIONS, and the key
+        # stays so that digests of reports already published still match
+        "resolution": "1",
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -14,10 +14,11 @@ from l1geo import (
     L1Ball,
     ParseError,
     RatBox,
+    VerifyConfig,
     parse_set,
     print_set,
 )
-from l1geo.cli import main
+from l1geo.cli import _build_parser, main
 
 F = Fraction
 
@@ -460,3 +461,77 @@ class TestCli:
         text = open(tromino_file).read()
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["volumes", "-"]) == 0
+
+
+# positional arguments of each subcommand, and a value for each flag
+POSITIONALS = {
+    "check-convex": ["a.json"],
+    "volumes": ["a.json"],
+    "pixellate": ["a.json"],
+    "convexify": ["a.json"],
+    "steiner": ["a.json"],
+    "crofton": ["a.json"],
+    "kubota": ["a.json"],
+    "kinematic": ["a.json"],
+    "product": ["a.json", "b.json"],
+    "gen": [],
+    "verify": ["steiner"],
+}
+FLAG_VALUES = {
+    "--json": [], "--seed": ["1"], "--samples": ["10"], "--dimension": ["2"],
+    "--resolution": ["1/2"], "--max-dilation": ["2"], "--k": ["1"], "--degree": ["1"],
+    "--box-min": ["0,0"], "--box-max": ["1,1"], "--bound": ["3"], "--density": ["0.5"],
+    "--mode": ["blob"], "--instances": ["2"], "--mc-cases": ["1"], "--threads": ["1"],
+}
+# every option of every subcommand: 38 in all
+KEPT_FLAGS = [
+    ("check-convex", "--json"),
+    ("volumes", "--json"),
+    ("pixellate", "--json"), ("pixellate", "--resolution"),
+    ("convexify", "--json"),
+    *[(cmd, f) for cmd in ("steiner", "crofton", "kubota", "product") for f in ("--json", "--seed")],
+    ("steiner", "--max-dilation"), ("crofton", "--k"), ("kubota", "--k"),
+    *[(cmd, flag) for cmd in ("kinematic", "gen", "verify") for flag in ("--json", "--seed")],
+    *[("kinematic", f) for f in ("--samples", "--degree", "--box-min", "--box-max")],
+    *[("gen", f) for f in ("--dimension", "--bound", "--density", "--mode", "--resolution")],
+    *[("verify", f) for f in ("--samples", "--dimension", "--instances", "--mc-cases")],
+    *[("verify", f) for f in ("--bound", "--density", "--threads")],
+]
+# flags a subcommand never read: --seed where nothing is random, --samples
+# and --dimension where no corpus is drawn, and the corpus resolution knob
+REMOVED_FLAGS = [
+    *[(cmd, "--samples") for cmd in POSITIONALS if cmd not in ("kinematic", "verify")],
+    *[(cmd, "--dimension") for cmd in POSITIONALS if cmd not in ("gen", "verify")],
+    *[(cmd, "--seed") for cmd in ("check-convex", "volumes", "pixellate", "convexify")],
+    ("verify", "--resolution"),
+]
+
+
+def _argv(command, flag):
+    return [command, *POSITIONALS[command], flag, *FLAG_VALUES[flag]]
+
+
+class TestCliFlags:
+    def test_counts(self):
+        assert len(set(KEPT_FLAGS)) == 38 and len(set(REMOVED_FLAGS)) == 23
+
+    @pytest.mark.parametrize("command, flag", KEPT_FLAGS)
+    def test_kept_flag_parses(self, command, flag):
+        args = _build_parser().parse_args(_argv(command, flag))
+        assert args.command == command
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+    def test_removed_flag_is_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(_argv(command, flag))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_gen_dimension_is_one_integer(self, capsys):
+        assert main(["gen", "--dimension", "3", "--seed", "2", "--bound", "2"]) == 0
+        assert parse_set(capsys.readouterr().out).dimension == 3
+
+    def test_verify_config_has_no_resolution(self):
+        # the suites draw their corpora at their own resolutions
+        with pytest.raises(TypeError):
+            VerifyConfig(resolution=F(1, 2))

@@ -1,13 +1,18 @@
 """Shape rasterization, boundary cells, and Hausdorff error brackets."""
 
 import itertools
+import math
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from l1geo import (
     BoxUnion,
     BoxUnionShape,
+    CellSet,
     L1Ball,
     RatBox,
     boundary_region,
@@ -20,10 +25,12 @@ from l1geo import (
     is_l1_convex,
     outer_pixellate,
     pixellation_error_bracket,
+    point_box_distance,
     shape_contains_point,
     shape_point_distance,
     union_volume,
 )
+from l1geo.lattice import _box_samples
 
 F = Fraction
 
@@ -340,3 +347,161 @@ class TestErrorBracket:
 
         with pytest.raises(ValueError):
             pixellation_error_bracket(ball, CellSet(2), F(1, 2))
+
+
+def grid_side(lo, hi, delta):
+    """The endpoints of [lo, hi] and every multiple of delta between them."""
+    return {lo, hi} | {k * delta for k in range(math.ceil(lo / delta), math.floor(hi / delta) + 1)}
+
+
+def cube_side(lo, lam, delta):
+    """lo plus every multiple of delta below lam, and lo + lam."""
+    return {lo + k * delta for k in range(math.ceil(lam / delta))} | {lo + lam}
+
+
+def oracle_bracket_lower(shape, pix, delta):
+    """The bracket's lower bound from its sampling rule, in Fractions."""
+    lam = pix.resolution
+    return max(
+        shape_point_distance(shape, p)
+        for cell in pix.cells
+        for p in itertools.product(*(cube_side(lam * h, lam, delta) for h in cell))
+    )
+
+
+def oracle_hausdorff_lower(u, v, delta):
+    """``hausdorff_distance``'s lower bound from its sampling rule, in Fractions."""
+
+    def directed(a, b):
+        return max(
+            min(point_box_distance(p, box) for box in b.boxes)
+            for src in a.boxes
+            for p in itertools.product(*map(grid_side, src.mins, src.maxs, [delta] * src.dimension))
+        )
+
+    return max(directed(u, v), directed(v, u))
+
+
+def oracle_shapes(n, t):
+    """Two seeded balls and two seeded box unions, translated by t per axis."""
+    for seed in range(2):
+        center = tuple(F(seed * (i + 2) % 5 - 2, 3) + t for i in range(n))
+        yield L1Ball(center, F(3 + seed, 4))
+        boxes = [
+            gen_random_box(n, 10 * seed + j, low=-1, high=1, denominator=3) for j in range(1 + seed)
+        ]
+        yield BoxUnionShape(BoxUnion(n, _shifted(boxes, t)))
+
+
+class TestBracketOracle:
+    """Both lower bounds against a plain-Python enumeration of their samples
+    and exact point distances; at 2^63 the kernels run on big-int arrays."""
+
+    # (resolution, delta): delta divides the resolution, then it does not
+    STEPS = ((F(1, 2), F(1, 4)), (F(2, 3), F(2, 5)))
+
+    @pytest.mark.parametrize("t", [0, 2**63], ids=["origin", "far"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pixellation_bracket(self, n, t):
+        for shape in oracle_shapes(n, t):
+            for lam, delta in self.STEPS:
+                pix = outer_pixellate(shape, lam)
+                lower, upper = pixellation_error_bracket(shape, pix, delta)
+                assert lower == oracle_bracket_lower(shape, pix, delta)
+                assert upper == lower + F(n, 2) * delta
+
+    @pytest.mark.parametrize("t", [0, 2**63], ids=["origin", "far"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hausdorff_distance(self, n, t):
+        shapes = [s for s in oracle_shapes(n, t) if isinstance(s, BoxUnionShape)]
+        for lam, delta in self.STEPS:
+            pairs = [(cellset_to_boxunion(outer_pixellate(s, lam)), s.region) for s in shapes]
+            for u, v in pairs + [(shapes[0].region, shapes[1].region)]:
+                lower, upper = hausdorff_distance(u, v, delta)
+                assert lower == oracle_hausdorff_lower(u, v, delta)
+                assert upper == lower + F(n, 2) * delta
+
+    @pytest.mark.parametrize("t", [0, 2**63], ids=["origin", "far"])
+    def test_start_points(self, t):
+        # where the farthest sample lies inside a side, the start point
+        # decides the bound: the delta-grid for hausdorff_distance, each
+        # cube's low corner for the bracket
+        u = BoxUnion(1, [RatBox((F(1, 3) + t,), (1 + t,))])
+        v = BoxUnion(1, [RatBox((t,), (t,)), RatBox((1 + t,), (1 + t,))])
+        delta = F(2, 5)
+        assert hausdorff_distance(u, v, delta)[0] == oracle_hausdorff_lower(u, v, delta)
+        ends = BoxUnionShape(BoxUnion(1, [RatBox((a,), (a,)) for a in (F(2, 3), F(4, 3))]))
+        cube = CellSet(1, {(1,)}, F(2, 3))
+        lower = pixellation_error_bracket(ends, cube, delta)[0]
+        assert lower == oracle_bracket_lower(ends, cube, delta)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bracket_scan_memory_is_bounded():
+    # 40 far boxes (big-int route) and their 134-cell pixellation: the scan
+    # sizes its chunks by the number of target boxes, which keeps each peak
+    # near 5 MB
+    rng, t = random.Random(5), 2**63
+    boxes = []
+    for _ in range(40):
+        lo = [F(rng.randint(0, 20), 2) + t for _ in range(2)]
+        boxes.append(RatBox(lo, [a + F(rng.randint(1, 4), 2) for a in lo]))
+    shape = BoxUnionShape(BoxUnion(2, boxes))
+    pix = outer_pixellate(shape, 1)
+    assert len(pix) == 134
+    cubes = cellset_to_boxunion(pix)
+    for call in (
+        lambda: pixellation_error_bracket(shape, pix, F(1, 4)),
+        lambda: hausdorff_distance(cubes, shape.region, F(1, 4)),
+    ):
+        bracket, peak = traced_peak(call)
+        assert bracket[0] == 2
+        assert peak < 10_000_000
+
+
+def test_hausdorff_samples_each_box_on_its_own_grid():
+    # an L of two long thin boxes: one offset grid of the largest counts on
+    # both axes would sample each box 401 x 401 times instead of 401 x 5
+    # (a 20 MB peak against 0.3 MB)
+    u = BoxUnion(2, [RatBox((0, 0), (100, 1)), RatBox((0, 0), (1, 100))])
+    v = BoxUnion(2, [RatBox((0, 0), (1, 1))])
+    bracket, peak = traced_peak(lambda: hausdorff_distance(u, v, F(1, 4)))
+    assert bracket == (99, F(397, 4))
+    assert peak < 2_000_000
+
+
+def side_samples(start, lo, hi, step):
+    """start + k*step clipped to [lo, hi], up to the first at or past hi."""
+    out, x = [], start
+    while True:
+        out.append(min(max(x, lo), hi))
+        if x >= hi:
+            return out
+        x += step
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_samples_come_in_bounded_blocks(n):
+    # boxes of many shapes at a step much finer than their sides: every box
+    # gets exactly its own samples, and no block holds more than the block
+    # size unless it is one box's samples
+    rng = random.Random(n)
+    lows = np.array([[rng.randint(-50, 50) for _ in range(n)] for _ in range(30)], dtype=np.int64)
+    highs = lows + np.array([[rng.randint(0, 12) for _ in range(n)] for _ in range(30)])
+    starts = lows - np.array([[rng.randint(0, 2) for _ in range(n)] for _ in range(30)])
+    step, block = 3, 20
+    per_box = [
+        list(itertools.product(*map(side_samples, s, lo, hi, [step] * n)))
+        for s, lo, hi in zip(starts.tolist(), lows.tolist(), highs.tolist())
+    ]
+    blocks = list(_box_samples(starts, lows, highs, step, block))
+    assert max(map(len, blocks)) <= max(block, *map(len, per_box))
+    assert sorted(map(tuple, np.concatenate(blocks).tolist())) == sorted(itertools.chain(*per_box))
