@@ -241,7 +241,6 @@ def _cmd_verify(args) -> int:
         mc_cases=args.mc_cases,
         bound=args.bound,
         density=args.density,
-        threads=args.threads,
     )
     return _emit_report(verify(args.suite, cfg), args.json)
 
@@ -326,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-cases", type=int, default=3)
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--threads", type=int, default=None)
 
     return parser
 

@@ -17,7 +17,8 @@ array, and the cell kernels (projection, refinement, isometries, Minkowski
 sums with aligned boxes, clipping) select, gather and add on its columns.
 The arrays are int64 when a bound proves it safe and exact big-int (object)
 arrays otherwise, with one code path for both.  Operations that multiply
-cells check the number they would build against ``_CELL_LIMIT`` first.
+cells, and the Hausdorff samples, check the number they would build against
+``_CELL_LIMIT`` first.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ Cell = tuple[int, ...]
 
 _UNION_GRID_LIMIT = 60_000_000  # refuse compression grids bigger than this
 _INT64_SAFE = 1 << 62
-_CELL_LIMIT = 4_000_000  # refuse to build more cells than this in one operation
+_CELL_LIMIT = 4_000_000  # refuse to build more cells or sample points than this at once
+_VOLUME_BLOCK = 1 << 20  # bricks union_volume casts to its weight dtype at once
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +178,9 @@ def _corner_mag(lows: np.ndarray, highs: np.ndarray) -> int:
     return max(-int(lows.min(initial=0)), int(highs.max(initial=0)))
 
 
-def _check_cell_count(count: int) -> None:
+def _check_cell_count(count: int, what: str = "cells") -> None:
     if count > _CELL_LIMIT:
-        raise ValueError(f"the result would take {count} cells to build, over {_CELL_LIMIT}")
+        raise ValueError(f"the result would take {count} {what} to build, over {_CELL_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -644,19 +646,37 @@ def union_volume(u: BoxUnion) -> Fraction:
 
     Breakpoints along each axis cut the union into grid bricks; the
     summed-area table of ``_covered_bricks`` marks the covered ones, and the
-    volume sums their volumes.  Arithmetic is exact: the grid is built from
-    the union's integer corners, and the covered-brick sum runs in int64 when
-    a bound proves it cannot overflow, on exact big-int arrays otherwise.
+    volume sums their volumes, contracting the bool table one axis at a time
+    in blocks of ``_VOLUME_BLOCK`` bricks.  Arithmetic is exact: the grid is
+    built from the union's integer corners, and the covered-brick sum runs in
+    int64 when a bound proves it cannot overflow, on exact big-int arrays
+    otherwise.
     """
     if u.is_empty:
         return Fraction(0)
+    if u.dimension == 0:
+        return Fraction(1)
     breaks = _breakpoints(u.lows, u.highs)
-    scaled_weights = [np.diff(bk).tolist() for bk in breaks]
-    dtype = _int_dtype(prod(sum(w) for w in scaled_weights))
-    acc = _covered_bricks(breaks, u.lows, u.highs).astype(dtype)
-    for w in reversed(scaled_weights):
-        acc = acc @ np.asarray(w, dtype=dtype)
-    return Fraction(int(acc), u.den**u.dimension)
+    # the brick widths on an axis sum to its span: the bound on the total
+    dtype = _int_dtype(prod(int(bk[-1]) - int(bk[0]) for bk in breaks))
+    weights = [np.diff(bk).astype(dtype, copy=False) for bk in breaks]
+    covered = _covered_bricks(breaks, u.lows, u.highs)
+    slabs = [(covered, weights[0])]
+    if covered.size > _VOLUME_BLOCK:
+        # slabs across the longest axis: a block, or one slab, of the table
+        # is held in the weight dtype at a time, not the whole table
+        axis = max(range(u.dimension), key=covered.shape.__getitem__)
+        covered, w = np.moveaxis(covered, axis, 0), weights.pop(axis)
+        weights.insert(0, w)
+        rows = max(1, _VOLUME_BLOCK // prod(covered.shape[1:]))
+        slabs = [(covered[i:i + rows], w[i:i + rows]) for i in range(0, len(covered), rows)]
+    total = 0
+    for slab, w0 in slabs:
+        acc = slab.astype(dtype)
+        for w in reversed(weights[1:]):
+            acc = acc @ w
+        total += int(acc @ w0)
+    return Fraction(total, u.den**u.dimension)
 
 
 def _breakpoints(*corners: np.ndarray) -> list[np.ndarray]:
@@ -817,9 +837,13 @@ def _box_samples(starts, lows, highs, step: int, block: int):
     axis share one offset grid, so no box is sampled more often than its own
     sides ask.  Consecutive samples on a side are at most ``step`` apart and
     both ends are samples, so the points cover every box within taxicab
-    radius n*step/2."""
+    radius n*step/2.  More than ``_CELL_LIMIT`` points in all are refused
+    before any is built."""
     n = starts.shape[1]
-    counts = (1 - (starts - highs) // step).astype(np.int64, copy=False)
+    counts = 1 - (starts - highs) // step
+    if counts.dtype == object and counts.max() > _CELL_LIMIT:  # refused, maybe past int64
+        _check_cell_count(sum(map(prod, counts.tolist())), "sample points")
+    counts = counts.astype(np.int64, copy=False)
     cuts = []
     if (counts != counts[0]).any():
         # group the boxes by their counts; the cubes of a pixellation, all
@@ -827,9 +851,13 @@ def _box_samples(starts, lows, highs, step: int, block: int):
         order = np.lexsort(counts.T)
         counts, starts, lows, highs = (a[order] for a in (counts, starts, lows, highs))
         cuts = (np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)) + 1).tolist()
+    bounds = itertools.pairwise([0, *cuts, len(counts)])
+    groups = [(first, last, counts[first].tolist()) for first, last in bounds]
+    # in Python ints: boxes x samples per box can pass int64
+    total = sum((last - first) * prod(kind) for first, last, kind in groups)
+    _check_cell_count(total, "sample points")
     starts, lows, highs = starts[:, None], lows[:, None], highs[:, None]
-    for first, last in itertools.pairwise([0, *cuts, len(counts)]):
-        kind = counts[first].tolist()
+    for first, last, kind in groups:
         grid = np.array(list(itertools.product(*map(range, kind))), dtype=starts.dtype) * step
         per = max(1, block // len(grid))
         for lo in range(first, last, per):

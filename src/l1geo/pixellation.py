@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .lattice import (
     BoxUnion,
     CellSet,
     _breakpoints,
+    _check_cell_count,
     _common_arrays,
     _covered_bricks,
     _farthest_sample,
@@ -104,22 +105,26 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
     Enumerates with per-axis budget pruning in integer arithmetic, visiting
     only an O(1) neighborhood of the answer: along axis i a cell index h
     costs g_i(h) = max(lam*h - c_i, c_i - lam*(h+1), 0), and a cube meets the
-    ball iff the costs sum to at most the radius.
+    ball iff the costs sum to at most the radius.  The runs along the last
+    axis are found first, their running count checked against ``_CELL_LIMIT``
+    once per run, and the cells are built only when all of them pass.
     """
     n = ball.dimension
     _, lam_i, center_i, radius_i = _scaled_ball(ball, lam)
 
-    out: list[tuple[int, ...]] = []
+    runs = []  # per run along the last axis: the cell with that axis free, and its range
+    count = 0
     prefix = [0] * n
 
     def rec(axis: int, budget: int) -> None:
+        nonlocal count
         c = center_i[axis]
         h_min = -((budget + lam_i - c) // lam_i)   # ceil((c - budget - lam)/lam)
         h_max = (c + budget) // lam_i              # floor((c + budget)/lam)
         if axis == n - 1:
-            for h in range(h_min, h_max + 1):
-                prefix[axis] = h
-                out.append(tuple(prefix))
+            count += h_max - h_min + 1
+            _check_cell_count(count)
+            runs.append((prefix.copy(), range(h_min, h_max + 1)))
             return
         for h in range(h_min, h_max + 1):
             cost = max(lam_i * h - c, c - lam_i * h - lam_i, 0)
@@ -129,6 +134,10 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
     if n == 0:
         return [()]
     rec(0, radius_i)
+    out: list[tuple[int, ...]] = []
+    for cell, hs in runs:
+        for cell[-1] in hs:
+            out.append(tuple(cell))
     return out
 
 
@@ -140,7 +149,9 @@ def _boxunion_cells(region: BoxUnion, lam: Fraction) -> set[tuple[int, ...]]:
     for lo, hi in zip(lows.tolist(), highs.tolist()):
         # cube [step*h, step*(h+1)] meets [a, b] iff step*h <= b and step*(h+1) >= a
         ranges = [range(-(-a // step) - 1, b // step + 1) for a, b in zip(lo, hi)]
+        _check_cell_count(prod(r.stop - r.start for r in ranges))
         cells.update(itertools.product(*ranges))
+        _check_cell_count(len(cells))
     return cells
 
 

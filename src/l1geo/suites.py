@@ -3,11 +3,8 @@
 Each suite generates a seeded corpus of instances and runs the corresponding
 exact identity / property / Monte Carlo checks.  A report passes when every
 exact check has lhs = rhs, every property holds, and every Monte Carlo check
-lands within 4 standard errors of its exact comparison value.
-
-Suites may run instances in a thread pool of ``VerifyConfig.threads``
-workers (default 1); records are always emitted in instance order, so
-reports are identical for any schedule.
+lands within 4 standard errors of its exact comparison value.  Instances run
+one after another in the calling thread, and records come in instance order.
 """
 
 from __future__ import annotations
@@ -16,8 +13,7 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import ceil, floor
 
@@ -181,8 +177,8 @@ def _record_line(r: CheckRecord) -> str:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for a suite run; every field but ``threads``, which cannot
-    change a report, enters the input digest."""
+    """Knobs for a suite run; every field enters the input digest.  The ``threads``
+    InitVar takes only None or 1; it goes when the benchmark stops passing it."""
 
     dimensions: tuple[int, ...] = (2, 3)
     instances: int = 20
@@ -191,9 +187,11 @@ class VerifyConfig:
     mc_cases: int = 3
     bound: int = 5
     density: float = 0.3
-    threads: int | None = None
+    threads: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, threads):
+        if threads not in (None, 1):
+            raise ValueError("suites run in one thread; threads must be 1")
         if not self.dimensions or any(n < 1 for n in self.dimensions):
             raise ValueError("dimensions must be positive integers")
         if self.instances < 1:
@@ -204,9 +202,6 @@ class VerifyConfig:
             raise ValueError("bound must be >= 1")
         if not 0 <= self.density <= 1:
             raise ValueError("density must lie in [0, 1]")
-
-    def resolved_threads(self) -> int:
-        return max(1, self.threads or 1)
 
 
 def _digest(suite: str, cfg: VerifyConfig) -> str:
@@ -659,15 +654,10 @@ def verify(suite: str, config: VerifyConfig | None = None) -> Report:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     cfg = config or VerifyConfig()
     body = _SUITE_BODIES[suite]
-    tasks = [(n, i) for n in cfg.dimensions for i in range(cfg.instances)]
     start = time.perf_counter()
-    threads = cfg.resolved_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: body(cfg, *t), tasks))
-    else:
-        chunks = [body(cfg, n, i) for n, i in tasks]
-    records = tuple(r for chunk in chunks for r in chunk)
+    records = tuple(
+        r for n in cfg.dimensions for i in range(cfg.instances) for r in body(cfg, n, i)
+    )
     runtime = time.perf_counter() - start
     return Report(
         command=f"verify {suite}",

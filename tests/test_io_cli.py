@@ -1,5 +1,6 @@
 """Document parsing/printing round trips and command-line behavior."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -483,7 +484,7 @@ FLAG_VALUES = {
     "--box-min": ["0,0"], "--box-max": ["1,1"], "--bound": ["3"], "--density": ["0.5"],
     "--mode": ["blob"], "--instances": ["2"], "--mc-cases": ["1"], "--threads": ["1"],
 }
-# every option of every subcommand: 38 in all
+# every option of every subcommand: 37 in all
 KEPT_FLAGS = [
     ("check-convex", "--json"),
     ("volumes", "--json"),
@@ -495,15 +496,16 @@ KEPT_FLAGS = [
     *[("kinematic", f) for f in ("--samples", "--degree", "--box-min", "--box-max")],
     *[("gen", f) for f in ("--dimension", "--bound", "--density", "--mode", "--resolution")],
     *[("verify", f) for f in ("--samples", "--dimension", "--instances", "--mc-cases")],
-    *[("verify", f) for f in ("--bound", "--density", "--threads")],
+    ("verify", "--bound"), ("verify", "--density"),
 ]
 # flags a subcommand never read: --seed where nothing is random, --samples
-# and --dimension where no corpus is drawn, and the corpus resolution knob
+# and --dimension where no corpus is drawn, the corpus resolution knob, and
+# the thread count of a pool that no longer exists
 REMOVED_FLAGS = [
     *[(cmd, "--samples") for cmd in POSITIONALS if cmd not in ("kinematic", "verify")],
     *[(cmd, "--dimension") for cmd in POSITIONALS if cmd not in ("gen", "verify")],
     *[(cmd, "--seed") for cmd in ("check-convex", "volumes", "pixellate", "convexify")],
-    ("verify", "--resolution"),
+    ("verify", "--resolution"), ("verify", "--threads"),
 ]
 
 
@@ -513,7 +515,7 @@ def _argv(command, flag):
 
 class TestCliFlags:
     def test_counts(self):
-        assert len(set(KEPT_FLAGS)) == 38 and len(set(REMOVED_FLAGS)) == 23
+        assert len(set(KEPT_FLAGS)) == 37 and len(set(REMOVED_FLAGS)) == 24
 
     @pytest.mark.parametrize("command, flag", KEPT_FLAGS)
     def test_kept_flag_parses(self, command, flag):
@@ -535,3 +537,10 @@ class TestCliFlags:
         # the suites draw their corpora at their own resolutions
         with pytest.raises(TypeError):
             VerifyConfig(resolution=F(1, 2))
+
+    def test_verify_config_stores_no_threads(self):
+        # suites run in the calling thread; threads=1 is still accepted
+        assert len(dataclasses.fields(VerifyConfig)) == 7
+        assert VerifyConfig(threads=1) == VerifyConfig(threads=None) == VerifyConfig()
+        with pytest.raises(ValueError, match="one thread"):
+            VerifyConfig(threads=2)

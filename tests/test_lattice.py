@@ -500,6 +500,39 @@ class TestSummedAreaFill:
         assert peak <= 4 * bricks
         assert covered.sum() == 2721 and covered[::2, ::2].diagonal().all()
 
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            # the union above: 85 MB for the table and its counts
+            (2, 2721),
+            # 2,000 boxes with one brick across the first axis (16 M bricks):
+            # the slabs run across another axis
+            (3, 2000),
+        ],
+        ids=["diagonal", "flat-first-axis"],
+    )
+    def test_volume_memory_near_the_table(self, n, count):
+        # the weighted sum runs in blocks, so its peak stays near the peak of
+        # the table and its counts, not at 8 bytes a brick
+        lows = np.repeat(2 * np.arange(count)[:, None], n, axis=1)
+        if n == 3:
+            lows[:, 0] = 0
+        u = BoxUnion._from_arrays(n, 1, lows, lows + 1)
+        breaks = _breakpoints(u.lows, u.highs)
+        _, table_peak = _traced(lambda: _covered_bricks(breaks, u.lows, u.highs))
+        volume, peak = _traced(lambda: union_volume(u))
+        assert volume == count
+        assert peak <= 1.25 * table_peak
+
+
+def _traced(call):
+    """``call()`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 _SHIFT = 2**63
 _D = 2**40 + 1

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -107,6 +108,22 @@ class TestOuterPixellate:
         assert len(pix.cells) == 16
         assert union_volume(cellset_to_boxunion(pix)) == 4
 
+    @pytest.mark.parametrize(
+        "shape, count",
+        [
+            # the running count when the runs of the ball pass the limit
+            (L1Ball((0, 0), 1500), 4001348),
+            # 2102 x 2102 cells, refused before any is built
+            (BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (2100, 2100))])), 4418404),
+        ],
+        ids=["ball", "box"],
+    )
+    def test_refuses_too_many_cells(self, shape, count):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"take {count} cells to build, over 4000000"):
+            outer_pixellate(shape, 1)
+        assert time.perf_counter() - start < 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             outer_pixellate(L1Ball((0, 0), 1), 0)
@@ -114,6 +131,46 @@ class TestOuterPixellate:
             outer_pixellate(L1Ball((0, 0), 1), -1)
         with pytest.raises(ValueError):
             L1Ball((0, 0), 0)
+
+
+def brute_box_cells(region, lam):
+    """Independent rasterizer in Fractions: cell h meets the box [a, b] iff
+    lam*h <= b_i and lam*(h + 1) >= a_i on every axis."""
+    out = set()
+    for box in region.boxes:
+        axes = [
+            [h for h in range(math.floor(a / lam) - 2, math.ceil(b / lam) + 2) if lam * h <= b and lam * (h + 1) >= a]
+            for a, b in zip(box.mins, box.maxs)
+        ]
+        out.update(itertools.product(*axes))
+    return out
+
+
+class TestBoxUnionPixellationOracle:
+    def unions(self, n):
+        """Seeded unions of 1-3 boxes, some with a zero-width side."""
+        for seed in range(5):
+            rng = random.Random(10 * n + seed)
+            boxes = []
+            for j in range(1 + seed % 3):
+                box = gen_random_box(n, 100 * seed + j, low=-2, high=2, denominator=3)
+                if rng.random() < 0.4:
+                    k = rng.randrange(n)
+                    box = RatBox(box.mins, box.maxs[:k] + box.mins[k:k + 1] + box.maxs[k + 1:])
+                boxes.append(box)
+            yield BoxUnion(n, boxes)
+
+    @pytest.mark.parametrize("shift", [0, 2**63], ids=["int64", "big-int"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force(self, n, shift):
+        for region in self.unions(n):
+            region = BoxUnion(n, _shifted(region.boxes, shift))
+            for lam in (F(1), F(1, 3), F(2, 3)):
+                pix = outer_pixellate(BoxUnionShape(region), lam)
+                cells = brute_box_cells(region, lam)
+                assert pix.cells == cells
+                big = max(abs(v) for cell in cells for v in cell) >= 2**62
+                assert pix.indices.dtype == (object if big else np.int64)
 
 
 UNIT_SQUARE = BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (1, 1))]))
@@ -337,6 +394,37 @@ class TestErrorBracket:
         pix = outer_pixellate(L1Ball((0,) * n, 1), 1)
         with pytest.raises(ValueError, match="^dimension mismatch$"):
             pixellation_error_bracket(shape, pix, F(1, 2))
+
+    @pytest.mark.parametrize(
+        "call, count",
+        [
+            (
+                lambda: hausdorff_distance(
+                    BoxUnion(1, [RatBox((0,), (1,))]), BoxUnion(1, [RatBox((3,), (4,))]), F(1, 2**40)
+                ),
+                2**40 + 1,
+            ),
+            (
+                lambda: pixellation_error_bracket(
+                    L1Ball((0,), 1), outer_pixellate(L1Ball((0,), 1), 1), F(1, 2**40)
+                ),
+                4 * (2**40 + 1),  # four unit cubes
+            ),
+            # 2^70 + 1 samples on one side: past int64 before the limit check
+            (
+                lambda: hausdorff_distance(
+                    BoxUnion(1, [RatBox((0,), (2**70,))]), BoxUnion(1, [RatBox((0,), (1,))]), 1
+                ),
+                2**70 + 1,
+            ),
+        ],
+        ids=["hausdorff", "pixellation", "past-int64"],
+    )
+    def test_refuses_too_many_samples(self, call, count):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"take {count} sample points to build, over 4000000"):
+            call()
+        assert time.perf_counter() - start < 1
 
     def test_validation(self):
         ball = L1Ball((0, 0), 1)
