@@ -35,7 +35,7 @@ from math import ceil, floor, prod
 
 import numpy as np
 
-from .lattice import Cell, CellSet, RatBox, _corner_indices, _summed_area, clip_cells
+from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed_area
 
 _PREFIX_GRID_LIMIT = 30_000_000
 _WAVEFRONT_CELLS = 256
@@ -285,9 +285,9 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
         # cube lam * (c + [0, 1]) lies in [a, b] iff ceil(a/lam) <= c <= floor(b/lam) - 1
         lo = [ceil(v / lam) for v in bound.mins]
         hi = [floor(v / lam) - 1 for v in bound.maxs]
-        inside = clip_cells(x, lo, hi)
-        if len(inside) != len(x):
-            raise ValueError(f"cell {min(x.cells - inside.cells)} lies outside the stated bound")
+        outside = x.indices[~_clip_mask(x, lo, hi)]
+        if len(outside):  # the rows are sorted: the first is the smallest cell
+            raise ValueError(f"cell {tuple(outside[0].tolist())} lies outside the stated bound")
     while len(x) >= 2:
         arr = x.indices
         span = max(int(hi) - int(lo) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))

@@ -14,18 +14,17 @@ import numpy as np
 
 from ._util import RationalLike, as_fraction, derive_seed
 from .convexity import convexify, is_l1_convex
-from .lattice import CellSet, RatBox
+from .lattice import CellSet, RatBox, _int_dtype
 from .pixellation import L1Ball, outer_pixellate
 
 MODES = ("blob", "staircase", "ball")
 
 
-def _unrank_cell(index: int, n: int, bound: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(n):
-        index, r = divmod(index, bound)
-        coords.append(r)
-    return tuple(coords)
+def _unranked(picks: list[int], n: int, bound: int) -> np.ndarray:
+    """The cells of [0, bound)^n with the given ranks as rows; axis 0 varies
+    fastest."""
+    ranks = np.asarray(picks, dtype=_int_dtype(bound**n))
+    return np.stack([ranks // bound**axis % bound for axis in range(n)], axis=1)
 
 
 def gen_random_convex(
@@ -73,8 +72,7 @@ def gen_random_convex(
         total = bound**n
         target = max(1, min(total, round(density * total)))
         picks = rng.sample(range(total), k=target)
-        seeds = {_unrank_cell(i, n, bound) for i in picks}
-        out = convexify(CellSet(n, seeds, lam))
+        out = convexify(CellSet._from_array(n, _unranked(picks, n, bound), lam))
 
     verdict = is_l1_convex(out)
     if not verdict:
@@ -94,11 +92,14 @@ def gen_random_cellset(
     [0, bound)^n, deterministic in the arguments."""
     if n < 1 or bound < 1:
         raise ValueError("need n >= 1 and bound >= 1")
+    lam = as_fraction(resolution)
+    if lam <= 0:
+        raise ValueError("resolution must be positive")
     total = bound**n
     count = max(0, min(count, total))
     rng = random.Random(derive_seed("gen_random_cellset", n, bound, count, seed))
     picks = rng.sample(range(total), k=count)
-    return CellSet(n, {_unrank_cell(i, n, bound) for i in picks}, as_fraction(resolution))
+    return CellSet._from_array(n, _unranked(picks, n, bound), lam)
 
 
 def gen_random_box(

@@ -14,7 +14,11 @@ box-union kernels read and return those arrays (``_common_arrays`` puts
 several unions on one denominator), and Fractions are built only at the API
 edge.  A CellSet likewise stores its cells once, as a sorted integer index
 array, and the cell kernels (projection, refinement, isometries, Minkowski
-sums with aligned boxes, clipping) select, gather and add on its columns.
+sums with aligned boxes, clipping, index-level set algebra) select, gather,
+add and sort on its rows and columns.  Every CellSet the library makes is
+built from such an array by ``CellSet._from_array``; the validating
+``CellSet(n, cells, resolution)`` constructor is for cells given from
+outside, and ``.cells`` is a frozenset view built only when asked for.
 The arrays are int64 when a bound proves it safe and exact big-int (object)
 arrays otherwise, with one code path for both.  Operations that multiply
 cells, and the Hausdorff samples, check the number they would build against
@@ -24,7 +28,6 @@ cells, and the Hausdorff samples, check the number they would build against
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -55,9 +58,11 @@ class CellSet:
     rows are sorted lexicographically and distinct, and it is int64 when every
     index is below 2^62 in size and exact big-int (object) otherwise, the rule
     BoxUnion uses.  ``cells`` is the frozenset-of-tuples view, built on first
-    use; equality and hashing compare ``(dimension, cells, resolution)``.  The
-    empty set is a CellSet with no cells.  Dimension 0 is allowed (the single
-    cell is the empty tuple) so that projections onto zero axes stay in-type.
+    use.  Equality and hashing compare the dimension, the resolution and the
+    index array, whose canonical form makes that a comparison of cell sets
+    (the hash reads the indices as Python ints).  The empty set is a CellSet
+    with no cells.  Dimension 0 is allowed (the single cell is the empty
+    tuple) so that projections onto zero axes stay in-type.
     """
 
     dimension: int
@@ -106,7 +111,8 @@ class CellSet:
         return same and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
-        return hash((self.dimension, self.cells, self.resolution))
+        flat = tuple(self.indices.ravel().tolist())
+        return hash((self.dimension, self.resolution, self.indices.shape, flat))
 
     def __reduce__(self):  # a copy or unpickled set gets its array read-only again
         return CellSet._from_array, (self.dimension, self.indices, self.resolution)
@@ -499,20 +505,34 @@ def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:
         raise ValueError("dimension mismatch")
     if x.resolution != y.resolution:
         raise ValueError("resolution mismatch; subdivide to a common grid first")
-    ops = {"union": operator.or_, "intersection": operator.and_, "difference": operator.sub}
-    if op not in ops:
+    if op not in ("union", "intersection", "difference"):
         raise ValueError(f"unknown boolean op {op!r}")
-    return CellSet(x.dimension, ops[op](x.cells, y.cells), x.resolution)
+    n, both = x.dimension, np.concatenate((x.indices, y.indices))
+    if op == "union":
+        return CellSet._from_array(n, both, x.resolution)
+    # each side's rows are distinct, so a row of X is also in Y exactly when
+    # the stable sort puts it right before an equal row (the one from Y)
+    order = np.lexsort(both.T[::-1]) if n else np.arange(len(both))
+    rows = both[order]
+    in_y = np.zeros(len(x), dtype=bool)
+    in_y[order[:-1][(rows[1:] == rows[:-1]).all(axis=1)]] = True
+    kept = in_y if op == "intersection" else ~in_y
+    return CellSet._from_array(n, x.indices[kept], x.resolution)
 
 
-def clip_cells(x: CellSet, lo: Cell, hi: Cell) -> CellSet:
-    """Cells of X whose index lies in the integer box [lo, hi] (inclusive)."""
+def _clip_mask(x: CellSet, lo: Cell, hi: Cell) -> np.ndarray:
+    """Which rows of ``x.indices`` lie in the integer box [lo, hi] (inclusive)."""
     if len(lo) != x.dimension or len(hi) != x.dimension:
         raise ValueError("bound dimension mismatch")
     kept = np.ones(len(x), dtype=bool)
     for col, a, b in zip(x.indices.T, lo, hi):
         kept &= (col >= a) & (col <= b)
-    return CellSet._from_array(x.dimension, x.indices[kept], x.resolution)
+    return kept
+
+
+def clip_cells(x: CellSet, lo: Cell, hi: Cell) -> CellSet:
+    """Cells of X whose index lies in the integer box [lo, hi] (inclusive)."""
+    return CellSet._from_array(x.dimension, x.indices[_clip_mask(x, lo, hi)], x.resolution)
 
 
 def _shifted_copies(rows: np.ndarray, sides) -> np.ndarray:

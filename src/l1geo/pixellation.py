@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 
 from ._util import RationalLike, as_fraction, as_point, common_denominator
 from .lattice import (
+    _CELL_LIMIT,
     BoxUnion,
     CellSet,
     _breakpoints,
@@ -29,6 +30,7 @@ from .lattice import (
     _covered_bricks,
     _farthest_sample,
     _fit,
+    _int_dtype,
     cellset_to_boxunion,
     point_box_distance,
     union_volume,  # noqa: F401  (benchmarks/tests/test_tracer.py checks this alias)
@@ -99,20 +101,28 @@ def _scaled_ball(ball: L1Ball, lam: Fraction, den: int = 1) -> tuple[int, int, l
     return d, lam_i, center, radius
 
 
-def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
+def _ball_cells(ball: L1Ball, lam: Fraction) -> CellSet:
     """Cells whose cube is within taxicab distance radius of the center.
 
     Enumerates with per-axis budget pruning in integer arithmetic, visiting
     only an O(1) neighborhood of the answer: along axis i a cell index h
     costs g_i(h) = max(lam*h - c_i, c_i - lam*(h+1), 0), and a cube meets the
-    ball iff the costs sum to at most the radius.  The runs along the last
-    axis are found first, their running count checked against ``_CELL_LIMIT``
-    once per run, and the cells are built only when all of them pass.
+    ball iff the costs sum to at most the radius.  The cubes cover the ball,
+    so there are at least vol(ball) / lam^n = (2r)^n / (n! lam^n) of them;
+    that bound is checked against ``_CELL_LIMIT`` first.  Then the runs along
+    the last axis are found, their running count checked once per run, and
+    the index array is built from the runs only when all of them pass.
     """
     n = ball.dimension
     _, lam_i, center_i, radius_i = _scaled_ball(ball, lam)
+    _check_cell_count(-(-((2 * radius_i) ** n) // (factorial(n) * lam_i**n)))
+    if n == 0:
+        return CellSet._from_array(0, np.zeros((1, 0), dtype=np.int64), lam)
 
-    runs = []  # per run along the last axis: the cell with that axis free, and its range
+    # per run along the last axis: its length, and its first cell with the
+    # number of cells before the run taken off the last index, so that adding
+    # a cell's row number to that index gives the cell
+    heads, lengths = [], []
     count = 0
     prefix = [0] * n
 
@@ -122,36 +132,69 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> list[tuple[int, ...]]:
         h_min = -((budget + lam_i - c) // lam_i)   # ceil((c - budget - lam)/lam)
         h_max = (c + budget) // lam_i              # floor((c + budget)/lam)
         if axis == n - 1:
+            prefix[axis] = h_min - count
+            heads.append(prefix.copy())
+            lengths.append(h_max - h_min + 1)
             count += h_max - h_min + 1
             _check_cell_count(count)
-            runs.append((prefix.copy(), range(h_min, h_max + 1)))
             return
         for h in range(h_min, h_max + 1):
             cost = max(lam_i * h - c, c - lam_i * h - lam_i, 0)
             prefix[axis] = h
             rec(axis + 1, budget - cost)
 
-    if n == 0:
-        return [()]
     rec(0, radius_i)
-    out: list[tuple[int, ...]] = []
-    for cell, hs in runs:
-        for cell[-1] in hs:
-            out.append(tuple(cell))
-    return out
+    reach = (max(map(abs, center_i)) + radius_i) // lam_i + 2  # bounds every index
+    rows = np.repeat(np.array(heads, dtype=_int_dtype(reach + count)), lengths, axis=0)
+    rows[:, -1] += np.arange(count)
+    return CellSet._from_array(n, rows, lam)
 
 
-def _boxunion_cells(region: BoxUnion, lam: Fraction) -> set[tuple[int, ...]]:
-    """Cells whose cube meets some box: per-axis integer index ranges."""
+def _boxunion_cells(region: BoxUnion, lam: Fraction) -> CellSet:
+    """Cells whose cube meets some box: per-axis integer index ranges.
+
+    A box whose own grid passes ``_CELL_LIMIT`` is refused before any cell
+    is built.  The grids are built in batches of at most that many rows, and
+    the distinct cells so far are checked after each batch, so no more than
+    about twice the limit is held at once.
+    """
+    n = region.dimension
     den, ((lows, highs),) = _common_arrays((region,), lam.denominator)
     step = lam.numerator * (den // lam.denominator)
-    cells: set[tuple[int, ...]] = set()
-    for lo, hi in zip(lows.tolist(), highs.tolist()):
-        # cube [step*h, step*(h+1)] meets [a, b] iff step*h <= b and step*(h+1) >= a
-        ranges = [range(-(-a // step) - 1, b // step + 1) for a, b in zip(lo, hi)]
-        _check_cell_count(prod(r.stop - r.start for r in ranges))
-        cells.update(itertools.product(*ranges))
-        _check_cell_count(len(cells))
+    # cube [step*h, step*(h+1)] meets [a, b] iff step*h <= b and step*(h+1) >= a
+    starts = [[-(-a // step) - 1 for a in lo] for lo in lows.tolist()]
+    sizes = [[b // step + 1 - h for h, b in zip(hs, hi)] for hs, hi in zip(starts, highs.tolist())]
+    dtype = _int_dtype(max((abs(h) for hs in starts for h in hs), default=0) + _CELL_LIMIT)
+    cells, batch, held = None, [], 0
+    for box in zip(starts, sizes):
+        count = prod(box[1])
+        _check_cell_count(count)
+        if held + count > _CELL_LIMIT:
+            cells = _with_grids(cells, batch, n, dtype, lam)
+            batch, held = [], 0
+        batch.append(box)
+        held += count
+    return _with_grids(cells, batch, n, dtype, lam)
+
+
+def _with_grids(cells: CellSet | None, boxes: list, n: int, dtype, lam: Fraction) -> CellSet:
+    """The cells of ``cells`` and the integer points of the boxes
+    ``start + [0, sizes)``, refused when they pass ``_CELL_LIMIT``."""
+    counts = [prod(sizes) for _, sizes in boxes]
+    # one head per box (start, sizes, number of points before it), repeated
+    # once per point: a point's rank within its box, spelt in the mixed radix
+    # of the sizes, is its offset from the start
+    firsts = itertools.accumulate(counts, initial=0)
+    heads = [[*start, *sizes, first] for (start, sizes), first in zip(boxes, firsts)]
+    cols = np.repeat(np.array(heads, dtype=dtype).T, counts, axis=1)
+    rank = np.arange(cols.shape[1]) - cols[-1]
+    for axis in range(n - 1, 0, -1):
+        cols[axis] += rank % cols[n + axis]
+        rank //= cols[n + axis]
+    cols[0] += rank  # what is left is below the first side (0 when n == 0)
+    rows = cols[:n].T if cells is None else np.concatenate((cells.indices, cols[:n].T))
+    cells = CellSet._from_array(n, rows, lam)
+    _check_cell_count(len(cells))
     return cells
 
 
@@ -166,8 +209,8 @@ def outer_pixellate(shape: Shape, resolution: RationalLike) -> CellSet:
     if lam <= 0:
         raise ValueError("resolution must be positive")
     if isinstance(shape, L1Ball):
-        return CellSet(shape.dimension, _ball_cells(shape, lam), lam)
-    return CellSet(shape.dimension, _boxunion_cells(shape.region, lam), lam)
+        return _ball_cells(shape, lam)
+    return _boxunion_cells(shape.region, lam)
 
 
 def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:

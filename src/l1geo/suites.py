@@ -17,6 +17,8 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import ceil, floor
 
+import numpy as np
+
 from ._util import derive_seed, frac_str
 from .convexity import (
     all_pairs_monotone_reachable,
@@ -319,11 +321,11 @@ def _algebra_pair(
     s = derive_seed(seed, "algebra-pair", n, i)
     z = gen_random_convex(n, bound, density, s, mode=MODES[i % 3], resolution=lam)
     axis = i % n
-    values = sorted({c[axis] for c in z.cells})
+    values = np.unique(z.indices[:, axis]).tolist()
     t = values[random.Random(derive_seed(s, "t")).randrange(len(values))]
-    if i % 3 != 2:
-        x = CellSet(n, {c for c in z.cells if c[axis] <= t}, lam)
-        y = CellSet(n, {c for c in z.cells if c[axis] >= t - 1}, lam)
+    if i % 3 != 2:  # X: the cells with index <= t on the axis, Y: those >= t - 1
+        x = split_halves(z, axis, t + 1)[1]
+        y = split_halves(z, axis, t - 1)[0]
     elif i % 9 == 8:
         x = gen_random_cellset(n, bound, max(2, int(density * bound**n)), derive_seed(s, "raw"), resolution=lam)
         y = gen_random_convex(n, bound, density, derive_seed(s, "y"), resolution=lam)
@@ -556,7 +558,8 @@ def _valuation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
         )
     )
 
-    sub = CellSet(n, {c for c in z.cells if sum(c) % 2 == 0} or {z.sorted_cells()[0]}, lam)
+    even = z.indices.sum(axis=1) % 2 == 0
+    sub = CellSet._from_array(n, z.indices[even] if even.any() else z.indices[:1], lam)
     vs = intrinsic_volumes_cellset(sub)
     out.append(
         property_record(

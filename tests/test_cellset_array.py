@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1geo import (
+    BoxUnion,
+    BoxUnionShape,
     CellSet,
     CoordSubspace,
     L1Ball,
@@ -26,6 +28,7 @@ from l1geo import (
     apply_isometry,
     boundary_region,
     cell_box,
+    cellset_boolean,
     cellset_product,
     cellset_to_boxunion,
     clip_cells,
@@ -39,6 +42,7 @@ from l1geo import (
     split_halves,
     subdivide,
 )
+from l1geo import lattice, pixellation
 from l1geo.pixellation import _scaled_ball
 
 BIG = 2**62
@@ -69,6 +73,10 @@ def isometry_oracle(cells, g, t):
         img = g.apply_cell(c)
         out.add(tuple(img[i] + t[i] for i in range(len(t))))
     return out
+
+
+def boolean_oracle(cx, cy, op):
+    return {"union": cx | cy, "intersection": cx & cy, "difference": cx - cy}[op]
 
 
 def product_oracle(cx, cy):
@@ -168,6 +176,17 @@ class TestAgainstOracles:
         moved = apply_isometry(x, g, [lam * v for v in t])
         assert_cellset(moved, n, isometry_oracle(cells, g, t), lam)
 
+        # Y shares some of X's cells and adds others, int64 or big-int
+        y_shift = data.draw(st.sampled_from([0, BIG - 6, 2**63 + 5]))
+        y_more = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=5))
+        y_cells = {c for c in cells if data.draw(st.booleans())}
+        y_cells |= {tuple(v + y_shift for v in c) for c in y_more}
+        y = CellSet(n, y_cells, lam)
+        for op in ("union", "intersection", "difference"):
+            want = boolean_oracle(set(cells), y_cells, op)
+            assert_cellset(cellset_boolean(x, y, op), n, want, lam)
+            assert_cellset(cellset_boolean(y, x, op), n, boolean_oracle(y_cells, set(cells), op), lam)
+
         k = data.draw(st.integers(0, 2))
         other_cells = data.draw(st.sets(st.tuples(*[st.integers(-1, 1)] * k), max_size=3))
         y = CellSet(k, other_cells, lam)
@@ -199,6 +218,20 @@ class TestAgainstOracles:
         ball = L1Ball([F(c, 4) + shift * lam for c in center[:n]], F(radius, 4))
         assert_cellset(boundary_region(ball, lam), n, ball_boundary_oracle(ball, lam), lam)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 3),
+        center=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+        radius=st.integers(1, 8),
+        lam=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+        shift=st.sampled_from([2**61, BIG, -BIG - 5]),
+    )
+    def test_far_ball_is_the_near_ball_shifted(self, n, center, radius, lam, shift):
+        near = L1Ball([F(c, 4) for c in center[:n]], F(radius, 4))
+        far = L1Ball([c + shift * lam for c in near.center], near.radius)
+        want = {tuple(v + shift for v in c) for c in outer_pixellate(near, lam).cells}
+        assert_cellset(outer_pixellate(far, lam), n, want, lam)
+
 
 class TestValueSemantics:
     def test_equality_and_hash_ignore_input_order(self):
@@ -207,12 +240,20 @@ class TestValueSemantics:
             x = CellSet(2, perm + perm[:2], F(1, 2))
             y = CellSet(2, reversed(perm), F(1, 2))
             assert x == y and hash(x) == hash(y)
-            assert hash(x) == hash((2, frozenset(cells), F(1, 2)))
         small = [(1, 2), (0, 0), (np.int64(5), -3)]
         assert CellSet(2, small) == CellSet(2, small[::-1])
         assert CellSet(2, small) != CellSet(2, small[:2])
         assert CellSet(2, small) != CellSet(2, small, 2)
         assert CellSet(1, {(0,)}) != CellSet(2, {(0, 0)})
+        # int64 input, and big-int input moved back into the int64 range
+        near = CellSet(2, np.array(small, dtype=np.int64))
+        far = CellSet(2, [(int(a) + 2**70, b) for a, b in small])
+        back = apply_isometry(far, SignedPerm((0, 1), (1, 1)), (-(2**70), 0))
+        assert near == back == CellSet(2, small) and far.indices.dtype == object
+        assert hash(near) == hash(back) == hash(CellSet(2, small))
+        # big ints computed afresh are other objects with the same values
+        again = apply_isometry(back, SignedPerm((0, 1), (1, 1)), (2**70, 0))
+        assert again == far and hash(again) == hash(far)
 
     def test_storage(self):
         x = CellSet(2, [(1, 0), (0, 5), (1, 0)])
@@ -275,6 +316,18 @@ class TestCellLimit:
     def test_subdivide_refuses_before_allocating(self):
         with pytest.raises(ValueError, match=r"1000000000000 cells"):
             subdivide(CellSet(3, [(0, 0, 0)]), 10**4)
+
+    def test_pixellation_counts_distinct_cells(self, monkeypatch):
+        for module in (lattice, pixellation):
+            monkeypatch.setattr(module, "_CELL_LIMIT", 100)
+        # 100 + 81 cells in two batches, 100 of them distinct
+        overlapping = BoxUnion(2, [RatBox((0, 0), (8, 8)), RatBox((1, 1), (8, 8))])
+        assert len(outer_pixellate(BoxUnionShape(overlapping), 1)) == 100
+        with pytest.raises(ValueError, match=r"take 121 cells to build, over 100$"):
+            outer_pixellate(BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (9, 9))])), 1)
+        apart = BoxUnion(2, [RatBox((0, 0), (8, 8)), RatBox((9, 0), (10, 8))])
+        with pytest.raises(ValueError, match=r"take 120 cells to build, over 100$"):
+            outer_pixellate(BoxUnionShape(apart), 1)
 
     def test_minkowski_and_product_refuse(self):
         x = CellSet(3, [(0, 0, 0)])

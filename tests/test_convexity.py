@@ -336,6 +336,14 @@ class TestConvexify:
         with pytest.raises(ValueError):
             convexify(x, bound=RatBox((0, 0), (2, 2)))
 
+    def test_bound_violation_names_the_smallest_outside_cell(self):
+        x = CellSet(2, {(0, 0), (3, 3), (2, -1), (3, 0)})
+        with pytest.raises(ValueError, match=r"^cell \(2, -1\) lies outside the stated bound$"):
+            convexify(x, bound=RatBox((0, 0), (3, 3)))
+        far = CellSet(2, {(0, 0), (2**70, 1), (2**70, 0)})
+        with pytest.raises(ValueError, match=rf"^cell \({2**70}, 0\) lies outside the stated bound$"):
+            convexify(far, bound=RatBox((0, 0), (2, 2)))
+
     def test_empty(self):
         assert convexify(CellSet(3)).is_empty
 

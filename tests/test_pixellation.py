@@ -111,12 +111,14 @@ class TestOuterPixellate:
     @pytest.mark.parametrize(
         "shape, count",
         [
-            # the running count when the runs of the ball pass the limit
-            (L1Ball((0, 0), 1500), 4001348),
+            # the lower bound (2r)^n / (n! lam^n) on the count, checked before
+            # any run along the last axis is recorded
+            (L1Ball((0, 0), 1500), 4500000),
+            (L1Ball((0,) * 5, 10**30), -(-((2 * 10**30) ** 5) // 120)),
             # 2102 x 2102 cells, refused before any is built
             (BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (2100, 2100))])), 4418404),
         ],
-        ids=["ball", "box"],
+        ids=["ball", "far-ball", "box"],
     )
     def test_refuses_too_many_cells(self, shape, count):
         start = time.perf_counter()
