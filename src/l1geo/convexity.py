@@ -39,6 +39,9 @@ from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed
 
 _PREFIX_GRID_LIMIT = 30_000_000
 _WAVEFRONT_CELLS = 256
+# refuse a reachability wavefront whose bit-packed rows would pass this many
+# bytes: about 32,000 cells in the plane, 29,000 in space
+_WAVEFRONT_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,17 @@ def _compressed(rows: np.ndarray) -> np.ndarray:
     return comp
 
 
+def _check_wavefront(m: int, n: int, why: str = "") -> None:
+    """Refuse the reachability wavefront over m cells in dimension n, before
+    it allocates, when its bound (``_unreachable``) passes the budget."""
+    need = (2 * n + 4) * m * ((m + 7) // 8)
+    if need > _WAVEFRONT_BYTES:
+        raise ValueError(
+            f"{why}the reachability wavefront over {m} cells would take "
+            f"{need} bytes, over {_WAVEFRONT_BYTES}"
+        )
+
+
 def _unreachable(comp: np.ndarray) -> np.ndarray | None:
     """Bit-packed rows of the cell pairs no monotone path joins, or None when
     every pair is joined.
@@ -103,9 +117,10 @@ def _unreachable(comp: np.ndarray) -> np.ndarray | None:
     memory is at most (2n + 4) m * ceil(m / 8) bytes: R, the unreachable
     rows, one orthant mask and its gathered operand, and per axis one row per
     distinct value for each direction; plus one neighbour index per cell and
-    step, O(3^n m).
+    step, O(3^n m).  Above ``_WAVEFRONT_BYTES`` it refuses.
     """
     m, n = comp.shape
+    _check_wavefront(m, n)
     cells = np.arange(m)
     col, bit = cells >> 3, (0x80 >> (cells & 7)).astype(np.uint8)
     width = (m + 7) // 8
@@ -278,7 +293,8 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
     Inserted cells stay inside the bounding box of X, so the loop terminates.
     ``bound``, when given, must contain X (checked); it never constrains the
     result further.  Raises ValueError when two cells lie so far apart on an
-    axis that the result could not be built.
+    axis that the reachability wavefront over the result would pass its
+    budget.
     """
     n, lam = x.dimension, x.resolution
     if bound is not None and not x.is_empty:
@@ -291,13 +307,9 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
     while len(x) >= 2:
         arr = x.indices
         span = max(int(hi) - int(lo) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
-        if span >= _PREFIX_GRID_LIMIT:
-            # a convex set holding two cells `span` apart on one axis holds
-            # a monotone path of at least span + 1 cells between them
-            raise ValueError(
-                f"cells lie {span} apart on one axis; the convex result would "
-                f"hold more than {_PREFIX_GRID_LIMIT} cells"
-            )
+        # a convex set holding two cells `span` apart on one axis holds a
+        # monotone path of at least span + 1 cells between them
+        _check_wavefront(span + 1, n, f"cells lie {span} apart on one axis; on the convex result ")
         pairs = _scan(_compressed(arr), collect=True)
         if len(pairs) == 0:
             break

@@ -18,8 +18,9 @@ signed permutations times Lebesgue measure on translations.  In degree 0 the
 signs drop out and only the permutation of the interval's side lengths
 matters, so the exact side takes one union volume per distinct permuted side
 tuple.  The Monte Carlo side draws for every group element from its own
-stream, but evaluates them with one sampler per permutation: a sign flip is
-a reflection of the draw through the centre of the interval.
+stream, but lays out the cells of X once: the element g acts through its
+inverse on the interval and on the draw, whose axes it relabels and
+reflects through the centre of the interval.
 """
 
 from __future__ import annotations
@@ -270,13 +271,14 @@ def _run(rows: np.ndarray):
 
 
 class _ElementLayout:
-    """The cells of πX arranged for the sampler, for one permutation π of the
-    axes; independent of the box and the bit depth.
+    """The cells of X arranged for the sampler; independent of the group
+    element, the box and the bit depth.
 
-    The cells of πX are the rows of ``x.indices[:, perm]``, int64 or exact
-    big-int (object) as those of X are.  The 2^n signed elements with
-    permutation π share this layout: a sign flip is evaluated as a reflected
-    translation (``_ElementSampler.sample_points``).  On each axis,
+    The cells are the rows of ``x.indices``, int64 or exact big-int (object).
+    Every signed element g shares this layout: (gX + q) clipped to I is g
+    applied to (X + hq) clipped to hI, for h the inverse of g, so g's values
+    are those of X on the box hI at draws with relabelled axes and reflected
+    signs (``kinematic_higher_mc``).  On each axis,
     ``coords[i]`` lists the distinct coordinates of the cells.  The lists of
     all axes are stacked into one column of rows, axis i taking the rows
     ``axis_rows[i]``, so a cell has one row per axis.  Per coordinate
@@ -291,9 +293,9 @@ class _ElementLayout:
     Consecutive rows, as on a subspace of one axis, are kept as a slice.
     """
 
-    def __init__(self, x: CellSet, perm, k: int):
+    def __init__(self, x: CellSet, k: int):
         n = x.dimension
-        cells = x.indices[:, list(perm)]
+        cells = x.indices
         m = cells.shape[0]
         if m >= 1 << 24:
             raise ValueError("too many cells for the sampler's float32 incidence counts")
@@ -322,8 +324,8 @@ class _ElementLayout:
 
 
 class _ElementSampler:
-    """Vectorized exact evaluator of q -> V'_k((gX + q) clipped to I) for
-    every signed element g with the permutation π of a layout.
+    """Vectorized exact evaluator of q -> V'_k((sX + q) clipped to I) for the
+    cells X of a layout, the box I, and every sign pattern s.
 
     All coordinates are scaled by a common denominator times 2^bits so that
     dyadic sample translations, cube corners, and the clip box are integers;
@@ -336,7 +338,7 @@ class _ElementSampler:
     coordinate and value proves that nothing wraps, and exact big-int
     (object) otherwise, so every depth is exact.
 
-    ``values`` takes draws of πX, one row per axis.  The clipped length of a
+    ``values`` takes draws of X, one row per axis.  The clipped length of a
     cell on axis i depends only on its low corner x there: it is
     L+ = clip(x + lam) - clip(x), clipping to the box's side, and the cell
     meets that side when -lam <= x <= side.  Both are computed once per row
@@ -371,7 +373,7 @@ class _ElementSampler:
 
         # The extremes are computed in Python ints, so the bound below is
         # exact; the arrays are built only once it has chosen their dtype.
-        # The support of {q : (πX + q) meets I} on axis i is the box's side
+        # The support of {q : (X + q) meets I} on axis i is the box's side
         # plus the extent of the cells' cubes on that axis.
         lam_scaled = int(lam * denom) << bits
         sides = [int((hi - lo) * denom) << bits for lo, hi in zip(box.mins, box.maxs)]
@@ -408,12 +410,12 @@ class _ElementSampler:
 
     def sample_points(self, t: np.ndarray, signs) -> np.ndarray:
         """Scaled draws, one row per axis, for dyadic t in [0, 2^bits)^n (one
-        row per sample) of the signed element with this sampler's
-        permutation and ``signs``, measured from the support's low corner.
+        row per sample) of the sign pattern ``signs``, measured from the
+        support's low corner.
 
-        That element's own draw is t * step from the low corner of its
+        The element's own draw is t * step from the low corner of its
         support.  V'_k is invariant under the reflection through the centre
-        of the box, which carries it to the draw support - t * step of πX on
+        of the box, which carries it to the draw support - t * step of X on
         every axis whose sign is -1.  So ``values`` at the returned draws are
         the signed element's values at its own draws, integer for integer.
         """
@@ -494,9 +496,11 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
     per-sample values are exact rationals, and only the mean/variance
     aggregation uses floats.  Block b of group element e draws from the RNG
     stream seeded by (seed, e, b), so results are reproducible and
-    independent of any execution schedule.  The elements are evaluated by
-    one sampler per permutation: a sign flip reflects the draw through the
-    centre of the box.
+    independent of any execution schedule.  X is laid out once, and element
+    g is evaluated through h = g^-1 (``_ElementLayout``): on the box hI, at
+    the draw relabelled and reflected by h.  The 2^n elements of one
+    permutation share a sampler: their boxes differ by reflections, which
+    the sampler, measuring from the box's corner, does not see.
     """
     n = x.dimension
     if not 0 <= k <= n:
@@ -510,13 +514,15 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
         return MCEstimate(0.0, 0.0, samples, seed, rhs)
 
     group = hyperoctahedral_group(n)
+    layout = _ElementLayout(x, k)
     est_sum = 0.0
     var_sum = 0.0
     perm = None
     for e_idx, g in enumerate(group):
-        if g.perm != perm:  # the group lists the sign patterns of a permutation together
-            perm = g.perm
-            sampler = _ElementSampler(_ElementLayout(x, perm, k), box)
+        h = g.inverse()
+        if h.perm != perm:  # the group lists the sign patterns of a permutation together
+            perm = h.perm
+            sampler = _ElementSampler(layout, h.apply_box(box))
             scale_k = float(sampler.scale) ** k
             vol = float(sampler.support_volume)
         total = 0.0
@@ -527,7 +533,7 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
             count = min(_BLOCK_SIZE, samples - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, e_idx, block]))
             t = rng.integers(0, 1 << sampler.bits, size=(_BLOCK_SIZE, n), dtype=np.int64)
-            vals = sampler.values(sampler.sample_points(t[:count], g.signs))
+            vals = sampler.values(sampler.sample_points(t[:count, perm], h.signs))
             real = vals.astype(np.float64) / scale_k
             total += float(real.sum())
             total_sq += float((real * real).sum())

@@ -666,11 +666,10 @@ def union_volume(u: BoxUnion) -> Fraction:
 
     Breakpoints along each axis cut the union into grid bricks; the
     summed-area table of ``_covered_bricks`` marks the covered ones, and the
-    volume sums their volumes, contracting the bool table one axis at a time
-    in blocks of ``_VOLUME_BLOCK`` bricks.  Arithmetic is exact: the grid is
-    built from the union's integer corners, and the covered-brick sum runs in
-    int64 when a bound proves it cannot overflow, on exact big-int arrays
-    otherwise.
+    volume sums their volumes (``_brick_sum``).  Arithmetic is exact: the
+    grid is built from the union's integer corners, and the covered-brick sum
+    runs in int64 when a bound proves it cannot overflow, on exact big-int
+    arrays otherwise.
     """
     if u.is_empty:
         return Fraction(0)
@@ -680,12 +679,20 @@ def union_volume(u: BoxUnion) -> Fraction:
     # the brick widths on an axis sum to its span: the bound on the total
     dtype = _int_dtype(prod(int(bk[-1]) - int(bk[0]) for bk in breaks))
     weights = [np.diff(bk).astype(dtype, copy=False) for bk in breaks]
-    covered = _covered_bricks(breaks, u.lows, u.highs)
+    total = _brick_sum(_covered_bricks(breaks, u.lows, u.highs), weights, dtype)
+    return Fraction(total, u.den**u.dimension)
+
+
+def _brick_sum(covered: np.ndarray, weights: list[np.ndarray], dtype) -> int:
+    """The sum, over the covered bricks of a table (n >= 1 axes), of the
+    product of their per-axis ``weights`` (arrays of ``dtype``), contracting
+    the bool table one axis at a time in blocks of ``_VOLUME_BLOCK`` bricks."""
+    weights = list(weights)
     slabs = [(covered, weights[0])]
     if covered.size > _VOLUME_BLOCK:
         # slabs across the longest axis: a block, or one slab, of the table
         # is held in the weight dtype at a time, not the whole table
-        axis = max(range(u.dimension), key=covered.shape.__getitem__)
+        axis = max(range(covered.ndim), key=covered.shape.__getitem__)
         covered, w = np.moveaxis(covered, axis, 0), weights.pop(axis)
         weights.insert(0, w)
         rows = max(1, _VOLUME_BLOCK // prod(covered.shape[1:]))
@@ -696,7 +703,7 @@ def union_volume(u: BoxUnion) -> Fraction:
         for w in reversed(weights[1:]):
             acc = acc @ w
         total += int(acc @ w0)
-    return Fraction(total, u.den**u.dimension)
+    return total
 
 
 def _breakpoints(*corners: np.ndarray) -> list[np.ndarray]:

@@ -21,8 +21,13 @@ from .lattice import (
     BoxUnion,
     CellSet,
     IVVector,
+    _breakpoints,
+    _brick_sum,
     _check_cell_count,
+    _covered_bricks,
+    _fit,
     _int_dtype,
+    cellset_to_boxunion,
     coordinate_subspaces,
     project,
     union_volume,
@@ -78,9 +83,23 @@ def intrinsic_volumes(x: CellSet | BoxUnion) -> IVVector:
 
 
 def euler_characteristic(x: CellSet | BoxUnion) -> int:
-    """The nonempty indicator — the combinatorial Euler characteristic of a
-    taxicab-convex set (convex sets are contractible)."""
-    return int(not x.is_empty)
+    """The Euler characteristic of a union of closed boxes (degenerate boxes
+    allowed), or of the cubes of a cell set: 1 on a nonempty convex set.
+
+    On each axis the breakpoints 2v and 2v + 1 of every corner v cut the
+    line into bricks that stand for the points v (from an even breakpoint)
+    and the open gaps between them (from an odd one), so the closed box
+    [a, b] covers the bricks of [2a, 2b + 1).  The covered bricks are the
+    open cells of a complex whose union is the set, so the Euler
+    characteristic is their count signed by (-1)^(number of gap axes).
+    """
+    u = cellset_to_boxunion(x) if isinstance(x, CellSet) else x
+    if u.is_empty or u.dimension == 0:
+        return int(not u.is_empty)
+    lows, highs = (2 * _fit(a, scale=2, shift=1) for a in (u.lows, u.highs))
+    breaks = _breakpoints(lows, lows + 1, highs, highs + 1)
+    signs = [np.where(bk[:-1] % 2 == 0, 1, -1) for bk in breaks]
+    return _brick_sum(_covered_bricks(breaks, lows, highs + 1), signs, np.int64)
 
 
 def elementary_symmetric(lengths) -> tuple[Fraction, ...]:

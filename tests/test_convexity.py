@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from l1geo import (
     monotone_reachable,
     split_halves,
 )
+from l1geo import convexity
 from l1geo.convexity import (
     _PREFIX_GRID_LIMIT,
     _WAVEFRONT_CELLS,
@@ -296,6 +298,36 @@ class TestPrefixTable:
             tracemalloc.stop()
         assert np.array_equal(pairs, np.column_stack((np.arange(1499), np.arange(1, 1500))))
         assert peak <= 4 * 2999**2 + 4 * 3000**2
+
+
+class TestWavefrontBudget:
+    def test_refuses_before_allocating(self, monkeypatch):
+        """With the budget at 1 MB, each entry point of the wavefront refuses
+        a set whose rows would take 4 to 9 MB, with a ValueError naming the
+        cell count, before it allocates as much as the budget."""
+        monkeypatch.setattr(convexity, "_WAVEFRONT_BYTES", 1 << 20)
+        block = CellSet(2, itertools.product(range(40), range(50)))
+        cases = [
+            (is_l1_convex, block, 2000),
+            (all_pairs_monotone_reachable, block, 2000),
+            (convexify, CellSet(2, [(0, 0), (3000, 0)]), 3001),
+        ]
+        for call, x, count in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=rf"wavefront over {count} cells"):
+                    call(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_far_convexify_refuses_at_once(self):
+        # the result would hold a path of 10^6 + 1 cells: 10^12 bytes of rows
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="convex result"):
+            convexify(CellSet(2, [(0, 0), (10**6, 0)]))
+        assert time.perf_counter() - start < 1
 
 
 class TestConvexify:

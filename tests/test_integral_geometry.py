@@ -1,6 +1,5 @@
 """Dilation, flat-integral, projection, and moving-set identities."""
 
-import itertools
 import math
 import random
 import tracemalloc
@@ -82,6 +81,25 @@ def own_draws(x: CellSet, g: SignedPerm, box: RatBox, scale: int, bits: int, t) 
         hi = int((box.maxs[i] - int(cells[:, i].min()) * lam) * scale)
         out[:, i] = [lo + int(v) * ((hi - lo) >> bits) for v in t[:, i]]
     return out
+
+
+def estimator_samplers(x: CellSet, box: RatBox, k: int, elements, bits: int = 16):
+    """(g, h, sampler) per signed element g, built as ``kinematic_higher_mc``
+    builds them: one layout of X, and for h = g^-1 a sampler on the box hI,
+    built again when h's permutation changes."""
+    layout = _ElementLayout(x, k)
+    perm = None
+    for g in elements:
+        h = g.inverse()
+        if h.perm != perm:
+            perm, sampler = h.perm, _ElementSampler(layout, h.apply_box(box), bits)
+        yield g, h, sampler
+
+
+def element_values(sampler: _ElementSampler, h: SignedPerm, t) -> np.ndarray:
+    """The values of the element g = h^-1 at its draws ``t`` (one row per
+    sample): the sampler's values at t with h's axes and h's signs."""
+    return sampler.values(sampler.sample_points(t[:, list(h.perm)], h.signs))
 
 
 def reduceat_values(x: CellSet, g: SignedPerm, box: RatBox, k: int, scale: int, q) -> np.ndarray:
@@ -311,10 +329,10 @@ class TestHigherKinematic:
         )
 
     def test_sampler_matches_exact_valuation(self):
-        """Dual-route check: the vectorized per-sample evaluator, at the
-        points it returns for a signed element g, must equal the independent
-        clip-then-measure route at g's own draws, in every degree, on
-        non-cube boxes and at resolutions other than 1."""
+        """Dual-route check: the vectorized per-sample evaluator of X on the
+        box hI, at the draws it returns for h = g^-1, must equal the
+        independent clip-then-measure route on gX at g's own draws, in every
+        degree, on non-cube boxes and at resolutions other than 1."""
         rng = random.Random(77)
         # the n = 3 trials are the ones whose boxes are not cubes
         for n, trials in ((1, range(6)), (2, range(6)), (3, (2, 3, 7))):
@@ -327,14 +345,14 @@ class TestHigherKinematic:
                     resolution=res,
                 )
                 for k in range(n + 1):
-                    for g in group if n < 3 else rng.sample(group, 6):
-                        sampler = _ElementSampler(_ElementLayout(x, g.perm, k), box, bits=6)
+                    elements = group if n < 3 else rng.sample(group, 6)
+                    for g, h, sampler in estimator_samplers(x, box, k, elements, bits=6):
                         t = np.asarray(
                             [[rng.randrange(0, 1 << sampler.bits) for _ in range(n)]
                              for _ in range(5)],
                             dtype=np.int64,
                         )
-                        got = sampler.values(sampler.sample_points(t, g.signs))
+                        got = element_values(sampler, h, t)
                         draws = own_draws(x, g, box, sampler.scale, sampler.bits, t)
                         for row, v in zip(draws, got):
                             point = tuple(F(int(c), sampler.scale) for c in row)
@@ -358,8 +376,8 @@ class TestHigherKinematic:
     def test_values_match_reduceat_oracle(
         self, n, kind, bits, shift, box_at_origin, wide_box, min_side, seed
     ):
-        """The complement-projection kernel of one sampler per permutation,
-        at the reflected points it returns for each sign pattern, equals the
+        """The complement-projection kernel on X's one layout, with the
+        box hI and the draws relabelled and reflected by h = g^-1, equals the
         (samples, cells) reduceat kernel on gX at g's own draws, integer for
         integer, for every degree and group element.  Cells near 2^45 sample
         at the depth asked for, with their box or with the box left at the
@@ -378,15 +396,12 @@ class TestHigherKinematic:
             box = RatBox(box.mins, (box.maxs[0] + 2**45, *box.maxs[1:]))
         rng = np.random.default_rng(seed)
         for k in range(n + 1):
-            for perm in itertools.permutations(range(n)):
-                sampler = _ElementSampler(_ElementLayout(x, perm, k), box, bits)
+            for g, h, sampler in estimator_samplers(x, box, k, hyperoctahedral_group(n), bits):
                 assert sampler.bits == bits
-                for signs in itertools.product((1, -1), repeat=n):
-                    g = SignedPerm(perm, signs)
-                    t = rng.integers(0, 1 << sampler.bits, size=(40, n), dtype=np.int64)
-                    got = sampler.values(sampler.sample_points(t, signs))
-                    draws = own_draws(x, g, box, sampler.scale, bits, t)
-                    assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
+                t = rng.integers(0, 1 << sampler.bits, size=(40, n), dtype=np.int64)
+                got = element_values(sampler, h, t)
+                draws = own_draws(x, g, box, sampler.scale, bits, t)
+                assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
 
     def test_far_coordinates_fall_back_to_a_safe_depth(self):
         """Far cells sample at 16 bits.  The sampler measures positions from
@@ -407,10 +422,9 @@ class TestHigherKinematic:
         ]
         t = np.arange(0, 1 << 16, 1 << 12, dtype=np.int64)[:, None]
         for (x, box), dtype in [*((c, np.int64) for c in near), *((c, object) for c in wide)]:
-            sampler = _ElementSampler(_ElementLayout(x, (0,), 1), box)
-            assert (sampler.bits, sampler.dtype) == (16, dtype)
-            for g in hyperoctahedral_group(1):
-                got = sampler.values(sampler.sample_points(t, g.signs))
+            for g, h, sampler in estimator_samplers(x, box, 1, hyperoctahedral_group(1)):
+                assert (sampler.bits, sampler.dtype) == (16, dtype)
+                got = element_values(sampler, h, t)
                 for row, v in zip(own_draws(x, g, box, sampler.scale, 16, t), got):
                     point = (F(int(row[0]), sampler.scale),)
                     assert F(int(v), sampler.scale) == exact_clip_valuation(x, g, point, box, 1)
@@ -418,15 +432,15 @@ class TestHigherKinematic:
             est = kinematic_higher_mc(x, box, 1, 2000, seed=1)
             assert abs(est.estimate - float(est.exact_rhs)) <= 4 * est.standard_error
 
-    def test_one_layout_per_permutation(self, monkeypatch):
-        """The 2^n sign patterns of a permutation share its layout and
-        sampler: n! layouts, not 2^n n!."""
+    def test_one_layout_per_call(self, monkeypatch):
+        """Every group element shares the layout of X itself: one layout a
+        call, not one per permutation."""
         built = []
 
         class CountingLayout(_ElementLayout):
-            def __init__(self, x, perm, k):
-                built.append(tuple(perm))
-                super().__init__(x, perm, k)
+            def __init__(self, x, k):
+                built.append(x)
+                super().__init__(x, k)
 
         monkeypatch.setattr(integral_geometry, "_ElementLayout", CountingLayout)
         for n in (1, 2, 3):
@@ -434,7 +448,7 @@ class TestHigherKinematic:
             x = gen_random_convex(n, 3, 0.5, 610 + n)
             box = gen_random_box(n, 710 + n, low=0, high=3, denominator=2, min_side=1)
             kinematic_higher_mc(x, box, 1, 50, seed=n)
-            assert built == list(itertools.permutations(range(n)))
+            assert built == [x]
 
     @pytest.mark.parametrize("k", range(4))
     def test_values_reuse_work_arrays(self, k):
@@ -442,9 +456,10 @@ class TestHigherKinematic:
         suite instance allocates almost nothing: its (rows, samples) arrays
         live in the sampler's work arrays."""
         x, box = kinematic_instance(3, 0, 0, 5, 0.3)
-        sampler = _ElementSampler(_ElementLayout(x, (0, 1, 2), k), box)
+        h = SignedPerm((1, 2, 0), (1, -1, 1)).inverse()
+        sampler = _ElementSampler(_ElementLayout(x, k), h.apply_box(box))
         t = np.random.default_rng(k).integers(0, 1 << 16, size=(8192, 3), dtype=np.int64)
-        q = sampler.sample_points(t, (1, -1, 1))
+        q = sampler.sample_points(t[:, list(h.perm)], h.signs)
         warm = sampler.values(q)
         tracemalloc.start()
         try:

@@ -34,6 +34,8 @@ from l1geo import (
     union_volume,
 )
 
+from l1geo.suites import corpus_instance
+
 F = Fraction
 
 
@@ -173,6 +175,61 @@ class TestDualRoutes:
         empty = CellSet(3)
         assert euler_characteristic(empty) == 0
         assert tuple(intrinsic_volumes_cellset(empty)) == (0, 0, 0, 0)
+
+
+def ring(n: int, shift: int = 0) -> CellSet:
+    """The 3 x 3 square of cells on the first two axes without its centre,
+    one cell thick on the others, moved by ``shift`` on axis 0."""
+    cells = [
+        (a + shift, b, *[0] * (n - 2))
+        for a in range(3) for b in range(3) if (a, b) != (1, 1)
+    ]
+    return CellSet(n, cells)
+
+
+def point(*coords) -> RatBox:
+    return RatBox(coords, coords)
+
+
+class TestEulerCharacteristic:
+    @pytest.mark.parametrize(
+        "x, chi",
+        [
+            (ring(2), 0),                                          # annulus
+            (CellSet(2, [(0, 0), (2, 0)]), 2),                     # two disjoint cells
+            (CellSet(2, [(0, 0), (1, 1)]), 1),                     # touching at a corner
+            (BoxUnion(2, [point(0, 0), point(1, 1)]), 2),          # two point boxes
+            (
+                BoxUnion(2, [
+                    RatBox((0, 0), (1, 0)), RatBox((1, 0), (1, 1)),
+                    RatBox((0, 1), (1, 1)), RatBox((0, 0), (0, 1)),
+                ]),
+                0,
+            ),                                                     # square outline
+            (
+                CellSet(3, [c for c in itertools.product(range(3), repeat=3) if c != (1, 1, 1)]),
+                2,
+            ),                                                     # hollow cube
+            (ring(3), 0),                                          # flat 3-D ring
+            (CellSet(2), 0),
+            (BoxUnion(3), 0),
+            (CellSet(0, [()]), 1),
+            (BoxUnion(0, [RatBox((), ())]), 1),
+            (ring(2, 2**62), 0),                                   # big-int indices
+            (ring(2, 2**61 - 2), 0),                               # int64 near the limit
+            (CellSet(2, ring(2).cells, F(2, 3)), 0),
+        ],
+    )
+    def test_known_sets(self, x, chi):
+        assert euler_characteristic(x) == chi
+        if isinstance(x, CellSet):
+            assert euler_characteristic(cellset_to_boxunion(x)) == chi
+
+    def test_convex_corpus(self):
+        for n in (2, 3):
+            for i in range(40):
+                x = corpus_instance(n, i, 0, 6, 0.4)
+                assert euler_characteristic(x) == euler_characteristic(cellset_to_boxunion(x)) == 1
 
 
 class TestAxioms:
