@@ -32,3 +32,17 @@ def test_report_bytes_are_pinned(suite):
     del report["runtime_seconds"]
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED[suite]
+
+
+# The kinematic suite with two Monte Carlo cases per dimension: its four
+# kinematic-mc records (k = 1 and 2 at n = 2 and 3) pin the estimator.
+PINNED_MC = "21be100bf220e43decc02664176f4e0a4ea069943059eaa649fa3f5b9e310d0a"
+
+
+def test_monte_carlo_report_bytes_are_pinned():
+    cfg = VerifyConfig(dimensions=(2, 3), instances=6, mc_cases=2, seed=0)
+    report = verify("kinematic", cfg).to_dict()
+    del report["runtime_seconds"]
+    assert sum(r["name"].startswith("kinematic-mc") for r in report["records"]) == 4
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_MC
