@@ -18,9 +18,10 @@ signed permutations times Lebesgue measure on translations.  In degree 0 the
 signs drop out and only the permutation of the interval's side lengths
 matters, so the exact side takes one union volume per distinct permuted side
 tuple.  The Monte Carlo side draws for every group element from its own
-stream, but lays out the cells of X once: the element g acts through its
-inverse on the interval and on the draw, whose axes it relabels and
-reflects through the centre of the interval.
+stream, but builds one sampler of X and the interval per call: the element
+g acts through its inverse on the interval, whose sides it reorders, and on
+the draw, whose axes it relabels and reflects through the centre of the
+interval.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm, sqrt
+from math import comb, lcm, prod, sqrt
 
 import numpy as np
 
@@ -259,6 +260,10 @@ _BLOCK_SIZE = 8192  # samples drawn per RNG stream
 # take about a megabyte; the kinematic benchmark ran faster, and with a lower
 # peak RSS, than at 2,048 or 8,192.
 _CHUNK = 4096
+# Bytes that the sampler's dense float32 incidence matrices may take, summed
+# over the subspaces; it refuses a set that needs more before allocating any.
+# A 2-D diagonal of 4,096 cells needs 2^27 at k = 1, one of 8,192 cells 2^29.
+_INCIDENCE_BUDGET = 1 << 28
 
 
 def _run(rows: np.ndarray):
@@ -270,143 +275,137 @@ def _run(rows: np.ndarray):
     return rows
 
 
-class _ElementLayout:
-    """The cells of X arranged for the sampler; independent of the group
-    element, the box and the bit depth.
+class _Sampler:
+    """Vectorized exact evaluator of q -> V'_k((sX + q) clipped to I') for the
+    cells X, every sign pattern s, and every box I' whose sides are those of
+    the box I in some order: one per ``kinematic_higher_mc`` call.
 
-    The cells are the rows of ``x.indices``, int64 or exact big-int (object).
-    Every signed element g shares this layout: (gX + q) clipped to I is g
-    applied to (X + hq) clipped to hI, for h the inverse of g, so g's values
-    are those of X on the box hI at draws with relabelled axes and reflected
-    signs (``kinematic_higher_mc``).  On each axis,
-    ``coords[i]`` lists the distinct coordinates of the cells.  The lists of
-    all axes are stacked into one column of rows, axis i taking the rows
-    ``axis_rows[i]``, so a cell has one row per axis.  Per coordinate
-    k-subspace P, with complement axes Q, ``subspaces`` holds (Q rows,
-    incidence, P axes, P rows).  A segment is a distinct P-projection of the
-    cells; the P rows give its row on every axis of P.  The Q rows give the
-    rows of the W distinct Q-projections on every axis of Q (none when Q is
-    empty: then every segment is live), and ``incidence`` is the float32 0/1
-    matrix (segments, W) marking which projections occur in which segment.
-    A product with it counts incident projections, an integer at most
-    W <= m, which float32 holds exactly below 2^24 cells; more are refused.
-    Consecutive rows, as on a subspace of one axis, are kept as a slice.
+    Every signed element g shares it: (gX + q) clipped to I is g applied to
+    (X + hq) clipped to hI, for h the inverse of g, so g's values are those of
+    X on the box hI at draws with relabelled axes and reflected signs.  hI
+    differs from I only by reflections, which the sampler, measuring from the
+    box's corner, does not see, and by the order of its sides, which
+    ``frame`` sets.
+
+    All coordinates are scaled by a common denominator times 2^bits so that
+    dyadic sample translations, cube corners, and the clip box are integers;
+    per-sample values are integer multiples of scale^-k.  Every position is
+    measured from the box's low corner and every draw from the low corner of
+    the support, so the arrays hold the box's sides, the set's extent and the
+    support's sides, whatever the set's or the box's distance from the
+    origin or from each other.  They are int64 when a bound on every
+    coordinate and value, for every order of the sides, proves that nothing
+    wraps, and exact big-int (object) otherwise, so every depth is exact.
+
+    On each axis the distinct coordinates of the cells are stacked into one
+    column of rows, axis i taking the rows ``axis_rows[i]``, so a cell has
+    one row per axis.  The clipped length of a cell on axis i depends only on
+    its low corner x there: it is L+ = clip(x + lam) - clip(x), clipping to
+    the box's side, and the cell meets that side when -lam <= x <= side.
+    Both are computed once per row.  Per coordinate k-subspace P, with
+    complement axes Q, cells sharing a projection onto P form one segment
+    whose side lengths are common to the segment, and V'_k of the clipped
+    union (clipped cubes of distinct segments have disjoint interiors)
+    factorises as
+
+        value_P(q) = sum over segments of G_seg * prod_{i in P} L+_i,
+
+    where a P axis on which the segment misses the box gives L+ = 0.  G_seg
+    is 1 when some cell of the segment meets the box on every axis of Q.
+    ``subspaces`` holds (Q rows, incidence, P axes, P rows): the P rows give
+    each segment's row on every axis of P, the Q rows give the rows of the W
+    distinct Q-projections on every axis of Q (none when Q is empty: then
+    every segment is live), and ``incidence`` is the float32 0/1 matrix
+    (segments, W) marking which projections occur in which segment.  G is
+    read off the (W, samples) liveness of the projections through one
+    product with it, whose counts, at most W <= m, float32 holds exactly
+    below 2^24 cells; more are refused, as are incidence matrices past
+    ``_INCIDENCE_BUDGET``.  Consecutive rows, as on a subspace of one axis,
+    are kept as a slice.  No (cells, samples) array is built: every (rows,
+    samples) array is written into work arrays that are kept between calls,
+    one set shared by all subspaces and frames.
     """
 
-    def __init__(self, x: CellSet, k: int):
+    def __init__(self, x: CellSet, box: RatBox, k: int, bits: int = _BITS):
         n = x.dimension
         cells = x.indices
         m = cells.shape[0]
         if m >= 1 << 24:
             raise ValueError("too many cells for the sampler's float32 incidence counts")
-        self.resolution = x.resolution
-        self.coords = []
+        lam = x.resolution
+        denom = lcm(
+            lam.denominator,
+            *(v.denominator for v in box.mins),
+            *(v.denominator for v in box.maxs),
+        )
+        self.n = n
+        self.bits = bits
+        self.scale = denom << bits
+        self.lam_scaled = lam_scaled = int(lam * denom) << bits
+        self.sides = [int((hi - lo) * denom) << bits for lo, hi in zip(box.mins, box.maxs)]
+
+        coords = []
         self.axis_rows = []
         rows = np.empty((m, n), dtype=np.intp)
         start = 0
         for i in range(n):
-            coords, ranks = np.unique(cells[:, i], return_inverse=True)
+            axis, ranks = np.unique(cells[:, i], return_inverse=True)
             rows[:, i] = ranks.reshape(-1) + start
-            self.coords.append(coords)
-            self.axis_rows.append(slice(start, start + coords.size))
-            start += coords.size
+            coords.append(axis)
+            self.axis_rows.append(slice(start, start + axis.size))
+            start += axis.size
         self.row_count = start
-        self.subspaces = []
+        self.sizes = [c.size for c in coords]
+        keys = []
         for sub in coordinate_subspaces(n, k):
             p_axes, q_axes = list(sub.axes), list(sub.complement().axes)
             segs, seg_of = np.unique(rows[:, p_axes], axis=0, return_inverse=True)
             projs, proj_of = np.unique(rows[:, q_axes], axis=0, return_inverse=True)
+            keys.append((p_axes, segs, seg_of, projs, proj_of))
+        nbytes = sum(4 * segs.shape[0] * projs.shape[0] for _, segs, _, projs, _ in keys)
+        if nbytes > _INCIDENCE_BUDGET:
+            raise ValueError(
+                f"the sampler's incidence matrices would take {nbytes:,} bytes, "
+                f"over its budget of {_INCIDENCE_BUDGET:,}"
+            )
+        self.subspaces = []
+        for p_axes, segs, seg_of, projs, proj_of in keys:
             incidence = np.zeros((segs.shape[0], projs.shape[0]), dtype=np.float32)
             incidence[seg_of.reshape(-1), proj_of.reshape(-1)] = 1
             self.subspaces.append(
                 ([_run(r) for r in projs.T], incidence, p_axes, [_run(r) for r in segs.T])
             )
 
-
-class _ElementSampler:
-    """Vectorized exact evaluator of q -> V'_k((sX + q) clipped to I) for the
-    cells X of a layout, the box I, and every sign pattern s.
-
-    All coordinates are scaled by a common denominator times 2^bits so that
-    dyadic sample translations, cube corners, and the clip box are integers;
-    per-sample values are integer multiples of scale^-k.  Values depend only
-    on where the cubes lie relative to the box, so every position is measured
-    from the box's low corner and every draw from the low corner of the
-    support: the arrays hold the box's sides, the set's extent and the
-    support's sides, whatever the set's or the box's distance from the
-    origin or from each other.  They are int64 when a bound on every
-    coordinate and value proves that nothing wraps, and exact big-int
-    (object) otherwise, so every depth is exact.
-
-    ``values`` takes draws of X, one row per axis.  The clipped length of a
-    cell on axis i depends only on its low corner x there: it is
-    L+ = clip(x + lam) - clip(x), clipping to the box's side, and the cell
-    meets that side when -lam <= x <= side.  Both are computed once per row
-    of the layout.  Per coordinate subspace P, cells sharing a projection
-    onto P form one segment whose side lengths are common to the segment,
-    and V'_k of the clipped union (clipped cubes of distinct segments have
-    disjoint interiors) factorises as
-
-        value_P(q) = sum over segments of G_seg * prod_{i in P} L+_i,
-
-    where a P axis on which the segment misses the box gives L+ = 0.  G_seg
-    is 1 when some cell of the segment meets the box on every complement
-    axis Q; it is read off the (W, samples) liveness of the distinct
-    Q-projections through one float32 product with the layout's incidence
-    matrix, whose counts are exact below 2^24.  No (cells, samples) array is
-    built.  Every (rows, samples) array is written into work arrays that are
-    kept between calls, one set shared by all subspaces.
-    """
-
-    def __init__(self, layout: _ElementLayout, box: RatBox, bits: int = _BITS):
-        n = box.dimension
-        lam = layout.resolution
-        denom = lcm(
-            lam.denominator,
-            *(v.denominator for v in box.mins),
-            *(v.denominator for v in box.maxs),
-        )
-        self.layout = layout
-        self.n = n
-        self.bits = bits
-        self.scale = denom << bits
-
         # The extremes are computed in Python ints, so the bound below is
         # exact; the arrays are built only once it has chosen their dtype.
-        # The support of {q : (X + q) meets I} on axis i is the box's side
-        # plus the extent of the cells' cubes on that axis.
-        lam_scaled = int(lam * denom) << bits
-        sides = [int((hi - lo) * denom) << bits for lo, hi in zip(box.mins, box.maxs)]
-        extents = [(int(c[-1]) - int(c[0]) + 1) * lam_scaled for c in layout.coords]
-        support = [side + extent for side, extent in zip(sides, extents)]
-
-        # Rigorous overflow bound.  A segment's clipped lengths L+ lie
-        # in [0, max_len[i]], so its product is at most the product of max_len
-        # over the subspace axes and each sample's value is at most ``bound``.
-        # From the support's low corner, cube lows lie in [-extent, -lam] and
-        # draws in [0, support], so every coordinate, sum and difference
-        # below stays within 2 * support.
-        max_len = [min(lam_scaled, side) for side in sides]
-        bound = 0
-        for _, incidence, p_axes, _ in layout.subspaces:
-            prod = 1
-            for i in p_axes:
-                prod *= max(max_len[i], 1)
-            bound += prod * incidence.shape[0]
-        self.dtype = dtype = _int_dtype(max(bound, 2 * max(support, default=0)))
-
-        self.lam_scaled = lam_scaled
-        lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in layout.coords]
+        # The support of {q : (X + q) meets I'} on axis i is the box's side
+        # plus the extent of the cells' cubes on that axis.  In any frame a
+        # segment's clipped lengths L+ lie in [0, max_len], so each sample's
+        # value is at most ``bound``.  From the support's low corner, cube
+        # lows lie in [-extent, -lam] and draws in [0, support], so every
+        # coordinate, sum and difference below stays within 2 * support.
+        self.extents = [(int(c[-1]) - int(c[0]) + 1) * lam_scaled for c in coords]
+        max_len = max((min(lam_scaled, side) for side in self.sides), default=0)
+        bound = sum(max(max_len, 1) ** len(p) * inc.shape[0] for _, inc, p, _ in self.subspaces)
+        longest = max(self.sides, default=0) + max(self.extents, default=0)
+        self.dtype = dtype = _int_dtype(max(bound, 2 * longest))
+        lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in coords]
         self.row_lows = np.concatenate(lows or [np.empty(0, dtype)])[:, None]
-        sizes = [c.size for c in layout.coords]
-        self.row_sides = np.repeat(np.asarray(sides, dtype=dtype), sizes)[:, None]
-        self.support = np.asarray(support, dtype=dtype)
-        self.step = self.support >> bits
-        vol = Fraction(1)
-        for side in support:
-            vol *= Fraction(side, self.scale)
-        self.support_volume = vol
+        self._order = None
         self._work = {}
+
+    def frame(self, order) -> Fraction:
+        """Evaluate on the box whose side i is I's side ``order[i]``; returns
+        the volume of its support."""
+        if order != self._order:
+            self._order = order
+            sides = [self.sides[i] for i in order]
+            support = [side + extent for side, extent in zip(sides, self.extents)]
+            self.row_sides = np.repeat(np.asarray(sides, dtype=self.dtype), self.sizes)[:, None]
+            self.support = np.asarray(support, dtype=self.dtype)
+            self.step = self.support >> self.bits
+            self.support_volume = Fraction(prod(support), self.scale**self.n)
+        return self.support_volume
 
     def sample_points(self, t: np.ndarray, signs) -> np.ndarray:
         """Scaled draws, one row per axis, for dyadic t in [0, 2^bits)^n (one
@@ -455,11 +454,11 @@ class _ElementSampler:
         return np.take(src, rows, axis=0, out=out, mode="clip")
 
     def _add_values(self, draws: np.ndarray, out: np.ndarray) -> None:
-        layout, work, dtype = self.layout, self._work_array, self.dtype
+        work, dtype = self._work_array, self.dtype
         count = draws.shape[1]
 
-        x = work("x", layout.row_count, count, dtype)
-        for i, rows in enumerate(layout.axis_rows):
+        x = work("x", self.row_count, count, dtype)
+        for i, rows in enumerate(self.axis_rows):
             np.add(self.row_lows[rows], draws[i], out=x[rows])  # cube lows
         # the cell meets the box's side exactly where this clip keeps x
         clipped = np.clip(x, -self.lam_scaled, self.row_sides, out=work("scratch", *x.shape, dtype))
@@ -470,7 +469,7 @@ class _ElementSampler:
         lengths -= clipped                                  # L+ per row
 
         # clip(x) is spent, so each subspace's products reuse its work array
-        for q_rows, incidence, _, p_rows in layout.subspaces:
+        for q_rows, incidence, _, p_rows in self.subspaces:
             segs, projs = incidence.shape
             prod = work("scratch", segs, count, dtype)
             if q_rows:
@@ -496,11 +495,9 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
     per-sample values are exact rationals, and only the mean/variance
     aggregation uses floats.  Block b of group element e draws from the RNG
     stream seeded by (seed, e, b), so results are reproducible and
-    independent of any execution schedule.  X is laid out once, and element
-    g is evaluated through h = g^-1 (``_ElementLayout``): on the box hI, at
-    the draw relabelled and reflected by h.  The 2^n elements of one
-    permutation share a sampler: their boxes differ by reflections, which
-    the sampler, measuring from the box's corner, does not see.
+    independent of any execution schedule.  One ``_Sampler`` serves every
+    element: g is evaluated through h = g^-1, on I with its sides in h's
+    order, at the draw relabelled and reflected by h.
     """
     n = x.dimension
     if not 0 <= k <= n:
@@ -514,17 +511,13 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
         return MCEstimate(0.0, 0.0, samples, seed, rhs)
 
     group = hyperoctahedral_group(n)
-    layout = _ElementLayout(x, k)
+    sampler = _Sampler(x, box, k)
+    scale_k = float(sampler.scale) ** k
     est_sum = 0.0
     var_sum = 0.0
-    perm = None
     for e_idx, g in enumerate(group):
         h = g.inverse()
-        if h.perm != perm:  # the group lists the sign patterns of a permutation together
-            perm = h.perm
-            sampler = _ElementSampler(layout, h.apply_box(box))
-            scale_k = float(sampler.scale) ** k
-            vol = float(sampler.support_volume)
+        vol = float(sampler.frame(h.perm))
         total = 0.0
         total_sq = 0.0
         done = 0
@@ -533,7 +526,7 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
             count = min(_BLOCK_SIZE, samples - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, e_idx, block]))
             t = rng.integers(0, 1 << sampler.bits, size=(_BLOCK_SIZE, n), dtype=np.int64)
-            vals = sampler.values(sampler.sample_points(t[:count, perm], h.signs))
+            vals = sampler.values(sampler.sample_points(t[:count, h.perm], h.signs))
             real = vals.astype(np.float64) / scale_k
             total += float(real.sum())
             total_sq += float((real * real).sum())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from l1geo import (
     hyperoctahedral_group,
     intrinsic_volumes_boxunion,
     intrinsic_volumes_cellset,
+    is_l1_convex,
     kinematic_higher_mc,
     kinematic_principal,
     kubota_profile,
@@ -39,7 +41,7 @@ from l1geo import (
     union_volume,
 )
 from l1geo import integral_geometry
-from l1geo.integral_geometry import _ElementLayout, _ElementSampler
+from l1geo.integral_geometry import _Sampler
 from l1geo.suites import kinematic_instance
 
 F = Fraction
@@ -84,26 +86,24 @@ def own_draws(x: CellSet, g: SignedPerm, box: RatBox, scale: int, bits: int, t) 
 
 
 def estimator_samplers(x: CellSet, box: RatBox, k: int, elements, bits: int = 16):
-    """(g, h, sampler) per signed element g, built as ``kinematic_higher_mc``
-    builds them: one layout of X, and for h = g^-1 a sampler on the box hI,
-    built again when h's permutation changes."""
-    layout = _ElementLayout(x, k)
-    perm = None
+    """(g, h, sampler) per signed element g, framed as ``kinematic_higher_mc``
+    frames them: one sampler of X on the box I, and for h = g^-1 the frame
+    whose sides are I's in h's order."""
+    sampler = _Sampler(x, box, k, bits)
     for g in elements:
         h = g.inverse()
-        if h.perm != perm:
-            perm, sampler = h.perm, _ElementSampler(layout, h.apply_box(box), bits)
+        sampler.frame(h.perm)
         yield g, h, sampler
 
 
-def element_values(sampler: _ElementSampler, h: SignedPerm, t) -> np.ndarray:
+def element_values(sampler: _Sampler, h: SignedPerm, t) -> np.ndarray:
     """The values of the element g = h^-1 at its draws ``t`` (one row per
     sample): the sampler's values at t with h's axes and h's signs."""
     return sampler.values(sampler.sample_points(t[:, list(h.perm)], h.signs))
 
 
 def reduceat_values(x: CellSet, g: SignedPerm, box: RatBox, k: int, scale: int, q) -> np.ndarray:
-    """Reference for ``_ElementSampler.values`` on exact big ints, built from
+    """Reference for ``_Sampler.values`` on exact big ints, built from
     gX itself: the per-axis liveness of every cube ANDed into one (samples,
     cells) array, then per subspace a gather of it into segment order and a
     logical-or reduceat over the segments.  ``q`` holds g's own scaled
@@ -432,43 +432,76 @@ class TestHigherKinematic:
             est = kinematic_higher_mc(x, box, 1, 2000, seed=1)
             assert abs(est.estimate - float(est.exact_rhs)) <= 4 * est.standard_error
 
-    def test_one_layout_per_call(self, monkeypatch):
-        """Every group element shares the layout of X itself: one layout a
-        call, not one per permutation."""
+    def test_one_sampler_per_call(self, monkeypatch):
+        """Every group element shares one sampler of X on the box itself: one
+        a call, not one per permutation."""
         built = []
 
-        class CountingLayout(_ElementLayout):
-            def __init__(self, x, k):
-                built.append(x)
-                super().__init__(x, k)
+        class CountingSampler(_Sampler):
+            def __init__(self, x, box, k, bits=16):
+                built.append((x, box))
+                super().__init__(x, box, k, bits)
 
-        monkeypatch.setattr(integral_geometry, "_ElementLayout", CountingLayout)
+        monkeypatch.setattr(integral_geometry, "_Sampler", CountingSampler)
         for n in (1, 2, 3):
             built.clear()
             x = gen_random_convex(n, 3, 0.5, 610 + n)
             box = gen_random_box(n, 710 + n, low=0, high=3, denominator=2, min_side=1)
             kinematic_higher_mc(x, box, 1, 50, seed=n)
-            assert built == [x]
+            assert built == [(x, box)]
+
+    def test_incidence_budget_refuses_before_allocating(self, monkeypatch):
+        """A 2-D diagonal of 256 cells needs two 256 x 256 float32 incidence
+        matrices at k = 1, 512 KB in all.  Under a 128 KB budget the call is
+        refused, naming the bytes, and its peak stays below the budget, so
+        neither matrix was allocated."""
+        monkeypatch.setattr(integral_geometry, "_INCIDENCE_BUDGET", 1 << 17)
+        x = CellSet(2, {(i, i) for i in range(256)})
+        box = RatBox((0, 0), (2, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="524,288 bytes"):
+                kinematic_higher_mc(x, box, 1, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 17
+
+    def test_incidence_budget_refuses_a_large_diagonal_at_once(self):
+        """At the real budget a diagonal of 8,192 cells, whose incidence
+        matrices would take 512 MB, is refused within a second."""
+        x = CellSet(2, {(i, i) for i in range(8192)})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="536,870,912 bytes"):
+            kinematic_higher_mc(x, RatBox((0, 0), (2, 3)), 1, 100, seed=0)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("k", range(4))
     def test_values_reuse_work_arrays(self, k):
         """A warmed ``values`` call on one 8,192-sample block of a kinematic
-        suite instance allocates almost nothing: its (rows, samples) arrays
-        live in the sampler's work arrays."""
+        suite instance allocates almost nothing, in either of two frames with
+        different sides: its (rows, samples) arrays live in work arrays that
+        the sampler keeps across frames."""
         x, box = kinematic_instance(3, 0, 0, 5, 0.3)
-        h = SignedPerm((1, 2, 0), (1, -1, 1)).inverse()
-        sampler = _ElementSampler(_ElementLayout(x, k), h.apply_box(box))
+        sampler = _Sampler(x, box, k)
         t = np.random.default_rng(k).integers(0, 1 << 16, size=(8192, 3), dtype=np.int64)
-        q = sampler.sample_points(t[:, list(h.perm)], h.signs)
-        warm = sampler.values(q)
-        tracemalloc.start()
-        try:
-            again = sampler.values(q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(again, warm)
-        assert peak < 512 * 1024
+        warmed = []
+        for g in (SignedPerm((1, 2, 0), (1, -1, 1)), SignedPerm((0, 1, 2), (-1, 1, 1))):
+            h = g.inverse()
+            sampler.frame(h.perm)
+            q = sampler.sample_points(t[:, list(h.perm)], h.signs)
+            warmed.append((h, q, sampler.values(q)))
+        assert not np.array_equal(warmed[0][2], warmed[1][2])
+        for h, q, warm in warmed:
+            sampler.frame(h.perm)
+            tracemalloc.start()
+            try:
+                again = sampler.values(q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(again, warm)
+            assert peak < 512 * 1024
 
     @pytest.mark.parametrize(
         "case, estimate, standard_error",
@@ -541,6 +574,41 @@ class TestHigherKinematic:
         with pytest.raises(ValueError):
             kinematic_higher_mc(TROMINO, RatBox((0,), (1,)), 1, 100, seed=0)
 
+
+
+def non_convex_controls(dimensions=(2, 3), count=20):
+    """(x, box) for the seeded random cell sets that are not l1-convex, where
+    the identities need not hold: 39 of the 40 at the defaults."""
+    for n in dimensions:
+        for s in range(count):
+            x = gen_random_cellset(n, 4, 5, 900 + s)
+            if not is_l1_convex(x):
+                yield x, gen_random_box(n, 950 + s, low=0, high=3, denominator=2, min_side=1)
+
+
+class TestNegativeControls:
+    """The identity checks can fail: on non-convex sets their two sides
+    differ.  Crofton and Kubota hold on every cell set today."""
+
+    def test_steiner_differs(self):
+        controls = list(non_convex_controls())
+        assert len(controls) == 39
+        for x, _ in controls:
+            lhs, rhs = steiner_profile(x, 1)
+            assert list(lhs) != list(rhs)
+
+    def test_principal_kinematic_differs(self):
+        for x, box in non_convex_controls():
+            lhs, rhs = kinematic_principal(x, box)
+            assert lhs != rhs
+
+    def test_higher_kinematic_fails_its_gate(self):
+        """The Monte Carlo estimate at k = 1 lies outside the suites' 4-sigma
+        gate on five of the first six planar controls (|z| above 10)."""
+        controls = list(non_convex_controls(dimensions=(2,), count=6))
+        z = [kinematic_higher_mc(x, box, 1, 4000, seed=s).z_score
+             for s, (x, box) in enumerate(controls)]
+        assert sum(abs(v) > 4 for v in z) == 5
 
 class TestMCEstimate:
     def test_z_score(self):
