@@ -39,8 +39,8 @@ from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed
 
 _PREFIX_GRID_LIMIT = 30_000_000
 _WAVEFRONT_CELLS = 256
-# refuse a reachability wavefront whose bit-packed rows would pass this many
-# bytes: about 32,000 cells in the plane, 29,000 in space
+# refuse a reachability wavefront whose arrays would pass this many bytes:
+# about 32,000 cells in the plane, 29,000 in space
 _WAVEFRONT_BYTES = 1 << 30
 
 
@@ -80,15 +80,62 @@ def _compressed(rows: np.ndarray) -> np.ndarray:
     return comp
 
 
+def _steps(n: int) -> list[tuple[int, ...]]:
+    """The king-move steps some orthant of ``_unreachable`` takes: nonzero,
+    with s_0 in {0, 1}; 2 * 3^(n - 1) - 1 of them."""
+    return [s for s in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1)) if any(s)]
+
+
+def _wavefront_bytes(m: int, n: int) -> int:
+    """The bound of ``_unreachable`` on the bytes its arrays take over m
+    cells in dimension n >= 1."""
+    return (2 * n + 4) * m * ((m + 7) // 8) + (26 * (2 * 3 ** (n - 1) - 1) + 8 * n + 64) * m
+
+
 def _check_wavefront(m: int, n: int, why: str = "") -> None:
     """Refuse the reachability wavefront over m cells in dimension n, before
-    it allocates, when its bound (``_unreachable``) passes the budget."""
-    need = (2 * n + 4) * m * ((m + 7) // 8)
+    it allocates, when its bound passes the budget."""
+    need = _wavefront_bytes(m, n)
     if need > _WAVEFRONT_BYTES:
         raise ValueError(
             f"{why}the reachability wavefront over {m} cells would take "
             f"{need} bytes, over {_WAVEFRONT_BYTES}"
         )
+
+
+def _neighbours(comp: np.ndarray, steps: list[tuple[int, ...]]) -> np.ndarray:
+    """The (steps, m) array of the index of cell c + s for each step s and
+    cell c of a compressed array (``_compressed``), m where no cell is c + s.
+
+    The rows are distinct, lexicographically sorted and lie in [0, 2m], so
+    one sorted search per axis finds them.  On axis i, a cell's key is
+    node * base + c_i + 1, where node ranks the cell's prefix on the axes
+    before i and base = max + 3 exceeds every c_i + s_i + 1: the keys are
+    non-decreasing, the next axis's node is the running count of key
+    changes, and a query is found with ``np.searchsorted``.  A query missed
+    on any axis has no neighbour.  Every key stays below m * (2m + 4), far
+    inside int64.  It works one axis at a time on (steps, m) arrays: a
+    query, its position, the key found there and two masks, at most 26
+    bytes per step and cell.
+    """
+    m, n = comp.shape
+    base = int(comp.max()) + 3
+    shift = np.asarray(steps, dtype=np.int64)
+    node = np.zeros(m, dtype=np.int64)
+    query = np.zeros((len(steps), m), dtype=np.int64)
+    missing = np.zeros(query.shape, dtype=bool)
+    for i in range(n):
+        keys = node * base + comp[:, i] + 1
+        query *= base
+        query += comp[:, i] + 1
+        query += shift[:, i, None]
+        pos = np.searchsorted(keys, query)
+        np.minimum(pos, m - 1, out=pos)
+        missing |= keys[pos] != query
+        np.cumsum(keys[1:] != keys[:-1], out=node[1:])
+        np.take(node, pos, out=query)
+    pos[missing] = m
+    return pos
 
 
 def _unreachable(comp: np.ndarray) -> np.ndarray | None:
@@ -112,15 +159,25 @@ def _unreachable(comp: np.ndarray) -> np.ndarray | None:
     R[c + s] holds only targets ahead of c on every axis s moves), and the
     orthant's cells outside R[c] are the ones c misses.
 
-    Rows R[c] are bit-packed over the m targets, as are the per-axis rows
-    "t_i >= v" and "t_i <= v" that the orthant masks are ANDed from, so the
-    memory is at most (2n + 4) m * ceil(m / 8) bytes: R, the unreachable
-    rows, one orthant mask and its gathered operand, and per axis one row per
-    distinct value for each direction; plus one neighbour index per cell and
-    step, O(3^n m).  Above ``_WAVEFRONT_BYTES`` it refuses.
+    The neighbours c + s come first, from the per-axis sorted search of
+    ``_neighbours``: at most 26 bytes per step and cell while it runs, and
+    one 8-byte index per step and cell kept.  Then rows R[c] are bit-packed
+    over the m targets, as are the per-axis rows "t_i >= v" and "t_i <= v"
+    that the orthant masks are ANDed from.  So the arrays take at most
+
+        (2n + 4) m ceil(m / 8) + (26 (2 * 3^(n-1) - 1) + 8n + 64) m
+
+    bytes: R, the unreachable rows, one orthant mask and its gathered
+    operand, and per axis one row per distinct value for each direction;
+    then the lookup, and the per-cell index arrays (cell, column, value on
+    each axis, level, layer order).  Above ``_WAVEFRONT_BYTES`` it refuses.
     """
     m, n = comp.shape
     _check_wavefront(m, n)
+    # c + s is the cell whose row it equals, or m (an all-zero row of R)
+    steps = _steps(n)
+    neighbour = {s: nbr for s, nbr in zip(steps, _neighbours(comp, steps)) if (nbr < m).any()}
+
     cells = np.arange(m)
     col, bit = cells >> 3, (0x80 >> (cells & 7)).astype(np.uint8)
     width = (m + 7) // 8
@@ -134,19 +191,6 @@ def _unreachable(comp: np.ndarray) -> np.ndarray | None:
         at_most.append(np.bitwise_or.accumulate(rows, axis=0))
         value_of.append(inv)
 
-    # every step some orthant uses has s_0 in {0, 1}; c + s is the cell
-    # whose row it equals, or m (an all-zero row of R) when no cell does
-    steps = [s for s in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1)) if any(s)]
-    _, group = np.unique(
-        np.concatenate([comp] + [comp + s for s in steps]), axis=0, return_inverse=True
-    )
-    group = group.reshape(-1)
-    at = np.full(group.max() + 1, m)
-    at[group[:m]] = cells
-    neighbour = {
-        s: nbr for s, nbr in zip(steps, at[group[m:]].reshape(len(steps), m)) if (nbr < m).any()
-    }
-
     reach = np.zeros((m + 1, width), dtype=np.uint8)
     unreachable = None
     for tail in itertools.product((1, -1), repeat=n - 1):
@@ -157,8 +201,10 @@ def _unreachable(comp: np.ndarray) -> np.ndarray | None:
         if moves:
             level = comp @ np.asarray(sigma)
             order = np.argsort(-level, kind="stable")
-            cuts = np.flatnonzero(np.diff(level[order])) + 1
-            for layer in np.split(order, cuts):
+            # layer by layer, not np.split: no list of one array per layer
+            cuts = np.concatenate(([0], np.flatnonzero(np.diff(level[order])) + 1, [m]))
+            for start, stop in zip(cuts[:-1], cuts[1:]):
+                layer = order[start:stop]
                 ahead = reach[moves[0][layer]]
                 for nbr in moves[1:]:
                     ahead |= reach[nbr[layer]]

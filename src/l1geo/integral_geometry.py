@@ -26,6 +26,7 @@ interval.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -263,6 +264,7 @@ _CHUNK = 4096
 # Bytes that the sampler's dense float32 incidence matrices may take, summed
 # over the subspaces; it refuses a set that needs more before allocating any.
 # A 2-D diagonal of 4,096 cells needs 2^27 at k = 1, one of 8,192 cells 2^29.
+# The work arrays of one chunk of samples stay within it too.
 _INCIDENCE_BUDGET = 1 << 28
 
 
@@ -323,7 +325,9 @@ class _Sampler:
     ``_INCIDENCE_BUDGET``.  Consecutive rows, as on a subspace of one axis,
     are kept as a slice.  No (cells, samples) array is built: every (rows,
     samples) array is written into work arrays that are kept between calls,
-    one set shared by all subspaces and frames.
+    one set shared by all subspaces and frames, and ``values`` takes the
+    samples in chunks (``chunk``) narrow enough for those to fit in the
+    incidence budget too.
     """
 
     def __init__(self, x: CellSet, box: RatBox, k: int, bits: int = _BITS):
@@ -388,9 +392,20 @@ class _Sampler:
         max_len = max((min(lam_scaled, side) for side in self.sides), default=0)
         bound = sum(max(max_len, 1) ** len(p) * inc.shape[0] for _, inc, p, _ in self.subspaces)
         longest = max(self.sides, default=0) + max(self.extents, default=0)
-        self.dtype = dtype = _int_dtype(max(bound, 2 * longest))
+        top = max(bound, 2 * longest)
+        self.dtype = dtype = _int_dtype(top)
         lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in coords]
         self.row_lows = np.concatenate(lows or [np.empty(0, dtype)])[:, None]
+        # Per sample, the work arrays of ``_add_values`` take at most two
+        # entries of the value dtype and one float32 for each row and for
+        # each segment of a subspace, and two float32 for each projection;
+        # an object entry also holds its int.  Chunks keep them within the
+        # incidence budget.
+        item = np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
+        segs = max(inc.shape[0] for _, inc, _, _ in self.subspaces)
+        projs = max(inc.shape[1] for _, inc, _, _ in self.subspaces)
+        per_sample = (2 * item + 4) * (self.row_count + segs) + 8 * projs
+        self.chunk = max(1, min(_CHUNK, _INCIDENCE_BUDGET // per_sample))
         self._order = None
         self._work = {}
 
@@ -432,8 +447,8 @@ class _Sampler:
         support's low corner, one row per axis: V'_k equals values/scale^k."""
         count = draws.shape[1]
         out = np.zeros(count, dtype=self.dtype)
-        for start in range(0, count, _CHUNK):
-            self._add_values(draws[:, start : start + _CHUNK], out[start : start + _CHUNK])
+        for start in range(0, count, self.chunk):
+            self._add_values(draws[:, start : start + self.chunk], out[start : start + self.chunk])
         return out
 
     def _work_array(self, name: str, rows: int, count: int, dtype) -> np.ndarray:

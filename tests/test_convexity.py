@@ -33,8 +33,11 @@ from l1geo.convexity import (
     _PREFIX_GRID_LIMIT,
     _WAVEFRONT_CELLS,
     _compressed,
+    _neighbours,
     _scan,
+    _steps,
     _unreachable,
+    _wavefront_bytes,
     _witness_direct,
     _witness_prefix,
 )
@@ -322,6 +325,21 @@ class TestWavefrontBudget:
                 tracemalloc.stop()
             assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n, side", [(3, 12), (4, 6), (5, 4), (6, 3)])
+    def test_peak_within_bound(self, n, side):
+        """The bound the budget is checked against holds the wavefront's
+        arrays, the neighbour lookup's included: on full cubes of 729 to
+        1,728 cells in dimensions 3 to 6, where the lookup's (steps, m)
+        arrays outgrow the bit rows from n = 5 on."""
+        comp = _compressed(np.array(list(itertools.product(range(side), repeat=n))))
+        tracemalloc.start()
+        try:
+            assert _unreachable(comp) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _wavefront_bytes(len(comp), n)
+
     def test_far_convexify_refuses_at_once(self):
         # the result would hold a path of 10^6 + 1 cells: 10^12 bytes of rows
         start = time.perf_counter()
@@ -524,6 +542,58 @@ class TestReachability:
         assert not (got & ~missing).any()           # every marked pair is unreachable
         assert np.array_equal(np.triu(got), np.triu(missing))  # every pair c < t is in row c
         assert all_pairs_monotone_reachable(x) == (rows is None) == (not missing.any())
+
+    @pytest.mark.parametrize("kind", ["random", "disconnected", "staircase", "blob", "ball"])
+    @pytest.mark.parametrize("seed, shift", [(1, 0), (2, 2**62)])
+    def test_unreachable_rows_match_fixpoint_in_4d(self, kind, seed, shift):
+        # as test_unreachable_rows_match_fixpoint, on 30 to 170 cells in 4-D,
+        # where the wavefront takes 53 steps in 8 orthants
+        if kind == "random":
+            cells = gen_random_cellset(4, 3, 30, seed).cells
+        elif kind == "disconnected":
+            left = gen_random_convex(4, 3, 0.4, seed).cells
+            right = gen_random_cellset(4, 2, 6, seed).cells
+            cells = left | {(c[0] + 5, *c[1:]) for c in right}
+        else:
+            cells = gen_random_convex(4, 3, 0.6, seed, mode=kind).cells
+        x = CellSet(4, {tuple(v + shift for v in c) for c in cells})
+        m = len(x)
+        rows = _unreachable(_compressed(x.indices))
+        missing = ~fixpoint_reach(x)
+        got = np.zeros((m, m), dtype=bool)
+        if rows is not None:
+            got = np.unpackbits(rows, axis=1, count=m).view(bool)
+        assert not (got & ~missing).any()
+        assert np.array_equal(np.triu(got), np.triu(missing))
+        assert (rows is None) == (kind in ("staircase", "blob", "ball"))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 5),
+        isolated=st.integers(0, 3),
+        shift=st.sampled_from([0, 2**62, -(2**70)]),
+    )
+    def test_neighbours_match_dict_lookup(self, data, n, isolated, shift):
+        """``_neighbours`` on the compressed cells against a dict of the
+        cells themselves: compression keeps every gap of 1, so c + s is a
+        cell exactly when its compressed row is.  Isolated cells, 2 or more
+        apart from every other cell, have no neighbour at all."""
+        side = st.integers(0, 3)
+        box = data.draw(st.sets(st.tuples(*[side] * n), min_size=1, max_size=40))
+        lone = {(10 + 7 * j, *[2 * j] * (n - 1)) for j in range(isolated)}
+        x = CellSet(n, {tuple(v + shift for v in c) for c in box | lone})
+        m = len(x)
+        ordered = [tuple(c) for c in x.indices.tolist()]
+        index = {c: i for i, c in enumerate(ordered)}
+        steps = _steps(n)
+        assert len(steps) == 2 * 3 ** (n - 1) - 1
+        expected = [[index.get(tuple(v + d for v, d in zip(c, s)), m) for c in ordered] for s in steps]
+        got = _neighbours(_compressed(x.indices), steps)
+        assert got.shape == (len(steps), m)
+        assert np.array_equal(got, expected)
+        for c in lone:
+            assert (got[:, index[tuple(v + shift for v in c)]] == m).all()
 
     def test_memory_is_bounded(self):
         # the dense fixpoint kept (3^n - 1) m x m boolean arrays: ~650 MB here

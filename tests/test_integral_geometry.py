@@ -476,6 +476,38 @@ class TestHigherKinematic:
             kinematic_higher_mc(x, RatBox((0, 0), (2, 3)), 1, 100, seed=0)
         assert time.perf_counter() - start < 1.0
 
+    def test_work_arrays_fit_the_budget(self):
+        """A 2-D diagonal of 2,048 cells at k = 1 needs about 86 KB of work
+        arrays a sample, 352 MB at 4,096 samples.  ``values`` takes the
+        samples in chunks whose work arrays fit the incidence budget, and
+        per-sample values do not depend on the chunk.  A kinematic suite
+        set keeps chunks of 4,096."""
+        x = CellSet(2, {(i, i) for i in range(2048)})
+        sampler = _Sampler(x, RatBox((0, 0), (4, 3)), 1)
+        sampler.frame((0, 1))
+        t = np.random.default_rng(0).integers(0, 1 << 16, size=(4096, 2), dtype=np.int64)
+        q = sampler.sample_points(t, (1, 1))
+        tracemalloc.start()
+        try:
+            values = sampler.values(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= integral_geometry._INCIDENCE_BUDGET
+        sampler.chunk = 3
+        assert np.array_equal(sampler.values(q[:, :10]), values[:10])
+        assert _Sampler(*kinematic_instance(3, 0, 0, 5, 0.3), 3).chunk == 4096
+
+    def test_chunk_takes_at_least_one_sample(self, monkeypatch):
+        """Under a budget that holds the incidence matrices (32 bytes) but
+        not one sample's work arrays (136 bytes), ``values`` takes one
+        sample at a time, and the estimate is the same bit for bit."""
+        x, box = CellSet(2, {(0, 0), (1, 1)}), RatBox((0, 0), (2, 3))
+        est = kinematic_higher_mc(x, box, 1, 300, seed=4)
+        monkeypatch.setattr(integral_geometry, "_INCIDENCE_BUDGET", 64)
+        assert _Sampler(x, box, 1).chunk == 1
+        assert kinematic_higher_mc(x, box, 1, 300, seed=4) == est
+
     @pytest.mark.parametrize("k", range(4))
     def test_values_reuse_work_arrays(self, k):
         """A warmed ``values`` call on one 8,192-sample block of a kinematic
