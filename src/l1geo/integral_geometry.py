@@ -258,14 +258,18 @@ def higher_kinematic_rhs(x: CellSet, box: RatBox, k: int) -> Fraction:
 _BITS = 16  # sample translations are dyadic rationals of this depth
 _BLOCK_SIZE = 8192  # samples drawn per RNG stream
 # Samples evaluated at once.  The work arrays of a kinematic suite set then
-# take about a megabyte; the kinematic benchmark ran faster, and with a lower
-# peak RSS, than at 2,048 or 8,192.
+# take 0.4-1.2 MB in int32.  In int32 a chunk of 4,096 ran faster than one of
+# 1,024, 2,048 or 8,192, and the kinematic benchmark had a lower peak RSS
+# than at 2,048 or 8,192.
 _CHUNK = 4096
 # Bytes that the sampler's dense float32 incidence matrices may take, summed
 # over the subspaces; it refuses a set that needs more before allocating any.
 # A 2-D diagonal of 4,096 cells needs 2^27 at k = 1, one of 8,192 cells 2^29.
 # The work arrays of one chunk of samples stay within it too.
 _INCIDENCE_BUDGET = 1 << 28
+# The sampler's arrays are int32 while its bound on every value stays below
+# this: the bound takes 20-21 bits on the kinematic suite's degree-1 cases.
+_INT32_SAFE = 1 << 31
 
 
 def _run(rows: np.ndarray):
@@ -295,9 +299,10 @@ class _Sampler:
     measured from the box's low corner and every draw from the low corner of
     the support, so the arrays hold the box's sides, the set's extent and the
     support's sides, whatever the set's or the box's distance from the
-    origin or from each other.  They are int64 when a bound on every
-    coordinate and value, for every order of the sides, proves that nothing
-    wraps, and exact big-int (object) otherwise, so every depth is exact.
+    origin or from each other.  One bound on every coordinate, sum,
+    difference and value, for every order of the sides, picks their dtype:
+    int32 below 2^31, int64 below 2^62, and exact big-int (object)
+    otherwise, so nothing wraps and every depth is exact.
 
     On each axis the distinct coordinates of the cells are stacked into one
     column of rows, axis i taking the rows ``axis_rows[i]``, so a cell has
@@ -393,7 +398,7 @@ class _Sampler:
         bound = sum(max(max_len, 1) ** len(p) * inc.shape[0] for _, inc, p, _ in self.subspaces)
         longest = max(self.sides, default=0) + max(self.extents, default=0)
         top = max(bound, 2 * longest)
-        self.dtype = dtype = _int_dtype(top)
+        self.dtype = dtype = np.int32 if top < _INT32_SAFE else _int_dtype(top)
         lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in coords]
         self.row_lows = np.concatenate(lows or [np.empty(0, dtype)])[:, None]
         # Per sample, the work arrays of ``_add_values`` take at most two
@@ -475,12 +480,16 @@ class _Sampler:
         x = work("x", self.row_count, count, dtype)
         for i, rows in enumerate(self.axis_rows):
             np.add(self.row_lows[rows], draws[i], out=x[rows])  # cube lows
-        # the cell meets the box's side exactly where this clip keeps x
-        clipped = np.clip(x, -self.lam_scaled, self.row_sides, out=work("scratch", *x.shape, dtype))
+        # the cell meets the box's side exactly where this clip keeps x; each
+        # clip is a maximum then a minimum in place, cheaper than np.clip with
+        # column bounds
+        clipped = np.maximum(x, -self.lam_scaled, out=work("scratch", *x.shape, dtype))
+        np.minimum(clipped, self.row_sides, out=clipped)
         alive = np.equal(clipped, x, out=work("alive", *x.shape, np.float32))
         np.maximum(clipped, 0, out=clipped)                 # clip(x)
         x += self.lam_scaled
-        lengths = np.clip(x, 0, self.row_sides, out=x)
+        lengths = np.maximum(x, 0, out=x)
+        np.minimum(lengths, self.row_sides, out=lengths)
         lengths -= clipped                                  # L+ per row
 
         # clip(x) is spent, so each subspace's products reuse its work array

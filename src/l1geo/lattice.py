@@ -153,7 +153,8 @@ def _int_dtype(bound: int):
     """The dtype for integer arrays whose values, and every value a kernel
     computes from them, stay below ``bound`` in size: int64 when ``bound`` is
     below 2^62, which leaves room to add two such values, and exact big-int
-    (object) otherwise.  Every int64 shortcut takes its dtype from here."""
+    (object) otherwise.  Every integer shortcut takes its dtype from here;
+    the Monte Carlo sampler narrows it to int32 below 2^31."""
     return np.int64 if bound < _INT64_SAFE else object
 
 

@@ -366,23 +366,27 @@ class TestHigherKinematic:
         bits=st.sampled_from([16, 5]),
         shift=st.sampled_from([0, 2**45 - 3]),
         box_at_origin=st.booleans(),
-        wide_box=st.booleans(),
+        widen=st.sampled_from([0, 2**20, 2**45]),
         min_side=st.sampled_from([0, 1]),
         seed=st.integers(0, 10**6),
     )
-    # the big-int kernel on a 3-D set, with one subspace of two complement axes
-    @example(n=3, kind="random", bits=16, shift=0, box_at_origin=False, wide_box=True,
+    # the int64 and the big-int kernel on a 3-D set, with one subspace of two
+    # complement axes
+    @example(n=3, kind="random", bits=16, shift=0, box_at_origin=False, widen=2**20,
+             min_side=1, seed=5)
+    @example(n=3, kind="random", bits=16, shift=0, box_at_origin=False, widen=2**45,
              min_side=1, seed=5)
     def test_values_match_reduceat_oracle(
-        self, n, kind, bits, shift, box_at_origin, wide_box, min_side, seed
+        self, n, kind, bits, shift, box_at_origin, widen, min_side, seed
     ):
         """The complement-projection kernel on X's one layout, with the
         box hI and the draws relabelled and reflected by h = g^-1, equals the
         (samples, cells) reduceat kernel on gX at g's own draws, integer for
         integer, for every degree and group element.  Cells near 2^45 sample
         at the depth asked for, with their box or with the box left at the
-        origin; a box 2^45 wide on axis 0 runs on exact big-int arrays at 16
-        bits."""
+        origin, on int32 arrays.  Widening the box on axis 0 by 2^20 runs on
+        int64 arrays at 16 bits (int32 at 5), and by 2^45 on exact big-int
+        arrays at 16 bits (int64 at 5)."""
         res = (1, F(1, 2), F(2, 3))[seed % 3]
         if kind == "convex":
             base = gen_random_convex(n, 4, 0.5, seed, resolution=res)
@@ -392,8 +396,7 @@ class TestHigherKinematic:
         x = CellSet(n, {tuple(v + shift for v in c) for c in base.cells}, res)
         low = 0 if box_at_origin else shift
         box = gen_random_box(n, seed, low=low, high=low + 4, min_side=min_side, resolution=res)
-        if wide_box:
-            box = RatBox(box.mins, (box.maxs[0] + 2**45, *box.maxs[1:]))
+        box = RatBox(box.mins, (box.maxs[0] + widen, *box.maxs[1:]))
         rng = np.random.default_rng(seed)
         for k in range(n + 1):
             for g, h, sampler in estimator_samplers(x, box, k, hyperoctahedral_group(n), bits):
@@ -405,23 +408,30 @@ class TestHigherKinematic:
 
     def test_far_coordinates_fall_back_to_a_safe_depth(self):
         """Far cells sample at 16 bits.  The sampler measures positions from
-        the box and draws from the support, so a set runs on int64 wherever
-        it and its box lie: at 2^47, 2^48 and 2^58 cells from the box, and
-        with indices held as big ints at 2^70.  A set or a box whose own
-        extent passes 2^63 once scaled runs on exact big-int arrays.  Every
-        element samples the right place."""
+        the box and draws from the support, so a small set runs on int32
+        wherever it and its box lie: at 2^47, 2^48 and 2^58 cells from the
+        box, and with indices held as big ints at 2^70.  A set whose own
+        extent passes 2^31 once scaled runs on int64, and a set or a box
+        whose own extent passes 2^63 once scaled runs on exact big-int
+        arrays.  Every element samples the right place."""
         near = [
             (CellSet(1, {(2**47,), (2**47 + 1,)}), RatBox((2**47,), (2**47 + 3,))),
             (CellSet(1, {(2**48,), (2**48 + 1,)}), RatBox((0,), (3,))),
             (CellSet(1, {(2**58,), (2**58 + 1,)}), RatBox((0,), (3,))),
             (CellSet(1, {(2**70,)}), RatBox((2**70 - 1,), (2**70 + 2,))),
         ]
+        mid = [(CellSet(1, {(0,), (2**16,)}), RatBox((0,), (3,)))]
         wide = [
             (CellSet(1, {(0,), (2**47,)}), RatBox((0,), (3,))),
             (CellSet(1, {(2**70,), (2**70 + 1,)}), RatBox((2**70,), (2**70 + 2**47,))),
         ]
         t = np.arange(0, 1 << 16, 1 << 12, dtype=np.int64)[:, None]
-        for (x, box), dtype in [*((c, np.int64) for c in near), *((c, object) for c in wide)]:
+        cases = [
+            *((c, np.int32) for c in near),
+            *((c, np.int64) for c in mid),
+            *((c, object) for c in wide),
+        ]
+        for (x, box), dtype in cases:
             for g, h, sampler in estimator_samplers(x, box, 1, hyperoctahedral_group(1)):
                 assert (sampler.bits, sampler.dtype) == (16, dtype)
                 got = element_values(sampler, h, t)
@@ -431,6 +441,32 @@ class TestHigherKinematic:
         for x, box in near:
             est = kinematic_higher_mc(x, box, 1, 2000, seed=1)
             assert abs(est.estimate - float(est.exact_rhs)) <= 4 * est.standard_error
+
+    @pytest.mark.parametrize("side, dtype", [(2**14 - 9, np.int32), (2**14 - 8, np.int64)])
+    def test_int32_bound_boundary(self, monkeypatch, side, dtype):
+        """Cells 0, 3 and 7 on a box of the given side: the sampler's bound,
+        twice the scaled support (side + 8) * 2^16, is 2^31 - 2^17 and 2^31,
+        so the sampler picks int32 and int64.  Its values, up to the far end
+        of the support, equal the big-int oracle and those of a sampler made
+        to take int64, integer for integer."""
+        x = CellSet(1, {(0,), (3,), (7,)})
+        box = RatBox((0,), (side,))
+        t = np.asarray([[0], [1], [1 << 15], [(1 << 16) - 2], [(1 << 16) - 1]], dtype=np.int64)
+        for k in (0, 1):
+            sampler = _Sampler(x, box, k)
+            monkeypatch.setattr(integral_geometry, "_INT32_SAFE", 0)
+            twin = _Sampler(x, box, k)
+            monkeypatch.undo()
+            assert (sampler.dtype, twin.dtype) == (dtype, np.int64)
+            for g in hyperoctahedral_group(1):
+                h = g.inverse()
+                sampler.frame(h.perm)
+                twin.frame(h.perm)
+                got = element_values(sampler, h, t)
+                assert got.dtype == dtype
+                draws = own_draws(x, g, box, sampler.scale, sampler.bits, t)
+                assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
+                assert np.array_equal(got.astype(np.int64), element_values(twin, h, t))
 
     def test_one_sampler_per_call(self, monkeypatch):
         """Every group element shares one sampler of X on the box itself: one
