@@ -13,6 +13,10 @@ Every identity here compares two independently computed sides:
   against a fixed interval, exactly (degree 0) or by seeded Monte Carlo over
   translations (higher degree), vs a bilinear pairing of intrinsic volumes.
 
+Crofton and Kubota take the additive extension of V'_j to unions on the
+slices and projections, and projected volumes on the right: the two agree on
+convex sets and may differ on others (two separate cells have V'_0 = 2).
+
 The invariant measure on placements is the uniform average over the 2^n n!
 signed permutations times Lebesgue measure on translations.  In degree 0 the
 signs drop out and only the permutation of the interval's side lengths
@@ -29,7 +33,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, lcm, prod, sqrt
 
 import numpy as np
@@ -53,6 +57,8 @@ from .lattice import (
     union_volume,
 )
 from .valuations import (
+    _additive_volumes,
+    _brick_sums,
     elementary_symmetric,
     intrinsic_volumes_boxunion,
     intrinsic_volumes_cellset,
@@ -125,29 +131,25 @@ def steiner_check(x: CellSet, k: int, dilation: int) -> tuple[Fraction, Fraction
 def crofton_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """lhs/rhs tuples over j = 0..k for flats of dimension k.
 
-    The flat integral is an exact finite sum: flats parallel to subspace P
-    meet X in a set depending only on which complementary grid cell the
-    offset lies in, so the integral is lam^(n-k) times a sum of slice
-    valuations over occupied complementary cells.
+    A flat parallel to the coordinate subspace P whose offset on the other
+    axes Q lies in open gaps of the doubled grid of X (``_brick_sums``)
+    meets X in the bricks over those gaps.  So the integral over the flats
+    of their slices' additive V'_j is one contraction per j-subset J of P,
+    with lengths on Q and J and signs on the rest of P.
     """
     n = x.dimension
     if not 0 <= k <= n:
         raise ValueError("flat dimension out of range")
-    lam = x.resolution
-    lhs = [Fraction(0)] * (k + 1)
-    weight = lam ** (n - k)
-    for sub in coordinate_subspaces(n, k):
-        # complement axes first: sorted, the cells of one slice are one run of rows
-        cols = [*sub.complement().axes, *sub.axes]
-        rows = CellSet._from_array(n, x.indices[:, cols], lam).indices
-        cuts = np.flatnonzero((rows[1:, : n - k] != rows[:-1, : n - k]).any(axis=1)) + 1
-        for piece in np.split(rows[:, n - k :], cuts):
-            slice_iv = intrinsic_volumes_cellset(CellSet._from_array(k, piece, lam))
-            for j in range(k + 1):
-                lhs[j] += weight * slice_iv[j]
+    sets = [
+        sub.complement().axes + axes
+        for sub in coordinate_subspaces(n, k)
+        for j in range(k + 1)
+        for axes in combinations(sub.axes, j)
+    ]
+    lhs = _brick_sums(x, sets)[n - k :]
     base = intrinsic_volumes_cellset(x)
     rhs = [comb(n + j - k, j) * base[n + j - k] for j in range(k + 1)]
-    return tuple(lhs), tuple(rhs)
+    return lhs, tuple(rhs)
 
 
 def crofton_integral(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:
@@ -163,13 +165,14 @@ def crofton_integral(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:
 
 
 def kubota_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """lhs/rhs tuples over j = 0..k for projections onto k-subspaces."""
+    """lhs/rhs tuples over j = 0..k for projections onto k-subspaces: the lhs
+    sums the additive V'_j of the projections of X (``_additive_volumes``)."""
     n = x.dimension
     if not 0 <= k <= n:
         raise ValueError("subspace dimension out of range")
     lhs = [Fraction(0)] * (k + 1)
     for sub in coordinate_subspaces(n, k):
-        proj_iv = intrinsic_volumes_cellset(project(x, sub))
+        proj_iv = _additive_volumes(project(x, sub))
         for j in range(k + 1):
             lhs[j] += proj_iv[j]
     base = intrinsic_volumes_cellset(x)

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor
 
 import numpy as np
@@ -348,22 +349,10 @@ def _steiner_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
     return out
 
 
-def _crofton_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
+def _profile_instance(suite: str, profile, cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
+    """``crofton`` and ``kubota``: one record per flat or subspace dimension k."""
     x = corpus_instance(n, i, cfg.seed, cfg.bound, cfg.density)
-    out = []
-    for k in range(n + 1):
-        lhs, rhs = crofton_profile(x, k)
-        out.append(exact_record(f"crofton[n={n},i={i},k={k}]", lhs, rhs))
-    return out
-
-
-def _kubota_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
-    x = corpus_instance(n, i, cfg.seed, cfg.bound, cfg.density)
-    out = []
-    for k in range(n + 1):
-        lhs, rhs = kubota_profile(x, k)
-        out.append(exact_record(f"kubota[n={n},i={i},k={k}]", lhs, rhs))
-    return out
+    return [exact_record(f"{suite}[n={n},i={i},k={k}]", *profile(x, k)) for k in range(n + 1)]
 
 
 def _kinematic_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
@@ -642,8 +631,8 @@ def _pixellation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord
 
 _SUITE_BODIES = {
     "steiner": _steiner_instance,
-    "crofton": _crofton_instance,
-    "kubota": _kubota_instance,
+    "crofton": partial(_profile_instance, "crofton", crofton_profile),
+    "kubota": partial(_profile_instance, "kubota", kubota_profile),
     "kinematic": _kinematic_instance,
     "algebra": _algebra_instance,
     "valuation": _valuation_instance,

@@ -82,24 +82,50 @@ def intrinsic_volumes(x: CellSet | BoxUnion) -> IVVector:
     return intrinsic_volumes_boxunion(x)
 
 
-def euler_characteristic(x: CellSet | BoxUnion) -> int:
-    """The Euler characteristic of a union of closed boxes (degenerate boxes
-    allowed), or of the cubes of a cell set: 1 on a nonempty convex set.
+def _brick_sums(x: CellSet | BoxUnion, length_sets) -> tuple[Fraction, ...]:
+    """Entry d is the sum, over each set L of d axes in ``length_sets`` and
+    each open cell of X, of the product of the cell's lengths on L and its
+    signs on the other axes.
 
     On each axis the breakpoints 2v and 2v + 1 of every corner v cut the
-    line into bricks that stand for the points v (from an even breakpoint)
-    and the open gaps between them (from an odd one), so the closed box
-    [a, b] covers the bricks of [2a, 2b + 1).  The covered bricks are the
-    open cells of a complex whose union is the set, so the Euler
-    characteristic is their count signed by (-1)^(number of gap axes).
+    line into bricks that stand for the points v (from an even breakpoint,
+    sign 1 and length 0) and the open gaps between them (from an odd one,
+    sign -1), so the closed box [a, b] covers the bricks of [2a, 2b + 1).
+    The covered bricks are the open cells of a complex whose union is X.
+    Over every L, entry d is the additive extension of V'_d, which values an
+    open cell at the product over its gap axes of (length * t - 1); entry 0
+    of L = () alone is the Euler characteristic.
     """
+    n = x.dimension
     u = cellset_to_boxunion(x) if isinstance(x, CellSet) else x
-    if u.is_empty or u.dimension == 0:
-        return int(not u.is_empty)
+    if u.is_empty or n == 0:
+        return (Fraction(int(not u.is_empty)),) + (Fraction(0),) * n
     lows, highs = (2 * _fit(a, scale=2, shift=1) for a in (u.lows, u.highs))
     breaks = _breakpoints(lows, lows + 1, highs, highs + 1)
-    signs = [np.where(bk[:-1] % 2 == 0, 1, -1) for bk in breaks]
-    return _brick_sum(_covered_bricks(breaks, lows, highs + 1), signs, np.int64)
+    covered = _covered_bricks(breaks, lows, highs + 1)
+    # an axis's brick count and the sum of its lengths are both below its span
+    dtype = _int_dtype(prod(int(bk[-1]) - int(bk[0]) for bk in breaks))
+    signs = [np.where(bk[:-1] % 2 == 0, 1, -1).astype(dtype, copy=False) for bk in breaks]
+    lengths = [np.diff(bk // 2).astype(dtype, copy=False) for bk in breaks]
+    sums = [Fraction(0)] * (n + 1)
+    for axes in length_sets:
+        weights = [lengths[a] if a in axes else signs[a] for a in range(n)]
+        sums[len(axes)] += Fraction(_brick_sum(covered, weights, dtype), u.den ** len(axes))
+    return tuple(sums)
+
+
+def _additive_volumes(x: CellSet | BoxUnion) -> tuple[Fraction, ...]:
+    """V'_0..V'_n extended additively to unions: V'_0 is the Euler
+    characteristic, so this is an ``IVVector`` only on convex sets."""
+    n = x.dimension
+    return _brick_sums(x, [axes for j in range(n + 1) for axes in combinations(range(n), j)])
+
+
+def euler_characteristic(x: CellSet | BoxUnion) -> int:
+    """The Euler characteristic of a union of closed boxes (degenerate boxes
+    allowed), or of the cubes of a cell set: 1 on a nonempty convex set.  It
+    is the signed count of the open cells of the set (``_brick_sums``)."""
+    return int(_brick_sums(x, [()])[0])
 
 
 def elementary_symmetric(lengths) -> tuple[Fraction, ...]:

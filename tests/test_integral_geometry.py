@@ -42,7 +42,8 @@ from l1geo import (
 )
 from l1geo import integral_geometry
 from l1geo.integral_geometry import _Sampler
-from l1geo.suites import kinematic_instance
+from l1geo.suites import exact_record, kinematic_instance
+from l1geo.valuations import _additive_volumes
 
 F = Fraction
 
@@ -201,6 +202,18 @@ class TestCrofton:
                 lhs, rhs = crofton_profile(x, k)
                 assert lhs == rhs
 
+    def test_lhs_is_a_binomial_multiple_of_one_volume(self):
+        """Fubini: the flat integral of V'_j is C(n-k+j, j) V'_{n-k+j}, with
+        both sides the additive extension, on convex and non-convex sets."""
+        sets = [gen_random_convex(2 + s % 2, 4, 0.5, 70 + s) for s in range(6)]
+        sets += [x for x, _ in non_convex_controls(count=6)]
+        for x in sets:
+            n = x.dimension
+            vol = _additive_volumes(x)
+            for k in range(n + 1):
+                lhs, _ = crofton_profile(x, k)
+                assert lhs == tuple(math.comb(n - k + j, j) * vol[n - k + j] for j in range(k + 1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             crofton_integral(TROMINO, 1, 2)
@@ -228,6 +241,13 @@ class TestKubota:
             for k in range(n + 1):
                 lhs, rhs = kubota_profile(x, k)
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("profile", [crofton_profile, kubota_profile])
+def test_profiles_of_empty_and_point_sets(profile):
+    for k in range(3):
+        assert profile(CellSet(2), k) == ((F(0),) * (k + 1),) * 2
+    assert profile(CellSet(0, [()]), 0) == ((F(1),), (F(1),))
 
 
 class TestPrincipalKinematic:
@@ -656,7 +676,7 @@ def non_convex_controls(dimensions=(2, 3), count=20):
 
 class TestNegativeControls:
     """The identity checks can fail: on non-convex sets their two sides
-    differ.  Crofton and Kubota hold on every cell set today."""
+    differ."""
 
     def test_steiner_differs(self):
         controls = list(non_convex_controls())
@@ -664,6 +684,21 @@ class TestNegativeControls:
         for x, _ in controls:
             lhs, rhs = steiner_profile(x, 1)
             assert list(lhs) != list(rhs)
+
+    @pytest.mark.parametrize("profile", [crofton_profile, kubota_profile])
+    def test_flat_and_projection_profiles_differ(self, profile):
+        for x, _ in non_convex_controls():
+            sides = [profile(x, k) for k in range(x.dimension + 1)]
+            assert any(lhs != rhs for lhs, rhs in sides)
+
+    @pytest.mark.parametrize("profile", [crofton_profile, kubota_profile])
+    def test_two_cells_give_a_failing_record(self, profile):
+        """Two separate cells have Euler characteristic 2, which an IVVector
+        refuses: the profile still returns both sides, and the record fails."""
+        x = CellSet(2, [(0, 0), (2, 0)])
+        records = [exact_record(f"k={k}", *profile(x, k)) for k in range(3)]
+        assert [r.passed for r in records] == [True, False, False]
+        assert records[2].lhs == "(2, 4, 2)" and records[2].rhs == "(1, 3, 2)"
 
     def test_principal_kinematic_differs(self):
         for x, box in non_convex_controls():

@@ -322,6 +322,12 @@ class TestCli:
     def test_kubota(self, tromino_file, capsys):
         assert main(["kubota", tromino_file, "--k", "1"]) == 0
 
+    @pytest.mark.parametrize("command", ["crofton", "kubota"])
+    def test_profile_fails_on_non_convex(self, command, gap_file, capsys):
+        assert main([command, gap_file]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {command}[k=1]" in out and f"FAIL {command}[k=2]" in out
+
     def test_kubota_bad_k(self, tromino_file, capsys):
         assert main(["kubota", tromino_file, "--k", "9"]) == 2
 

@@ -22,6 +22,7 @@ from l1geo import (
     convexify,
     elementary_symmetric,
     euler_characteristic,
+    gen_random_box,
     gen_random_cellset,
     gen_random_convex,
     intrinsic_volumes,
@@ -35,6 +36,7 @@ from l1geo import (
 )
 
 from l1geo.suites import corpus_instance
+from l1geo.valuations import _additive_volumes
 
 F = Fraction
 
@@ -218,10 +220,11 @@ class TestEulerCharacteristic:
             (ring(2, 2**62), 0),                                   # big-int indices
             (ring(2, 2**61 - 2), 0),                               # int64 near the limit
             (CellSet(2, ring(2).cells, F(2, 3)), 0),
+            (CellSet(2, [(0, 0), (2**61, 0)]), 2),                 # big-int brick weights
         ],
     )
     def test_known_sets(self, x, chi):
-        assert euler_characteristic(x) == chi
+        assert euler_characteristic(x) == _additive_volumes(x)[0] == chi
         if isinstance(x, CellSet):
             assert euler_characteristic(cellset_to_boxunion(x)) == chi
 
@@ -230,6 +233,29 @@ class TestEulerCharacteristic:
             for i in range(40):
                 x = corpus_instance(n, i, 0, 6, 0.4)
                 assert euler_characteristic(x) == euler_characteristic(cellset_to_boxunion(x)) == 1
+
+
+class TestAdditiveVolumes:
+    """The brick kernel's additive extension of V' agrees with the projected
+    volumes on convex sets and on single boxes, where both are defined."""
+
+    def test_convex_corpus(self):
+        for n in (2, 3):
+            for i in range(40):
+                x = corpus_instance(n, i, 0, 6, 0.4)
+                vec = tuple(intrinsic_volumes_cellset(x))
+                assert _additive_volumes(x) == _additive_volumes(cellset_to_boxunion(x)) == vec
+                far = CellSet(n, [(c[0] + 2**62, *c[1:]) for c in x.cells], x.resolution)
+                assert _additive_volumes(far) == vec
+
+    def test_single_boxes(self):
+        for seed in range(40):
+            n = 1 + seed % 3
+            box = gen_random_box(n, seed, denominator=3)
+            flat = RatBox(box.mins, box.mins[:1] + box.maxs[1:])  # degenerate on axis 0
+            for b in (box, flat):
+                u = BoxUnion(n, [b])
+                assert _additive_volumes(u) == tuple(intrinsic_volumes_boxunion(u))
 
 
 class TestAxioms:
