@@ -70,13 +70,12 @@ def _compressed(rows: np.ndarray) -> np.ndarray:
     entries lie below 2^62 in size.
     """
     order = np.argsort(rows, axis=0, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=0)
+    axes = np.arange(rows.shape[1])
+    ranked = rows[order, axes]
     gaps = ranked[1:] - ranked[:-1]
     steps = (gaps > 0).astype(np.int64) + (gaps > 1)
     comp = np.empty(rows.shape, dtype=np.int64)
-    np.put_along_axis(
-        comp, order, np.concatenate((np.zeros_like(comp[:1]), np.cumsum(steps, axis=0))), axis=0
-    )
+    comp[order, axes] = np.concatenate((np.zeros_like(comp[:1]), np.cumsum(steps, axis=0)))
     return comp
 
 
@@ -246,7 +245,7 @@ def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, unreachable: np.n
     far = np.zeros((anchors.shape[0], later.shape[0]), dtype=bool)
     for i in range(anchors.shape[1]):  # one (c, m) plane per axis, no (c, m, n) block
         far |= np.abs(anchors[:, None, i] - later[None, :, i]) >= 2
-    far &= np.triu(np.ones(far.shape, dtype=bool), k=1)
+    far &= np.arange(far.shape[0])[:, None] < np.arange(far.shape[1])
     if unreachable is not None:
         rows = unreachable[start:start + anchors.shape[0]]
         far &= np.unpackbits(rows, axis=1, count=start + later.shape[0])[:, start:].view(bool)

@@ -53,11 +53,9 @@ from .lattice import (
     coordinate_subspaces,
     hyperoctahedral_group,
     minkowski_sum_box,
-    project,
     union_volume,
 )
 from .valuations import (
-    _additive_volumes,
     _brick_sums,
     elementary_symmetric,
     intrinsic_volumes_boxunion,
@@ -140,13 +138,14 @@ def crofton_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fra
     n = x.dimension
     if not 0 <= k <= n:
         raise ValueError("flat dimension out of range")
-    sets = [
-        sub.complement().axes + axes
+    full = tuple(range(n))
+    terms = [
+        (full, sub.complement().axes + axes)
         for sub in coordinate_subspaces(n, k)
         for j in range(k + 1)
         for axes in combinations(sub.axes, j)
     ]
-    lhs = _brick_sums(x, sets)[n - k :]
+    lhs = _brick_sums(x, terms)[n - k :]
     base = intrinsic_volumes_cellset(x)
     rhs = [comb(n + j - k, j) * base[n + j - k] for j in range(k + 1)]
     return lhs, tuple(rhs)
@@ -166,18 +165,22 @@ def crofton_integral(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:
 
 def kubota_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """lhs/rhs tuples over j = 0..k for projections onto k-subspaces: the lhs
-    sums the additive V'_j of the projections of X (``_additive_volumes``)."""
+    sums the additive V'_j of the projections of X, one term (P, J) per
+    k-subspace P and j-subset J of its axes on the doubled grid of X
+    (``_brick_sums``), which is built once per call."""
     n = x.dimension
     if not 0 <= k <= n:
         raise ValueError("subspace dimension out of range")
-    lhs = [Fraction(0)] * (k + 1)
-    for sub in coordinate_subspaces(n, k):
-        proj_iv = _additive_volumes(project(x, sub))
-        for j in range(k + 1):
-            lhs[j] += proj_iv[j]
+    terms = [
+        (sub, axes)
+        for sub in combinations(range(n), k)
+        for j in range(k + 1)
+        for axes in combinations(sub, j)
+    ]
+    lhs = _brick_sums(x, terms)[: k + 1]
     base = intrinsic_volumes_cellset(x)
     rhs = [comb(n - j, n - k) * base[j] for j in range(k + 1)]
-    return tuple(lhs), tuple(rhs)
+    return lhs, tuple(rhs)
 
 
 def kubota_sum(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:

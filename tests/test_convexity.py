@@ -287,6 +287,53 @@ class TestPathEquivalence:
             assert np.array_equal(restricted, pairs)
 
 
+def along_axis_compressed(rows: np.ndarray) -> np.ndarray:
+    """Reference for ``_compressed``: the same steps, gathered and scattered
+    with ``take_along_axis`` and ``put_along_axis``."""
+    order = np.argsort(rows, axis=0, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=0)
+    gaps = ranked[1:] - ranked[:-1]
+    steps = (gaps > 0).astype(np.int64) + (gaps > 1)
+    comp = np.empty(rows.shape, dtype=np.int64)
+    np.put_along_axis(
+        comp, order, np.concatenate((np.zeros_like(comp[:1]), np.cumsum(steps, axis=0))), axis=0
+    )
+    return comp
+
+
+def triu_pairs(anchors: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Reference for ``_pairs`` without reachability rows: the far mask cut to
+    the upper triangle by ``np.triu``."""
+    far = np.abs(anchors[:, None, :] - later[None, :, :]).max(axis=2) >= 2
+    return far & np.triu(np.ones(far.shape, dtype=bool), k=1)
+
+
+class TestScanHelpers:
+    @staticmethod
+    def arrays():
+        for seed in range(30):
+            n = 1 + seed % 3
+            rows = gen_random_cellset(n, 5, 1 + seed, 700 + seed).indices
+            yield rows
+            yield (rows.astype(object) * 2**70) - 2**80  # big ints, gaps far above 1
+        yield np.zeros((0, 2), dtype=np.int64)
+
+    def test_compressed_matches_along_axis(self):
+        for rows in self.arrays():
+            got = _compressed(rows)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, along_axis_compressed(rows))
+
+    def test_pairs_matches_triu(self):
+        for rows in self.arrays():
+            comp = _compressed(rows)
+            for arr in (rows, comp):
+                for start in range(0, len(arr), 4):
+                    anchors, later = arr[start:start + 4], arr[start:]
+                    got = convexity._pairs(anchors, later, start, None)
+                    assert np.array_equal(got, triu_pairs(anchors, later))
+
+
 class TestPrefixTable:
     def test_table_memory(self):
         # 1,500 cells on a diagonal, 2 apart on both axes, make a 3,000 x

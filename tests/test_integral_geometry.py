@@ -36,13 +36,14 @@ from l1geo import (
     kubota_profile,
     kubota_sum,
     principal_kinematic_rhs,
+    project,
     steiner_check,
     steiner_profile,
     union_volume,
 )
 from l1geo import integral_geometry
 from l1geo.integral_geometry import _Sampler
-from l1geo.suites import exact_record, kinematic_instance
+from l1geo.suites import corpus_instance, exact_record, kinematic_instance
 from l1geo.valuations import _additive_volumes
 
 F = Fraction
@@ -221,7 +222,33 @@ class TestCrofton:
             crofton_profile(TROMINO, 3)
 
 
+def projected_additive_lhs(x: CellSet, k: int) -> tuple[Fraction, ...]:
+    """Reference for the lhs of ``kubota_profile``: the additive V'_j of each
+    projection onto a coordinate k-subspace, each on its own grid."""
+    lhs = [F(0)] * (k + 1)
+    for sub in coordinate_subspaces(x.dimension, k):
+        for j, v in enumerate(_additive_volumes(project(x, sub))):
+            lhs[j] += v
+    return tuple(lhs)
+
+
 class TestKubota:
+    def test_lhs_matches_projections_on_convex_corpus(self):
+        for n in (2, 3):
+            for i in range(30):
+                x = corpus_instance(n, i, 0, 6, 0.4)
+                for k in range(n + 1):
+                    assert kubota_profile(x, k)[0] == projected_additive_lhs(x, k)
+
+    def test_lhs_matches_projections_on_random_sets(self):
+        for seed in range(40):
+            n = 1 + seed % 3
+            x = gen_random_cellset(n, 4, 1 + seed % 9, 1200 + seed, resolution=F(1, 1 + seed % 2))
+            far = CellSet(n, [(c[0] + 2**62, *c[1:]) for c in x.cells], x.resolution)
+            for k in range(n + 1):
+                want = projected_additive_lhs(x, k)
+                assert kubota_profile(x, k)[0] == kubota_profile(far, k)[0] == want
+
     def test_tromino(self):
         lhs, rhs = kubota_profile(TROMINO, 1)
         assert lhs == rhs

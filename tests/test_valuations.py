@@ -2,8 +2,9 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -20,7 +21,9 @@ from l1geo import (
     cellset_product,
     cellset_to_boxunion,
     convexify,
+    coordinate_subspaces,
     elementary_symmetric,
+    embed,
     euler_characteristic,
     gen_random_box,
     gen_random_cellset,
@@ -28,13 +31,17 @@ from l1geo import (
     intrinsic_volumes,
     intrinsic_volumes_boxunion,
     intrinsic_volumes_cellset,
+    kubota_profile,
     outer_pixellate,
     product_rhs,
+    project,
     scale,
     subdivide,
     union_volume,
 )
 
+from l1geo import lattice, valuations
+from l1geo.lattice import _breakpoints
 from l1geo.suites import corpus_instance
 from l1geo.valuations import _additive_volumes
 
@@ -256,6 +263,94 @@ class TestAdditiveVolumes:
             for b in (box, flat):
                 u = BoxUnion(n, [b])
                 assert _additive_volumes(u) == tuple(intrinsic_volumes_boxunion(u))
+
+
+def projected_volumes(u: BoxUnion) -> tuple[Fraction, ...]:
+    """Reference for ``intrinsic_volumes_boxunion``: the union volume of each
+    projection onto a coordinate subspace, each on its own grid."""
+    n = u.dimension
+    return tuple(
+        sum((union_volume(project(u, sub)) for sub in coordinate_subspaces(n, i)), F(0))
+        for i in range(n + 1)
+    )
+
+
+def seeded_union(n: int, seed: int) -> BoxUnion:
+    """One to six rational boxes, each flat on about a third of its axes."""
+    rng = random.Random(seed)
+    boxes = []
+    for b in range(rng.randint(1, 6)):
+        box = gen_random_box(n, 100 * seed + b, low=-3, high=4, denominator=rng.choice([1, 2, 3]))
+        flat = [rng.random() < 0.3 for _ in range(n)]
+        boxes.append(RatBox(box.mins, [lo if f else hi for lo, hi, f in zip(box.mins, box.maxs, flat)]))
+    return BoxUnion(n, boxes)
+
+
+class TestOneGrid:
+    """``intrinsic_volumes_boxunion`` reads every projection from one doubled
+    grid; one union volume per projection, on its own grid, is its oracle."""
+
+    def test_seeded_unions(self):
+        for seed in range(80):
+            n = 1 + seed % 4
+            u = seeded_union(n, seed)
+            want = projected_volumes(u)
+            assert tuple(intrinsic_volumes_boxunion(u)) == want
+            far = apply_isometry(u, SignedPerm(tuple(range(n)), (1,) * n), (2**62,) * n)
+            assert far.lows.dtype == object
+            assert tuple(intrinsic_volumes_boxunion(far)) == want
+
+    def test_embedded_cellsets(self):
+        for seed in range(20):
+            n = 1 + seed % 3
+            x = gen_random_cellset(n, 4, 1 + seed % 7, 900 + seed, resolution=F(1, 1 + seed % 3))
+            for position in range(n + 1):
+                u = embed(x, position)
+                assert tuple(intrinsic_volumes_boxunion(u)) == projected_volumes(u)
+
+    def test_empty_and_dimension_zero(self):
+        for u, want in [
+            (BoxUnion(3), (0, 0, 0, 0)),
+            (BoxUnion(0), (0,)),
+            (BoxUnion(0, [RatBox((), ())]), (1,)),
+        ]:
+            assert tuple(intrinsic_volumes_boxunion(u)) == projected_volumes(u) == want
+
+    def test_one_grid_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*corners):
+            calls.append(len(corners))
+            return _breakpoints(*corners)
+
+        monkeypatch.setattr(lattice, "_breakpoints", counted)
+        monkeypatch.setattr(valuations, "_breakpoints", counted)
+        for seed in range(8):
+            calls.clear()
+            intrinsic_volumes_boxunion(seeded_union(1 + seed % 4, seed))
+            assert len(calls) == 1
+        for n in (2, 3):
+            x = corpus_instance(n, 0, 0, 6, 0.4)
+            for k in range(n + 1):
+                calls.clear()
+                kubota_profile(x, k)
+                assert len(calls) == 1
+
+    def test_doubled_grid_limit(self):
+        # 2,000 diagonal boxes have 4,000 corner coordinates per axis: the
+        # plain grid of the projections has 3,999^2 bricks (16.0 M), under
+        # the limit of 60 M, and the doubled grid 7,999^2 (64.0 M)
+        u = BoxUnion(2, [RatBox((2 * b, 2 * b), (2 * b + 1, 2 * b + 1)) for b in range(2000)])
+        plain = prod(len(bk) - 1 for bk in _breakpoints(u.lows, u.highs))
+        assert plain == 3999**2 <= lattice._UNION_GRID_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="compression grid of 63984001 bricks"):
+                intrinsic_volumes_boxunion(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # the bool table alone would take 64 MB
 
 
 class TestAxioms:
