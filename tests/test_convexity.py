@@ -30,8 +30,10 @@ from l1geo import (
 )
 from l1geo import convexity
 from l1geo.convexity import (
+    _CERTIFIED_DIMENSIONS,
     _PREFIX_GRID_LIMIT,
     _WAVEFRONT_CELLS,
+    _certified,
     _compressed,
     _neighbours,
     _scan,
@@ -353,13 +355,16 @@ class TestPrefixTable:
 class TestWavefrontBudget:
     def test_refuses_before_allocating(self, monkeypatch):
         """With the budget at 1 MB, each entry point of the wavefront refuses
-        a set whose rows would take 4 to 9 MB, with a ValueError naming the
-        cell count, before it allocates as much as the budget."""
+        a set whose rows would take 4 to 11 MB, with a ValueError naming the
+        cell count, before it allocates as much as the budget.  The sets are
+        ones the local certificate does not pass: a block with a hole, which
+        it rejects, and a 6-D cube, where it does not apply."""
         monkeypatch.setattr(convexity, "_WAVEFRONT_BYTES", 1 << 20)
-        block = CellSet(2, itertools.product(range(40), range(50)))
+        holed = CellSet(2, set(itertools.product(range(40), range(50))) - {(20, 25)})
+        cube = CellSet(6, itertools.product(range(3), repeat=6))
         cases = [
-            (is_l1_convex, block, 2000),
-            (all_pairs_monotone_reachable, block, 2000),
+            (is_l1_convex, holed, 1999),
+            (all_pairs_monotone_reachable, cube, 729),
             (convexify, CellSet(2, [(0, 0), (3000, 0)]), 3001),
         ]
         for call, x, count in cases:
@@ -386,6 +391,20 @@ class TestWavefrontBudget:
         finally:
             tracemalloc.stop()
         assert peak <= _wavefront_bytes(len(comp), n)
+
+    def test_block_past_the_budget_is_certified(self):
+        """A 200 x 200 block: its wavefront would take 1.6 GB, past the
+        budget, but the local certificate passes it in a few megabytes."""
+        x = CellSet(2, itertools.product(range(200), range(200)))
+        assert _wavefront_bytes(len(x), 2) > convexity._WAVEFRONT_BYTES
+        for call in (is_l1_convex, all_pairs_monotone_reachable):
+            tracemalloc.start()
+            try:
+                assert call(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
     def test_far_convexify_refuses_at_once(self):
         # the result would hold a path of 10^6 + 1 cells: 10^12 bytes of rows
@@ -443,6 +462,12 @@ class TestConvexify:
 
     def test_empty(self):
         assert convexify(CellSet(3)).is_empty
+        assert convexify(CellSet(2), bound=RatBox((0, 0), (1, 1))).is_empty
+
+    def test_bound_dimension_checked_on_the_empty_set(self):
+        for x in (CellSet(2), CellSet(2, [(0, 0)])):
+            with pytest.raises(ValueError, match="bound dimension mismatch"):
+                convexify(x, bound=RatBox((0,), (1,)))
 
     def test_far_cells(self):
         t = 2**62
@@ -653,6 +678,72 @@ class TestReachability:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+CERTIFICATE_CASES = [(reach_case, k) for k in ("random", "disconnected", "staircase", "blob", "ball")]
+CERTIFICATE_CASES += [(large_case, k) for k in ("convex", "far", "random")]
+
+
+class TestCertificate:
+    """The local orthant certificate against the dense fixpoint and the
+    reachability wavefront it stands in for."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 5),
+        shift=st.sampled_from([0, 2**62, -(2**70)]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_fixpoint_and_wavefront(self, data, n, shift, seed):
+        # from 4 dimensions reach_case grows to thousands of cells past size
+        # 8, and a blob fills its box: too many for the dense fixpoint
+        cases = CERTIFICATE_CASES if n <= 3 else [c for c in CERTIFICATE_CASES if c[1] != "blob"]
+        make, kind = data.draw(st.sampled_from(cases))
+        limit = (40 if n <= 3 else 8) if make is reach_case else (150 if n <= 3 else 60)
+        x = make(n, kind, data.draw(st.integers(2, limit)), shift, seed)
+        if len(x) < 2:
+            return
+        comp = _compressed(x.indices)
+        got = _certified(comp)
+        assert got is not None
+        assert got == fixpoint_all_pairs(x) == (_unreachable(comp) is None)
+        if kind in ("disconnected", "far"):
+            assert not got
+        if kind in ("staircase", "ball", "convex"):
+            assert got
+
+    def test_examples(self):
+        # the near box's diagonal corner, and its axis-parallel sub-steps
+        assert _certified(_compressed(np.array([(0, 0), (1, 1), (2, 2)])))
+        assert _certified(_compressed(np.array([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])))
+        assert not _certified(_compressed(np.array([(0, 0), (1, 1), (2, 0)])))
+        assert not _certified(_compressed(np.array([(0, 0), (2, 1)])))
+
+    def test_not_applied_past_its_dimensions(self, monkeypatch):
+        # a 6-D set, and a diagonal whose table of 1,203^2 entries (three
+        # more per axis than the cells span) passes a lowered grid limit
+        assert _certified(_compressed(np.zeros((2, _CERTIFIED_DIMENSIONS + 1), dtype=np.int64))) is None
+        diagonal = _compressed(np.repeat(np.arange(1200)[:, None], 2, axis=1))
+        monkeypatch.setattr(convexity, "_PREFIX_GRID_LIMIT", 1203**2 - 1)
+        assert _certified(diagonal) is None
+        monkeypatch.setattr(convexity, "_PREFIX_GRID_LIMIT", 1203**2)
+        assert _certified(diagonal)
+
+    @pytest.mark.parametrize("n, calls", [(5, 0), (7, 2)])
+    def test_wavefront_only_past_the_dimensions(self, monkeypatch, n, calls):
+        """A 300-cell line along axis 0: up to 5 dimensions the certificate
+        decides it from both entry points, in 7 the wavefront does."""
+        seen = []
+
+        def counted(comp):
+            seen.append(len(comp))
+            return _unreachable(comp)
+
+        monkeypatch.setattr(convexity, "_unreachable", counted)
+        x = CellSet(n, [(i, *[0] * (n - 1)) for i in range(300)])
+        assert is_l1_convex(x) and all_pairs_monotone_reachable(x)
+        assert seen == [300] * calls
 
 
 class TestIndexLevelCounterexamples:
