@@ -56,7 +56,9 @@ from .lattice import (
     union_volume,
 )
 from .valuations import (
-    _brick_sums,
+    _contract,
+    _doubled_grid,
+    _Grid,
     elementary_symmetric,
     intrinsic_volumes_boxunion,
     intrinsic_volumes_cellset,
@@ -135,9 +137,14 @@ def crofton_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fra
     of their slices' additive V'_j is one contraction per j-subset J of P,
     with lengths on Q and J and signs on the rest of P.
     """
-    n = x.dimension
-    if not 0 <= k <= n:
+    if not 0 <= k <= x.dimension:
         raise ValueError("flat dimension out of range")
+    return _profiles(_crofton_sides, x, [k])[0]
+
+
+def _crofton_sides(grid: _Grid, base: IVVector, k: int):
+    """``crofton_profile`` at k from the doubled grid and V' of X."""
+    n = grid.n
     full = tuple(range(n))
     terms = [
         (full, sub.complement().axes + axes)
@@ -145,8 +152,7 @@ def crofton_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Fra
         for j in range(k + 1)
         for axes in combinations(sub.axes, j)
     ]
-    lhs = _brick_sums(x, terms)[n - k :]
-    base = intrinsic_volumes_cellset(x)
+    lhs = _contract(grid, terms)[n - k :]
     rhs = [comb(n + j - k, j) * base[n + j - k] for j in range(k + 1)]
     return lhs, tuple(rhs)
 
@@ -168,19 +174,32 @@ def kubota_profile(x: CellSet, k: int) -> tuple[tuple[Fraction, ...], tuple[Frac
     sums the additive V'_j of the projections of X, one term (P, J) per
     k-subspace P and j-subset J of its axes on the doubled grid of X
     (``_brick_sums``), which is built once per call."""
-    n = x.dimension
-    if not 0 <= k <= n:
+    if not 0 <= k <= x.dimension:
         raise ValueError("subspace dimension out of range")
+    return _profiles(_kubota_sides, x, [k])[0]
+
+
+def _kubota_sides(grid: _Grid, base: IVVector, k: int):
+    """``kubota_profile`` at k from the doubled grid and V' of X."""
+    n = grid.n
     terms = [
         (sub, axes)
         for sub in combinations(range(n), k)
         for j in range(k + 1)
         for axes in combinations(sub, j)
     ]
-    lhs = _brick_sums(x, terms)[: k + 1]
-    base = intrinsic_volumes_cellset(x)
+    lhs = _contract(grid, terms)[: k + 1]
     rhs = [comb(n - j, n - k) * base[j] for j in range(k + 1)]
     return lhs, tuple(rhs)
+
+
+def _profiles(sides, x: CellSet, ks) -> list:
+    """``sides`` (``_crofton_sides`` or ``_kubota_sides``) at every k of
+    ``ks``, contracted from one doubled grid of X and one
+    ``intrinsic_volumes_cellset`` of it: the profiles of every k cost one
+    grid, not one each."""
+    grid, base = _doubled_grid(x), intrinsic_volumes_cellset(x)
+    return [sides(grid, base, k) for k in ks]
 
 
 def kubota_sum(x: CellSet, k: int, j: int) -> tuple[Fraction, Fraction]:
@@ -313,13 +332,14 @@ class _Sampler:
     On each axis the distinct coordinates of the cells are stacked into one
     column of rows, axis i taking the rows ``axis_rows[i]``, so a cell has
     one row per axis.  The clipped length of a cell on axis i depends only on
-    its low corner x there: it is L+ = clip(x + lam) - clip(x), clipping to
-    the box's side, and the cell meets that side when -lam <= x <= side.
-    Both are computed once per row.  Per coordinate k-subspace P, with
-    complement axes Q, cells sharing a projection onto P form one segment
-    whose side lengths are common to the segment, and V'_k of the clipped
-    union (clipped cubes of distinct segments have disjoint interiors)
-    factorises as
+    its low corner x there: the unclamped length L = min(x + lam, side) -
+    max(x, 0) is >= 0 exactly when -lam <= x <= side, that is when the cell
+    meets the box's side, so liveness is the sign of L and the clipped
+    length is L+ = max(L, 0).  Both are computed once per row.  Per
+    coordinate k-subspace P, with complement axes Q, cells sharing a
+    projection onto P form one segment whose side lengths are common to the
+    segment, and V'_k of the clipped union (clipped cubes of distinct
+    segments have disjoint interiors) factorises as
 
         value_P(q) = sum over segments of G_seg * prod_{i in P} L+_i,
 
@@ -407,11 +427,14 @@ class _Sampler:
         self.dtype = dtype = np.int32 if top < _INT32_SAFE else _int_dtype(top)
         lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in coords]
         self.row_lows = np.concatenate(lows or [np.empty(0, dtype)])[:, None]
+        # np.maximum runs faster against a zero of the array's own type
+        # than against the Python int 0
+        self.zero = np.dtype(dtype).type(0)
         # Per sample, the work arrays of ``_add_values`` take at most two
-        # entries of the value dtype and one float32 for each row and for
-        # each segment of a subspace, and two float32 for each projection;
-        # an object entry also holds its int.  Chunks keep them within the
-        # incidence budget.
+        # entries of the value dtype and four bytes for each row and for
+        # each segment of a subspace, and a float32 and two bools for each
+        # projection; an object entry also holds its int.  Chunks keep them
+        # within the incidence budget.
         item = np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
         segs = max(inc.shape[0] for _, inc, _, _ in self.subspaces)
         projs = max(inc.shape[1] for _, inc, _, _ in self.subspaces)
@@ -419,6 +442,7 @@ class _Sampler:
         self.chunk = max(1, min(_CHUNK, _INCIDENCE_BUDGET // per_sample))
         self._order = None
         self._work = {}
+        self._views = {}
 
     def frame(self, order) -> Fraction:
         """Evaluate on the box whose side i is I's side ``order[i]``; returns
@@ -464,12 +488,17 @@ class _Sampler:
 
     def _work_array(self, name: str, rows: int, count: int, dtype) -> np.ndarray:
         """A contiguous (rows, count) view of the work array ``name``, which
-        grows to the largest view asked of it and is then reused."""
-        size = rows * count
-        buf = self._work.get(name)
-        if buf is None or buf.size < size:
-            buf = self._work[name] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(rows, count)
+        grows to the largest view asked of it and is then reused.  Views are
+        kept per shape; growing a buffer drops the views of the old one."""
+        view = self._views.get((name, rows, count))
+        if view is None:
+            size = rows * count
+            buf = self._work.get(name)
+            if buf is None or buf.size < size:
+                buf = self._work[name] = np.empty(size, dtype=dtype)
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            view = self._views[name, rows, count] = buf[:size].reshape(rows, count)
+        return view
 
     def _take(self, src: np.ndarray, rows, name: str) -> np.ndarray:
         """The given rows of ``src``: a view for a slice, else gathered into
@@ -477,7 +506,7 @@ class _Sampler:
         if isinstance(rows, slice):
             return src[rows]
         out = self._work_array(name, rows.size, src.shape[1], src.dtype)
-        return np.take(src, rows, axis=0, out=out, mode="clip")
+        return src.take(rows, axis=0, out=out, mode="clip")
 
     def _add_values(self, draws: np.ndarray, out: np.ndarray) -> None:
         work, dtype = self._work_array, self.dtype
@@ -486,19 +515,16 @@ class _Sampler:
         x = work("x", self.row_count, count, dtype)
         for i, rows in enumerate(self.axis_rows):
             np.add(self.row_lows[rows], draws[i], out=x[rows])  # cube lows
-        # the cell meets the box's side exactly where this clip keeps x; each
-        # clip is a maximum then a minimum in place, cheaper than np.clip with
-        # column bounds
-        clipped = np.maximum(x, -self.lam_scaled, out=work("scratch", *x.shape, dtype))
-        np.minimum(clipped, self.row_sides, out=clipped)
-        alive = np.equal(clipped, x, out=work("alive", *x.shape, np.float32))
-        np.maximum(clipped, 0, out=clipped)                 # clip(x)
+        # L = min(x + lam, side) - max(x, 0), in place: its sign is the
+        # liveness and its positive part is L+
+        low = np.maximum(x, self.zero, out=work("scratch", *x.shape, dtype))
         x += self.lam_scaled
-        lengths = np.maximum(x, 0, out=x)
-        np.minimum(lengths, self.row_sides, out=lengths)
-        lengths -= clipped                                  # L+ per row
+        np.minimum(x, self.row_sides, out=x)
+        x -= low
+        alive = np.greater_equal(x, self.zero, out=work("alive", *x.shape, bool))
+        lengths = np.maximum(x, self.zero, out=x)           # L+ per row
 
-        # clip(x) is spent, so each subspace's products reuse its work array
+        # max(x, 0) is spent, so each subspace's products reuse its work array
         for q_rows, incidence, _, p_rows in self.subspaces:
             segs, projs = incidence.shape
             prod = work("scratch", segs, count, dtype)
@@ -506,8 +532,12 @@ class _Sampler:
                 live = self._take(alive, q_rows[0], "live")
                 for rows in q_rows[1:]:
                     factor = self._take(alive, rows, "live_factor")
-                    live = np.multiply(live, factor, out=work("live", projs, count, np.float32))
-                counts = np.matmul(incidence, live, out=work("counts", segs, count, np.float32))
+                    live = np.logical_and(live, factor, out=work("live", projs, count, bool))
+                # liveness is ANDed in bool, a quarter of the bytes of
+                # float32, and cast once for the product
+                weights = work("weights", projs, count, np.float32)
+                weights[...] = live
+                counts = np.matmul(incidence, weights, out=work("counts", segs, count, np.float32))
                 np.greater(counts, 0, out=prod)             # G per segment
             else:
                 prod.fill(1)
@@ -525,9 +555,12 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
     per-sample values are exact rationals, and only the mean/variance
     aggregation uses floats.  Block b of group element e draws from the RNG
     stream seeded by (seed, e, b), so results are reproducible and
-    independent of any execution schedule.  One ``_Sampler`` serves every
-    element: g is evaluated through h = g^-1, on I with its sides in h's
-    order, at the draw relabelled and reflected by h.
+    independent of any execution schedule.  A block draws only the samples it
+    uses: NumPy fills bounded integers in order, so a short last block's
+    draws are the first rows of the full ``_BLOCK_SIZE`` draw of its stream.
+    One ``_Sampler`` serves every element: g is evaluated through h = g^-1,
+    on I with its sides in h's order, at the draw relabelled and reflected
+    by h.
     """
     n = x.dimension
     if not 0 <= k <= n:
@@ -555,8 +588,8 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
         while done < samples:
             count = min(_BLOCK_SIZE, samples - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, e_idx, block]))
-            t = rng.integers(0, 1 << sampler.bits, size=(_BLOCK_SIZE, n), dtype=np.int64)
-            vals = sampler.values(sampler.sample_points(t[:count, h.perm], h.signs))
+            t = rng.integers(0, 1 << sampler.bits, size=(count, n), dtype=np.int64)
+            vals = sampler.values(sampler.sample_points(t[:, h.perm], h.signs))
             real = vals.astype(np.float64) / scale_k
             total += float(real.sum())
             total_sq += float((real * real).sum())

@@ -29,10 +29,11 @@ from .convexity import (
 )
 from .generators import MODES, gen_random_box, gen_random_cellset, gen_random_convex
 from .integral_geometry import (
-    crofton_profile,
+    _crofton_sides,
+    _kubota_sides,
+    _profiles,
     kinematic_higher_mc,
     kinematic_principal,
-    kubota_profile,
     MCEstimate,
     steiner_profile,
 )
@@ -349,10 +350,12 @@ def _steiner_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
     return out
 
 
-def _profile_instance(suite: str, profile, cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
-    """``crofton`` and ``kubota``: one record per flat or subspace dimension k."""
+def _profile_instance(suite: str, sides, cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
+    """``crofton`` and ``kubota``: one record per flat or subspace dimension k,
+    every k read off one doubled grid of the set."""
     x = corpus_instance(n, i, cfg.seed, cfg.bound, cfg.density)
-    return [exact_record(f"{suite}[n={n},i={i},k={k}]", *profile(x, k)) for k in range(n + 1)]
+    profiles = _profiles(sides, x, range(n + 1))
+    return [exact_record(f"{suite}[n={n},i={i},k={k}]", *p) for k, p in enumerate(profiles)]
 
 
 def _kinematic_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
@@ -631,8 +634,8 @@ def _pixellation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord
 
 _SUITE_BODIES = {
     "steiner": _steiner_instance,
-    "crofton": partial(_profile_instance, "crofton", crofton_profile),
-    "kubota": partial(_profile_instance, "kubota", kubota_profile),
+    "crofton": partial(_profile_instance, "crofton", _crofton_sides),
+    "kubota": partial(_profile_instance, "kubota", _kubota_sides),
     "kinematic": _kinematic_instance,
     "algebra": _algebra_instance,
     "valuation": _valuation_instance,

@@ -10,6 +10,7 @@ multiplicative under cartesian products.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import comb, factorial, prod
@@ -83,7 +84,8 @@ def _brick_sums(x: CellSet | BoxUnion, terms) -> tuple[Fraction, ...]:
     """Entry d is the sum, over each term (P, L) of ``terms`` with d axes in
     L (kept axes P, length axes L within P) and each open cell of the
     projection of X onto P, of the product of the cell's lengths on L and
-    its signs on the other axes of P.
+    its signs on the other axes of P: ``_contract`` over one
+    ``_doubled_grid`` of X.
 
     On each axis the breakpoints 2v and 2v + 1 of every corner v cut the
     line into bricks that stand for the points v (from an even breakpoint,
@@ -92,18 +94,36 @@ def _brick_sums(x: CellSet | BoxUnion, terms) -> tuple[Fraction, ...]:
     The covered bricks are the open cells of a complex whose union is X.
     A box covers a point brick on every axis, so the table of the
     projection onto P is the table of X OR-ed along the axes outside P: the
-    grid is built once per call and reduced once per run of terms with the
-    same P.  P = () leaves a 0-d table, which counts 1 when X is nonempty.
-    Over every L within P, entry d is the additive extension of V'_d of the
+    grid is built once and reduced once per run of terms with the same P.
+    P = () leaves a 0-d table, which counts 1 when X is nonempty.  Over
+    every L within P, entry d is the additive extension of V'_d of the
     projection, which values an open cell at the product over its gap axes
     of (length * t - 1); entry 0 of the term (all axes, ()) alone is the
     Euler characteristic.
     """
-    n = x.dimension
+    return _contract(_doubled_grid(x), terms)
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """The doubled grid of ``_brick_sums``: the covered-brick table (None
+    for an empty set), each axis's brick signs and lengths in ``dtype``, and
+    the common denominator of the lengths."""
+
+    n: int
+    den: int
+    covered: np.ndarray | None
+    signs: list[np.ndarray]
+    lengths: list[np.ndarray]
+    dtype: object
+
+
+def _doubled_grid(x: CellSet | BoxUnion) -> _Grid:
+    """Build the doubled grid of X once, for any number of ``_contract``
+    calls."""
     u = cellset_to_boxunion(x) if isinstance(x, CellSet) else x
-    sums = [0] * (n + 1)  # in units of 1/den^d
     if u.is_empty:
-        return tuple(map(Fraction, sums))
+        return _Grid(u.dimension, u.den, None, [], [], None)
     lows, highs = (2 * _fit(a, scale=2, shift=1) for a in (u.lows, u.highs))
     breaks = _breakpoints(lows, lows + 1, highs, highs + 1)
     covered = _covered_bricks(breaks, lows, highs + 1)
@@ -111,16 +131,27 @@ def _brick_sums(x: CellSet | BoxUnion, terms) -> tuple[Fraction, ...]:
     dtype = _int_dtype(prod(int(bk[-1]) - int(bk[0]) for bk in breaks))
     signs = [np.where(bk[:-1] % 2 == 0, 1, -1).astype(dtype, copy=False) for bk in breaks]
     lengths = [np.diff(bk // 2).astype(dtype, copy=False) for bk in breaks]
+    return _Grid(u.dimension, u.den, covered, signs, lengths, dtype)
+
+
+def _contract(grid: _Grid, terms) -> tuple[Fraction, ...]:
+    """The sums of ``_brick_sums`` over ``terms``, on a grid already built."""
+    n = grid.n
+    sums = [0] * (n + 1)  # in units of 1/den^d
+    if grid.covered is None:
+        return tuple(map(Fraction, sums))
     for kept, group in groupby(terms, key=itemgetter(0)):
         dropped = tuple(a for a in range(n) if a not in kept)
-        table = covered.any(axis=dropped) if dropped else covered
+        table = grid.covered.any(axis=dropped) if dropped else grid.covered
         for _, axes in group:
             if kept:
-                weights = [lengths[a] if a in axes else signs[a] for a in range(n) if a in kept]
-                sums[len(axes)] += _brick_sum(table, weights, dtype)
+                weights = [
+                    grid.lengths[a] if a in axes else grid.signs[a] for a in range(n) if a in kept
+                ]
+                sums[len(axes)] += _brick_sum(table, weights, grid.dtype)
             else:
                 sums[0] += int(table)
-    return tuple(Fraction(total, u.den**d) for d, total in enumerate(sums))
+    return tuple(Fraction(total, grid.den**d) for d, total in enumerate(sums))
 
 
 def _additive_volumes(x: CellSet | BoxUnion) -> tuple[Fraction, ...]:

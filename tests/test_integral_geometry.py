@@ -515,6 +515,70 @@ class TestHigherKinematic:
                 assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
                 assert np.array_equal(got.astype(np.int64), element_values(twin, h, t))
 
+    @pytest.mark.parametrize("kind, dtype", [("int32", np.int32), ("int64", np.int64),
+                                             ("big", object)])
+    def test_cubes_touching_the_box(self, monkeypatch, kind, dtype):
+        """Draws that put a cube's low corner exactly at -lam or exactly at
+        the box's side on some axes, and inside it on the others: the cube
+        meets the box in a face, an edge or a corner, where its unclamped
+        length is 0, and it is live there.  Values equal the reduceat oracle
+        at every degree on an int32 sampler (6 bits keep degree 3 in int32),
+        one made to take int64, and a big-int one whose set lies 2^62 cells
+        along the box's first axis."""
+        for n in (1, 2, 3):
+            lam = F(1, 2)
+            x = gen_random_convex(n, 3, 0.5, 820 + n, resolution=lam)
+            box = gen_random_box(n, 830 + n, low=0, high=3, denominator=2, min_side=1,
+                                 resolution=lam)
+            if kind == "big":
+                shift = 2**62 * lam
+                x = CellSet(n, {tuple(v + 2**62 for v in c) for c in x.cells}, lam)
+                box = RatBox((box.mins[0], *(v + shift for v in box.mins[1:])),
+                             tuple(v + shift for v in box.maxs))
+            identity = SignedPerm(range(n), (1,) * n)
+            cells = x.indices.astype(object)
+            top = cells.max(axis=0)
+            for k in range(n + 1):
+                if kind == "int64":
+                    monkeypatch.setattr(integral_geometry, "_INT32_SAFE", 0)
+                sampler = _Sampler(x, box, k, bits=6)
+                monkeypatch.undo()
+                assert sampler.dtype == dtype
+                sampler.frame(tuple(range(n)))
+                lam_scaled = sampler.lam_scaled
+                draws = []
+                # the draw that puts the cube's low corner at pos on axis i,
+                # from the support's low corner, where that cube lies at
+                # (c_i - top_i - 1) * lam
+                for c in cells:
+                    for where in np.ndindex(*(3,) * n):
+                        draws.append([
+                            (-lam_scaled, side, 0)[w] - (int(ci) - int(hi) - 1) * lam_scaled
+                            for w, ci, hi, side in zip(where, c, top, sampler.sides)
+                        ])
+                draws = np.asarray(draws, dtype=object)
+                got = sampler.values(draws.T.astype(sampler.dtype))
+                lows = [int((box.mins[i] - (int(top[i]) + 1) * lam) * sampler.scale)
+                        for i in range(n)]
+                want = reduceat_values(x, identity, box, k, sampler.scale, draws + lows)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_block_draws_a_prefix_of_the_stream(self, n):
+        """A block of ``count`` samples draws (count, n) integers from its
+        stream: NumPy fills bounded integers in order, so they are the first
+        ``count`` rows of the stream's full ``_BLOCK_SIZE`` draw, and a
+        NumPy that broke this would change every short block's samples."""
+        high = 1 << integral_geometry._BITS
+        for s, e, b in ((0, 0, 0), (11, 47, 2), (2**63 - 1, 3, 1)):
+            def draw(rows):
+                rng = np.random.default_rng(np.random.SeedSequence([s, e, b]))
+                return rng.integers(0, high, size=(rows, n), dtype=np.int64)
+
+            full = draw(integral_geometry._BLOCK_SIZE)
+            for count in (1, 3616, 8191):
+                assert np.array_equal(draw(count), full[:count])
+
     def test_one_sampler_per_call(self, monkeypatch):
         """Every group element shares one sampler of X on the box itself: one
         a call, not one per permutation."""
