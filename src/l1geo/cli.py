@@ -22,6 +22,9 @@ from .convexity import convexify, is_l1_convex
 from .documents import KIND, ParseError, parse_set, print_set
 from .generators import MODES, gen_random_convex
 from .integral_geometry import (
+    _crofton_sides,
+    _kubota_sides,
+    _profiles,
     crofton_profile,
     kinematic_higher_mc,
     kinematic_principal,
@@ -176,15 +179,20 @@ def _cmd_steiner(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    """``crofton`` and ``kubota``: one record per flat or subspace dimension k."""
-    profile = {"crofton": crofton_profile, "kubota": kubota_profile}[args.command]
+    """``crofton`` and ``kubota``: one record per flat or subspace dimension k;
+    without ``--k``, every k is read off one doubled grid of the set."""
+    profile, sides = {
+        "crofton": (crofton_profile, _crofton_sides),
+        "kubota": (kubota_profile, _kubota_sides),
+    }[args.command]
     x, text = _load_cellset(args.file)
     started = time.perf_counter()
-    ks = [args.k] if args.k is not None else list(range(x.dimension + 1))
-    records = []
-    for k in ks:
-        lhs, rhs = profile(x, k)
-        records.append(exact_record(f"{args.command}[k={k}]", lhs, rhs))
+    if args.k is not None:
+        ks, profiles = [args.k], [profile(x, args.k)]
+    else:
+        ks = range(x.dimension + 1)
+        profiles = _profiles(sides, x, ks)
+    records = [exact_record(f"{args.command}[k={k}]", *p) for k, p in zip(ks, profiles)]
     return _emit_report(_report(args.command, text, args.seed, records, started), args.json)
 
 

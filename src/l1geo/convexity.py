@@ -454,8 +454,8 @@ def split_halves(x: CellSet, axis: int, threshold: int) -> tuple[CellSet, CellSe
         raise ValueError("axis out of range")
     upper = x.indices[:, axis] >= threshold
     return (
-        CellSet._from_array(x.dimension, x.indices[upper], x.resolution),
-        CellSet._from_array(x.dimension, x.indices[~upper], x.resolution),
+        CellSet._from_sorted(x.dimension, x.indices[upper], x.resolution),
+        CellSet._from_sorted(x.dimension, x.indices[~upper], x.resolution),
     )
 
 

@@ -45,6 +45,7 @@ from .lattice import (
     IVVector,
     RatBox,
     SignedPerm,
+    _cell_runs,
     _int_dtype,
     apply_isometry,
     boxunion_intersection,
@@ -228,7 +229,10 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
     of the volume of the union of the cubes of X each widened by the permuted
     sides.  Each distinct permuted side tuple occurs equally often, so one
     union volume per distinct tuple suffices: one for a cube, at most n! in
-    all.  An absent interval (box=None) returns (0, 0) by convention.
+    all.  An absent interval (box=None) returns (0, 0) by convention.  The
+    cubes are taken one box per cell: on the kinematic suite's sets (17
+    cells on average) merging them into runs (``_cell_runs``) cost more
+    than the smaller unions saved.
     """
     if box is None:
         return Fraction(0), Fraction(0)
@@ -252,14 +256,16 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
 
 
 def clip_translate(x: CellSet, g: SignedPerm, translation, box: RatBox) -> BoxUnion:
-    """The exact box union (gX + q) clipped to a box; degenerate pieces kept."""
+    """The exact box union (gX + q) clipped to a box; degenerate pieces kept.
+    A grid-aligned placement is clipped as its runs along the last axis
+    (``_cell_runs``), any other as one box per cell."""
     n = x.dimension
     q = as_point(translation, n)
     if g.dimension != n or box.dimension != n:
         raise ValueError("dimension mismatch")
     moved = apply_isometry(x, g, q)
     if isinstance(moved, CellSet):
-        moved = cellset_to_boxunion(moved)
+        moved = _cell_runs(moved)
     return boxunion_intersection(moved, BoxUnion(n, [box]))
 
 

@@ -16,9 +16,13 @@ edge.  A CellSet likewise stores its cells once, as a sorted integer index
 array, and the cell kernels (projection, refinement, isometries, Minkowski
 sums with aligned boxes, clipping, index-level set algebra) select, gather,
 add and sort on its rows and columns.  Every CellSet the library makes is
-built from such an array by ``CellSet._from_array``; the validating
-``CellSet(n, cells, resolution)`` constructor is for cells given from
-outside, and ``.cells`` is a frozenset view built only when asked for.
+built from such an array by ``CellSet._from_array``, or by
+``CellSet._from_sorted`` when the rows are already sorted and distinct; the
+validating ``CellSet(n, cells, resolution)`` constructor is for cells given
+from outside, and ``.cells`` is a frozenset view built only when asked for.
+A CellSet enters the point-set kernels as one box per run of cells along the
+last axis (``_cell_runs``); ``cellset_to_boxunion`` is the one-box-per-cell
+view.
 The arrays are int64 when a bound proves it safe and exact big-int (object)
 arrays otherwise, with one code path for both.  Operations that multiply
 cells, and the Hausdorff samples, check the number they would build against
@@ -93,8 +97,17 @@ class CellSet:
         x._store(dimension, rows, resolution)
         return x
 
-    def _store(self, dimension: int, rows: np.ndarray, resolution: Fraction) -> None:
-        rows = _distinct_rows(_fit(rows))
+    @classmethod
+    def _from_sorted(cls, dimension: int, rows: np.ndarray, resolution: Fraction) -> "CellSet":
+        """``_from_array`` for rows already sorted lexicographically and
+        distinct (a subset of a set's rows in their order, say): only
+        re-typed, not sorted again."""
+        x = object.__new__(cls)
+        x._store(dimension, rows, resolution, canonical=True)
+        return x
+
+    def _store(self, dimension, rows, resolution, *, canonical: bool = False) -> None:
+        rows = _fit(rows) if canonical else _distinct_rows(_fit(rows))
         rows.flags.writeable = False
         vars(self).update(dimension=dimension, indices=rows, resolution=resolution, _cells=None)
 
@@ -488,12 +501,30 @@ def cell_box(cell: Cell, resolution: Fraction) -> RatBox:
 
 
 def cellset_to_boxunion(x: CellSet) -> BoxUnion:
-    """One box per cell, in sorted cell order (deterministic): the corners
-    are the cell indices times the resolution's numerator, over its
-    denominator, computed in int64 only when no corner can wrap around."""
+    """The public one-box-per-cell view of a cell set: one cube per cell, in
+    sorted cell order (deterministic).  The corners are the cell indices
+    times the resolution's numerator, over its denominator, computed in int64
+    only when no corner can wrap around.  Kernels that read only the point
+    set take ``_cell_runs``, which has fewer boxes."""
     num = x.resolution.numerator
     lows = _fit(x.indices, scale=num, shift=num) * num
     return BoxUnion._from_arrays(x.dimension, x.resolution.denominator, lows, lows + num)
+
+
+def _cell_runs(x: CellSet) -> BoxUnion:
+    """The point set of X as one box per maximal run of cells along the last
+    axis, in sorted cell order, scaled as in ``cellset_to_boxunion``.  The
+    rows are sorted and distinct, so a run goes on exactly where a row steps
+    from the one before it by (0, ..., 0, 1)."""
+    num = x.resolution.numerator
+    rows = lows = highs = _fit(x.indices, scale=num, shift=num)
+    if len(rows) > 1:  # so dimension >= 1: dimension 0 has one cell at most
+        step = rows[1:] - rows[:-1]  # rows below 2^62 in size: no int64 wrap
+        step[:, -1] -= 1
+        cut = (step != 0).any(axis=1)
+        lows, highs = rows[np.concatenate(([True], cut))], rows[np.concatenate((cut, [True]))]
+    den = x.resolution.denominator
+    return BoxUnion._from_arrays(x.dimension, den, lows * num, highs * num + num)
 
 
 def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:
@@ -518,7 +549,7 @@ def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:
     in_y = np.zeros(len(x), dtype=bool)
     in_y[order[:-1][(rows[1:] == rows[:-1]).all(axis=1)]] = True
     kept = in_y if op == "intersection" else ~in_y
-    return CellSet._from_array(n, x.indices[kept], x.resolution)
+    return CellSet._from_sorted(n, x.indices[kept], x.resolution)
 
 
 def _clip_mask(x: CellSet, lo: Cell, hi: Cell) -> np.ndarray:
@@ -533,7 +564,7 @@ def _clip_mask(x: CellSet, lo: Cell, hi: Cell) -> np.ndarray:
 
 def clip_cells(x: CellSet, lo: Cell, hi: Cell) -> CellSet:
     """Cells of X whose index lies in the integer box [lo, hi] (inclusive)."""
-    return CellSet._from_array(x.dimension, x.indices[_clip_mask(x, lo, hi)], x.resolution)
+    return CellSet._from_sorted(x.dimension, x.indices[_clip_mask(x, lo, hi)], x.resolution)
 
 
 def _shifted_copies(rows: np.ndarray, sides) -> np.ndarray:

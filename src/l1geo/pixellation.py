@@ -147,7 +147,7 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> CellSet:
     reach = (max(map(abs, center_i)) + radius_i) // lam_i + 2  # bounds every index
     rows = np.repeat(np.array(heads, dtype=_int_dtype(reach + count)), lengths, axis=0)
     rows[:, -1] += np.arange(count)
-    return CellSet._from_array(n, rows, lam)
+    return CellSet._from_sorted(n, rows, lam)
 
 
 def _boxunion_cells(region: BoxUnion, lam: Fraction) -> CellSet:

@@ -42,6 +42,7 @@ from .lattice import (
     CellSet,
     RatBox,
     SignedPerm,
+    _cell_runs,
     apply_isometry,
     boxunion_equal_pointsets,
     boxunion_intersection,
@@ -411,7 +412,7 @@ def _algebra_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
     # identities on the pair (X, Y)
     union = cellset_boolean(x, y, "union")
     inter = cellset_boolean(x, y, "intersection")
-    bu_x, bu_y = cellset_to_boxunion(x), cellset_to_boxunion(y)
+    bu_x, bu_y = _cell_runs(x), _cell_runs(y)
     point_inter = boxunion_intersection(bu_x, bu_y)
     hyp_union = bool(is_l1_convex(union))
     hyp_all = hyp_union and bool(is_l1_convex(x)) and bool(is_l1_convex(y))
@@ -439,7 +440,7 @@ def _algebra_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
     name = f"algebra.cupcap{tag}"
     if not hyp_all:
         out.append(skip_record(name, "X, Y, X∪Y not all convex"))
-    elif not boxunion_equal_pointsets(point_inter, cellset_to_boxunion(inter)):
+    elif not boxunion_equal_pointsets(point_inter, _cell_runs(inter)):
         out.append(skip_record(name, "cell intersection misses shared faces"))
     else:
         out.append(property_record(name, bool(is_l1_convex(inter))))
@@ -491,7 +492,7 @@ def _valuation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
     union = cellset_boolean(x, y, "union")
     name = f"valuation.additivity{tag}"
     if bool(is_l1_convex(x)) and bool(is_l1_convex(y)) and bool(is_l1_convex(union)):
-        point_inter = boxunion_intersection(cellset_to_boxunion(x), cellset_to_boxunion(y))
+        point_inter = boxunion_intersection(_cell_runs(x), _cell_runs(y))
         lhs = [
             a + b
             for a, b in zip(intrinsic_volumes_cellset(x), intrinsic_volumes_cellset(y))
@@ -537,7 +538,7 @@ def _valuation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
 
     out.append(
         exact_record(
-            f"valuation.volume{tag}", vz[n], union_volume(cellset_to_boxunion(z))
+            f"valuation.volume{tag}", vz[n], union_volume(_cell_runs(z))
         )
     )
 
@@ -551,7 +552,7 @@ def _valuation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord]:
     )
 
     even = z.indices.sum(axis=1) % 2 == 0
-    sub = CellSet._from_array(n, z.indices[even] if even.any() else z.indices[:1], lam)
+    sub = CellSet._from_sorted(n, z.indices[even] if even.any() else z.indices[:1], lam)
     vs = intrinsic_volumes_cellset(sub)
     out.append(
         property_record(

@@ -25,11 +25,11 @@ from .lattice import (
     IVVector,
     _breakpoints,
     _brick_sum,
+    _cell_runs,
     _check_cell_count,
     _covered_bricks,
     _fit,
     _int_dtype,
-    cellset_to_boxunion,
 )
 
 def intrinsic_volumes_cellset(x: CellSet) -> IVVector:
@@ -120,8 +120,9 @@ class _Grid:
 
 def _doubled_grid(x: CellSet | BoxUnion) -> _Grid:
     """Build the doubled grid of X once, for any number of ``_contract``
-    calls."""
-    u = cellset_to_boxunion(x) if isinstance(x, CellSet) else x
+    calls; a cell set enters as its runs along the last axis
+    (``_cell_runs``), not one box per cell."""
+    u = _cell_runs(x) if isinstance(x, CellSet) else x
     if u.is_empty:
         return _Grid(u.dimension, u.den, None, [], [], None)
     lows, highs = (2 * _fit(a, scale=2, shift=1) for a in (u.lows, u.highs))
@@ -197,7 +198,8 @@ def cellset_product(x: CellSet, y: CellSet) -> CellSet:
         raise ValueError("resolution mismatch")
     _check_cell_count(len(x) * len(y))
     rows = np.hstack((np.repeat(x.indices, len(y), axis=0), np.tile(y.indices, (len(x), 1))))
-    return CellSet._from_array(x.dimension + y.dimension, rows, x.resolution)
+    # X's rows, each followed by Y's: sorted and distinct when both are
+    return CellSet._from_sorted(x.dimension + y.dimension, rows, x.resolution)
 
 
 def product_rhs(vx: IVVector, vy: IVVector) -> IVVector:

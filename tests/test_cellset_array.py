@@ -5,6 +5,9 @@ stored a frozenset of tuples.  The oracles read only Python ints, so they
 share no code with the array kernels they check.  Inputs cover dimensions
 0-3, empty sets, duplicate and NumPy-integer cells, and cells shifted by
 about 2^62, where the index array switches from int64 to exact big ints.
+The runs along the last axis that the point-set kernels take are checked
+against one box per cell, and the callers that skip the final sort against
+the sorted rows.
 """
 
 import copy
@@ -25,14 +28,18 @@ from l1geo import (
     L1Ball,
     RatBox,
     SignedPerm,
+    VerifyConfig,
     apply_isometry,
     boundary_region,
+    boxunion_equal_pointsets,
     cell_box,
     cellset_boolean,
     cellset_product,
     cellset_to_boxunion,
     clip_cells,
     coordinate_subspaces,
+    euler_characteristic,
+    intrinsic_volumes_boxunion,
     intrinsic_volumes_cellset,
     is_l1_convex,
     minkowski_sum_box,
@@ -41,8 +48,11 @@ from l1geo import (
     scale,
     split_halves,
     subdivide,
+    union_volume,
+    verify,
 )
 from l1geo import lattice, pixellation
+from l1geo.lattice import _cell_runs, _distinct_rows
 from l1geo.pixellation import _scaled_ball
 
 BIG = 2**62
@@ -102,6 +112,19 @@ def volumes_oracle(cells, n, lam):
             total += len({tuple(c[a] for a in sub.axes) for c in cells})
         values.append(lam**i * total)
     return tuple(values)
+
+
+def runs_oracle(cells, lam):
+    """The boxes of the maximal runs of sorted cells along the last axis."""
+    runs = []
+    for c in sorted(cells):
+        if runs and runs[-1][1][:-1] == c[:-1] and runs[-1][1][-1] + 1 == c[-1]:
+            runs[-1][1] = c
+        else:
+            runs.append([c, c])
+    return tuple(
+        RatBox([lam * v for v in head], [lam * (v + 1) for v in tail]) for head, tail in runs
+    )
 
 
 def ball_boundary_oracle(ball, lam):
@@ -336,3 +359,116 @@ class TestCellLimit:
         line = CellSet(1, [(i,) for i in range(3000)])
         with pytest.raises(ValueError, match=r"9000000 cells"):
             cellset_product(line, line)
+
+
+class TestCellRuns:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 4),
+        base=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=12),
+        shift=st.sampled_from([0, -7, BIG - 2, -BIG - 1, 2**70]),
+        lam=st.sampled_from(RESOLUTIONS),
+    )
+    def test_runs_are_the_cubes(self, n, base, shift, lam):
+        cells = {tuple(v + shift for v in c[:n]) for c in base}
+        x = CellSet(n, cells, lam)
+        runs, cubes = _cell_runs(x), cellset_to_boxunion(x)
+        assert runs.boxes == runs_oracle(cells, lam)
+        assert runs.lows.dtype == cubes.lows.dtype
+        assert boxunion_equal_pointsets(runs, cubes)
+        assert union_volume(runs) == union_volume(cubes)
+        assert intrinsic_volumes_boxunion(runs) == intrinsic_volumes_boxunion(cubes)
+        assert euler_characteristic(runs) == euler_characteristic(cubes)
+
+    def test_known_runs(self):
+        x = CellSet(2, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (-1, 2), (5, -2)], F(1, 2))
+        assert _cell_runs(x).lows.tolist() == [[-1, 2], [0, 0], [0, 3], [1, 1], [5, -2]]
+        assert _cell_runs(x).highs.tolist() == [[0, 3], [1, 2], [1, 4], [2, 3], [6, -1]]
+        assert _cell_runs(x).den == 2
+        line = CellSet(1, [(BIG + i,) for i in range(5)])
+        assert _cell_runs(line).boxes == (RatBox((BIG,), (BIG + 5,)),)
+        assert _cell_runs(CellSet(3)).is_empty
+        assert _cell_runs(CellSet(0, [()])).boxes == (RatBox((), ()),)
+
+    def test_public_view_keeps_one_box_per_cell(self):
+        cells = [(2, 1), (0, 0), (0, 1), (BIG, 0)]
+        lam = F(1, 3)
+        cubes = cellset_to_boxunion(CellSet(2, cells, lam))
+        assert cubes.boxes == tuple(cell_box(c, lam) for c in sorted(cells))
+
+
+def assert_sorted_rows(x):
+    """x's index array is already what sorting and deduplicating gives."""
+    rows = x.indices
+    assert np.array_equal(rows, _distinct_rows(rows)) and len(rows) == len(set(x.cells))
+    big = any(abs(v) >= BIG for v in rows.ravel().tolist())
+    assert rows.dtype == (object if big else np.int64)
+    assert not rows.flags.writeable
+
+
+class SortedSpy:
+    """Every CellSet built by ``CellSet._from_sorted``, which does not sort."""
+
+    def __init__(self, monkeypatch):
+        self.made = []
+        build = CellSet._from_sorted.__func__
+
+        def spy(cls, dimension, rows, resolution):
+            self.made.append(build(cls, dimension, rows, resolution))
+            return self.made[-1]
+
+        monkeypatch.setattr(CellSet, "_from_sorted", classmethod(spy))
+
+    def check(self, results):
+        """``results`` all came from ``_from_sorted`` and have sorted rows."""
+        assert {id(r) for r in results} <= {id(r) for r in self.made}
+        for x in self.made:
+            assert_sorted_rows(x)
+        self.made.clear()
+
+
+class TestSortedRowsSkipTheSort:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), inputs=cell_inputs())
+    def test_subsets_and_products(self, data, inputs):
+        n, given_cells, _, lam = inputs
+        x = CellSet(n, given_cells, lam)
+        y_cells = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=6))
+        y_shift = data.draw(st.sampled_from([0, BIG - 6, 2**63 + 5]))
+        y = CellSet(n, [tuple(v + y_shift for v in c) for c in y_cells] + given_cells[:2], lam)
+        other = CellSet(1, data.draw(st.sets(st.tuples(st.integers(-2, 2)), max_size=3)), lam)
+        lo = data.draw(st.lists(st.sampled_from([-2**70, -1, 0, BIG]), min_size=n, max_size=n))
+        hi = [a + data.draw(st.sampled_from([0, 2, 2**64])) for a in lo]
+        with pytest.MonkeyPatch.context() as mp:
+            spy = SortedSpy(mp)
+            results = [
+                cellset_boolean(x, y, "intersection"),
+                cellset_boolean(y, x, "difference"),
+                cellset_product(x, other),
+                cellset_product(other, x),
+                clip_cells(x, lo, hi),
+            ]
+            if n:
+                threshold = data.draw(st.sampled_from([0, 1, BIG - 1, -2**70]))
+                results += split_halves(x, data.draw(st.integers(0, n - 1)), threshold)
+            spy.check(results)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        center=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+        radius=st.integers(1, 8),
+        lam=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+        shift=st.sampled_from([0, 2**61, BIG, -BIG - 5]),
+    )
+    def test_ball_cells(self, n, center, radius, lam, shift):
+        ball = L1Ball([F(c, 4) + shift * lam for c in center[:n]], F(radius, 4))
+        with pytest.MonkeyPatch.context() as mp:
+            spy = SortedSpy(mp)
+            spy.check([outer_pixellate(ball, lam)])
+
+    def test_valuation_suite_subsets(self, monkeypatch):
+        spy = SortedSpy(monkeypatch)
+        report = verify("valuation", VerifyConfig(dimensions=(2, 3), instances=6))
+        assert report.passed and spy.made
+        spy.check([])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,11 @@ from l1geo import (
     parse_set,
     print_set,
 )
+from l1geo import cli, integral_geometry
 from l1geo.cli import _build_parser, main
+from l1geo.generators import gen_random_convex
+from l1geo.integral_geometry import crofton_profile, kubota_profile
+from l1geo.suites import Report, exact_record
 
 F = Fraction
 
@@ -330,6 +335,25 @@ class TestCli:
 
     def test_kubota_bad_k(self, tromino_file, capsys):
         assert main(["kubota", tromino_file, "--k", "9"]) == 2
+
+    @pytest.mark.parametrize("command", ["crofton", "kubota"])
+    def test_profile_builds_one_grid(self, command, tmp_path, monkeypatch, capsys):
+        """Without --k every k is read off one doubled grid, and the report
+        is byte for byte the one of a profile call per k."""
+        x = gen_random_convex(3, 3, 0.4, 7, resolution=F(1, 2))
+        path = tmp_path / "x.json"
+        text = print_set(x)
+        path.write_text(text)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        built = []
+        grid = integral_geometry._doubled_grid
+        monkeypatch.setattr(integral_geometry, "_doubled_grid", lambda y: built.append(y) or grid(y))
+        assert main([command, str(path), "--json"]) == 0
+        assert len(built) == 1
+        profile = {"crofton": crofton_profile, "kubota": kubota_profile}[command]
+        records = [exact_record(f"{command}[k={k}]", *profile(x, k)) for k in range(4)]
+        report = Report(command, cli._digest(text), 0, tuple(records), 0.0)
+        assert capsys.readouterr().out == report.to_json()
 
     def test_kinematic_exact(self, tromino_file, capsys):
         assert main(["kinematic", tromino_file]) == 0
