@@ -38,11 +38,12 @@ tau = sign(t - c), has c + s in the set.  Conversely such a cell is the
 first step of any monotone path from c to t.  Both counts are box counts on
 one summed-area table, 2^n corners each.
 
-Below 256 cells the pairwise criterion decides.  From 256 cells the local
-test decides up to 5 dimensions, where its table fits; elsewhere, and on a
-set it rejects, the all-pairs reachability wavefront runs, and the pairwise
-scan runs only over the pairs no path joins, to find the lexicographic
-witness.
+Below 64 cells the pairwise criterion decides.  From 64 cells the local
+test decides a set it passes, up to 5 dimensions, where its table fits.
+It cannot name a witness, so on a set it rejects or does not apply to the
+pairwise criterion decides below 256 cells; from 256 cells the all-pairs
+reachability wavefront runs, and the pairwise scan runs only over the
+pairs no path joins, to find the lexicographic witness.
 
 All of them run on a compressed int64 copy of the indices (``_compressed``)
 that keeps every relation they read, so verdicts and witnesses are exact at
@@ -61,6 +62,11 @@ from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed
 
 _PREFIX_GRID_LIMIT = 30_000_000
 _WAVEFRONT_CELLS = 256
+# from this many cells the local certificate runs before the witness scans:
+# on the scans of 10 pixellation benchmark passes (240 sets of 16 to 180
+# cells) 20 ms against 41.5 ms, while from 32 cells the algebra suite's
+# small sets took 110 ms against 94 ms (2 vCPUs, NumPy 2.4.6)
+_CERTIFIED_CELLS = 64
 # the local certificate's 2^n-corner box counts beat the wavefront up to 5
 # dimensions: 30 ms against 36 ms on a 681-cell 5-D ball, 235 ms against
 # 137 ms on a 377-cell 6-D one (2 vCPUs, NumPy 2.4.6)
@@ -298,19 +304,19 @@ def _scan(comp: np.ndarray, collect: bool = False):
     """Witness scan of a compressed cell array: the prefix-sum scan for 16
     or more cells on a small enough grid, else the direct one.
 
-    From 256 cells the set is first decided whole: by the local certificate
-    of ``_certified`` where it applies, which returns at once on a set it
-    passes, and by the wavefront of ``_unreachable`` on a set it fails or
-    does not apply to.  A set the wavefront fails takes the pairwise scan
-    over the unreachable pairs only.  That keeps the witness and the
-    collected pairs: a monotone path between two cells >= 2 apart on some
-    axis passes through a third cell between them, so every violating pair
-    is unreachable.
+    From 64 cells the local certificate of ``_certified`` runs first where
+    it applies, and returns at once on a set it passes.  On a set it fails
+    or does not apply to, the scans run as below 64 cells, except that from
+    256 cells the wavefront of ``_unreachable`` first decides the set whole,
+    and a set it fails takes the pairwise scan over the unreachable pairs
+    only.  That keeps the witness and the collected pairs: a monotone path
+    between two cells >= 2 apart on some axis passes through a third cell
+    between them, so every violating pair is unreachable.
     """
     unreachable = None
+    if comp.shape[0] >= _CERTIFIED_CELLS and _certified(comp):
+        return [] if collect else None
     if comp.shape[0] >= _WAVEFRONT_CELLS:
-        if _certified(comp):
-            return [] if collect else None
         unreachable = _unreachable(comp)
         if unreachable is None:
             return [] if collect else None
@@ -483,7 +489,7 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
 
     X is convex exactly when every pair of its cells is reachable (see the
     module docstring); ``all_pairs_monotone_reachable`` checks all pairs at
-    once, and the convexity test decides that way from 256 cells.
+    once, and the convexity test passes a set that way from 64 cells.
     """
     a, b = tuple(a), tuple(b)
     cells = x.cells

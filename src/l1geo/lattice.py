@@ -293,10 +293,11 @@ class BoxUnion:
         self._store(int(dimension), den, arr[:, :dimension], arr[:, dimension:], tup)
 
     @classmethod
-    def _from_arrays(cls, dimension: int, den: int, lows: np.ndarray, highs: np.ndarray):
+    def _from_arrays(cls, dimension: int, den: int, lows: np.ndarray, highs: np.ndarray, mag=None):
         """A union over integer corner arrays (``lows <= highs``), re-typed to
-        int64 or object by the size of its corners."""
-        dtype = _int_dtype(_corner_mag(lows, highs))
+        int64 or object by the size of its corners: ``mag`` when the caller
+        knows it, equal to ``_corner_mag(lows, highs)``, else scanned."""
+        dtype = _int_dtype(_corner_mag(lows, highs) if mag is None else mag)
         u = object.__new__(cls)
         u._store(dimension, den, lows.astype(dtype, copy=False), highs.astype(dtype, copy=False))
         return u
@@ -507,8 +508,23 @@ def cellset_to_boxunion(x: CellSet) -> BoxUnion:
     only when no corner can wrap around.  Kernels that read only the point
     set take ``_cell_runs``, which has fewer boxes."""
     num = x.resolution.numerator
-    lows = _fit(x.indices, scale=num, shift=num) * num
-    return BoxUnion._from_arrays(x.dimension, x.resolution.denominator, lows, lows + num)
+    rows, mag = _cube_rows(x)
+    lows = rows * num
+    return BoxUnion._from_arrays(x.dimension, x.resolution.denominator, lows, lows + num, mag)
+
+
+def _cube_rows(x: CellSet) -> tuple[np.ndarray, int]:
+    """The indices of X re-typed as ``_fit(x.indices, scale=num, shift=num)``
+    does, for num the resolution's numerator, and the ``_corner_mag`` of the
+    cubes ``num * (index + [0, 1])``, both from one min and one max.  The
+    runs of ``_cell_runs`` have that ``_corner_mag`` too: a run starts at a
+    row that is no larger on any axis than the run's other rows, and ends at
+    one no smaller."""
+    num = x.resolution.numerator
+    # an empty array has no corners: its mag is 0
+    lo, hi = (int(x.indices.min()), int(x.indices.max())) if x.indices.size else (0, -1)
+    rows = x.indices.astype(_int_dtype(max(-lo, hi) * num + num), copy=False)
+    return rows, max(-lo * num, hi * num + num, 0)
 
 
 def _cell_runs(x: CellSet) -> BoxUnion:
@@ -517,14 +533,15 @@ def _cell_runs(x: CellSet) -> BoxUnion:
     rows are sorted and distinct, so a run goes on exactly where a row steps
     from the one before it by (0, ..., 0, 1)."""
     num = x.resolution.numerator
-    rows = lows = highs = _fit(x.indices, scale=num, shift=num)
+    rows, mag = _cube_rows(x)
+    lows = highs = rows
     if len(rows) > 1:  # so dimension >= 1: dimension 0 has one cell at most
         step = rows[1:] - rows[:-1]  # rows below 2^62 in size: no int64 wrap
         step[:, -1] -= 1
         cut = (step != 0).any(axis=1)
         lows, highs = rows[np.concatenate(([True], cut))], rows[np.concatenate((cut, [True]))]
     den = x.resolution.denominator
-    return BoxUnion._from_arrays(x.dimension, den, lows * num, highs * num + num)
+    return BoxUnion._from_arrays(x.dimension, den, lows * num, highs * num + num, mag)
 
 
 def cellset_boolean(x: CellSet, y: CellSet, op: str) -> CellSet:

@@ -214,7 +214,8 @@ def outer_pixellate(shape: Shape, resolution: RationalLike) -> CellSet:
 
 
 def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
-    """Cells whose cube meets the shape but is not contained in it."""
+    """Cells whose cube meets the shape but is not contained in it: a subset
+    of the outer pixellation's sorted, distinct rows, kept in their order."""
     lam = as_fraction(resolution)
     meets = outer_pixellate(shape, lam)
     n = meets.dimension
@@ -226,7 +227,7 @@ def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
         rows = _fit(meets.indices, scale=n * step, shift=n * (step + reach))
         lows = rows * step - np.asarray(center, dtype=rows.dtype)
         far = np.maximum(abs(lows), abs(lows + step)).sum(axis=1) > radius
-        return CellSet._from_array(n, meets.indices[far], lam)
+        return CellSet._from_sorted(n, meets.indices[far], lam)
     # One compression grid holds the corners of the region and of the cubes,
     # so each brick lies in a box of the region or has its interior outside
     # it, and lies in the cube of a meeting cell h iff h = floor(lower corner
@@ -241,7 +242,7 @@ def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
         owners, runs = np.unique(bk[:-1] // step, return_index=True)
         gaps = np.logical_or.reduceat(gaps, runs, axis=i)
         named.append(np.searchsorted(owners, meets.indices[:, i]))
-    return CellSet._from_array(n, meets.indices[np.reshape(gaps[tuple(named)], -1)], lam)
+    return CellSet._from_sorted(n, meets.indices[np.reshape(gaps[tuple(named)], -1)], lam)
 
 
 def pixellation_error_bracket(

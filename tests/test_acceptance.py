@@ -29,6 +29,7 @@ from l1geo import (
     outer_pixellate,
     verify,
 )
+from l1geo.convexity import _compressed, _witness_prefix
 from l1geo.suites import corpus_instance, derive_seed, kinematic_instance
 
 LINES: list[str] = []
@@ -233,4 +234,7 @@ def test_12_reachability_cross_validation():
         for i in range(cfg.instances):
             x = corpus_instance(n, i, cfg.seed, cfg.bound, cfg.density)
             assert all_pairs_monotone_reachable(x), (n, i)
+            # the pairwise betweenness scan, which the generator's convexity
+            # check skips from 64 cells, where the certificate decides first
+            assert _witness_prefix(_compressed(x.indices)) is None, (n, i)
     assert time.perf_counter() - t0 < 120.0

@@ -380,6 +380,24 @@ class TestCellRuns:
         assert intrinsic_volumes_boxunion(runs) == intrinsic_volumes_boxunion(cubes)
         assert euler_characteristic(runs) == euler_characteristic(cubes)
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 3),
+        base=st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=6),
+        shift=st.sampled_from([0, -9, BIG // 3 - 2, -(BIG // 3) + 1, BIG - 2, -BIG + 1, 2**70]),
+        num=st.sampled_from([1, 3, BIG - 1, BIG, 2**70]),
+    )
+    def test_corner_bound_without_a_scan(self, n, base, shift, num):
+        # both views type their corners by the bound the indices give, with
+        # no scan of the corner arrays, as a scan of them would type them
+        x = CellSet(n, {tuple(v + shift for v in c[:n]) for c in base}, F(num, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_corner_mag", None)  # any call fails
+            views = cellset_to_boxunion(x), _cell_runs(x)
+        for u in views:
+            dtype = lattice._int_dtype(lattice._corner_mag(u.lows, u.highs))
+            assert u.lows.dtype == u.highs.dtype == dtype
+
     def test_known_runs(self):
         x = CellSet(2, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (-1, 2), (5, -2)], F(1, 2))
         assert _cell_runs(x).lows.tolist() == [[-1, 2], [0, 0], [0, 3], [1, 1], [5, -2]]
@@ -465,7 +483,17 @@ class TestSortedRowsSkipTheSort:
         ball = L1Ball([F(c, 4) + shift * lam for c in center[:n]], F(radius, 4))
         with pytest.MonkeyPatch.context() as mp:
             spy = SortedSpy(mp)
-            spy.check([outer_pixellate(ball, lam)])
+            spy.check([outer_pixellate(ball, lam), boundary_region(ball, lam)])
+
+    @pytest.mark.parametrize("shift", [0, 2**61, BIG, -BIG - 5])
+    def test_box_union_boundary(self, shift):
+        lo, hi = [(F(1, 2), F(0)), (F(1), F(1, 2))], [(F(5, 3), F(3, 4)), (F(3, 2), F(7, 3))]
+        boxes = [RatBox([v + shift for v in a], [v + shift for v in b]) for a, b in zip(lo, hi)]
+        shape = BoxUnionShape(BoxUnion(2, boxes))
+        for lam in (F(1), F(1, 3)):
+            with pytest.MonkeyPatch.context() as mp:
+                spy = SortedSpy(mp)
+                spy.check([boundary_region(shape, lam)])
 
     def test_valuation_suite_subsets(self, monkeypatch):
         spy = SortedSpy(monkeypatch)

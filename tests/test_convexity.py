@@ -30,6 +30,7 @@ from l1geo import (
 )
 from l1geo import convexity
 from l1geo.convexity import (
+    _CERTIFIED_CELLS,
     _CERTIFIED_DIMENSIONS,
     _PREFIX_GRID_LIMIT,
     _WAVEFRONT_CELLS,
@@ -274,17 +275,49 @@ class TestPathEquivalence:
     def test_gated_scan_matches_ungated(self, n, kind, size, shift, seed):
         x = large_case(n, kind, size, shift, seed)
         assert len(x.cells) == size
-        comp = _compressed(x.indices)
+        self.check_gated(_compressed(x.indices), kind == "convex")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        kind=st.sampled_from(["convex", "random", "far"]),
+        size=st.integers(_CERTIFIED_CELLS, _WAVEFRONT_CELLS - 1),
+        shift=st.sampled_from([0, 2**62]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_certified_scan_matches_ungated(self, n, kind, size, shift, seed):
+        # below the wavefront's size the certificate passes a convex set,
+        # and a set it fails takes the witness scans as on fewer cells
+        x = large_case(n, kind, size, shift, seed)
+        assert len(x.cells) == size
+        self.check_gated(_compressed(x.indices), kind == "convex")
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_scan_past_the_certified_dimensions(self, far):
+        # the 64 cells of {0, 1}^6, the last moved far along axis 0 or not:
+        # the certificate does not apply, so the witness scans decide
+        rows = np.array(list(itertools.product((0, 1), repeat=_CERTIFIED_DIMENSIONS + 1)))
+        if far:
+            rows[-1, 0] = 5
+        comp = _compressed(rows)
+        assert len(comp) == _CERTIFIED_CELLS and _certified(comp) is None
+        self.check_gated(comp, not far)
+
+    @staticmethod
+    def check_gated(comp, convex):
+        """``_scan`` gives the witness and the collected pairs of the
+        ungated prefix (or, on a large grid, direct) scan."""
         grid = int(np.prod(comp.max(axis=0) + 1, dtype=object))
         ungated = _witness_prefix if grid <= _PREFIX_GRID_LIMIT else _witness_direct
         witness = ungated(comp)
-        assert (witness is None) == (kind == "convex")
+        assert (witness is None) == convex
         assert _scan(comp) == witness
         pairs = np.asarray(ungated(comp, collect=True)).reshape(-1, 2)
         assert np.array_equal(np.asarray(_scan(comp, collect=True)).reshape(-1, 2), pairs)
         if witness is not None:
             # the direct scan on the unreachable pairs, 5 to 30 anchors a
-            # chunk here, so every chunk but the first reads rows past 0
+            # chunk from 256 cells, so every chunk but the first reads rows
+            # past 0
             restricted = _witness_direct(comp, collect=True, unreachable=_unreachable(comp))
             assert np.array_equal(restricted, pairs)
 

@@ -223,6 +223,28 @@ class TestBoundaryRegion:
         assert areas[F(1, 3)] <= shrink * areas[F(1)]
         assert areas[F(1, 9)] <= shrink * areas[F(1, 3)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_volume_is_the_cell_count(self, n):
+        # the pixellation suite measures D(lambda) as its cell count times
+        # lambda^n: the cubes of distinct cells meet only in faces
+        rng = random.Random(n)
+        shapes = []
+        for seed in range(4):
+            center = [F(rng.randint(-4, 4), 4) for _ in range(n)]
+            shapes.append(L1Ball(center, F(rng.randint(2, 8), 4)))
+            boxes = [
+                gen_random_box(n, 10 * seed + j, low=0, high=3, denominator=4, min_side=F(1, 2))
+                for j in range(2)
+            ]
+            shapes += [BoxUnionShape(BoxUnion(n, boxes[:1])), BoxUnionShape(BoxUnion(n, boxes))]
+        counts = []
+        for shape in shapes:
+            for lam in (F(1), F(1, 3), F(1, 9)):
+                bd = boundary_region(shape, lam)
+                assert len(bd) * lam**n == union_volume(cellset_to_boxunion(bd))
+                counts.append(len(bd))
+        assert min(counts) > 0
+
     def test_all_cells_meet_but_inner_are_excluded(self):
         sq = BoxUnionShape(BoxUnion(2, [RatBox((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))]))
         bd = boundary_region(sq, F(1, 2))
