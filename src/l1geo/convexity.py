@@ -309,9 +309,10 @@ def _scan(comp: np.ndarray, collect: bool = False):
     or does not apply to, the scans run as below 64 cells, except that from
     256 cells the wavefront of ``_unreachable`` first decides the set whole,
     and a set it fails takes the pairwise scan over the unreachable pairs
-    only.  That keeps the witness and the collected pairs: a monotone path
-    between two cells >= 2 apart on some axis passes through a third cell
-    between them, so every violating pair is unreachable.
+    only, skipping the anchor chunks that have none.  That keeps the witness
+    and the collected pairs: a monotone path between two cells >= 2 apart on
+    some axis passes through a third cell between them, so every violating
+    pair is unreachable.
     """
     unreachable = None
     if comp.shape[0] >= _CERTIFIED_CELLS and _certified(comp):
@@ -346,9 +347,14 @@ def _scan_chunks(arr: np.ndarray, chunk: int, count_between, collect: bool, unre
     box [lo, hi] of each pair of ``_pairs``, given as (pairs, n) arrays,
     and a pair with fewer than 3 (the pair itself and one more) violates the
     criterion.  Returns the first (lex order) violating index pair, or with
-    ``collect`` the array of all pairs."""
+    ``collect`` the array of all pairs.  With ``_unreachable`` rows it skips
+    every anchor chunk whose rows are all zero: ``_pairs`` would keep none
+    of its pairs."""
     found = []
+    live = None if unreachable is None else unreachable.any(axis=1)
     for start in range(0, arr.shape[0], chunk):
+        if live is not None and not live[start:start + chunk].any():
+            continue
         sel = np.nonzero(_pairs(arr[start:start + chunk], arr[start:], start, unreachable))
         a, b = arr[start + sel[0]], arr[start + sel[1]]
         bad = count_between(np.minimum(a, b), np.maximum(a, b)) < 3

@@ -20,6 +20,9 @@ built from such an array by ``CellSet._from_array``, or by
 ``CellSet._from_sorted`` when the rows are already sorted and distinct; the
 validating ``CellSet(n, cells, resolution)`` constructor is for cells given
 from outside, and ``.cells`` is a frozenset view built only when asked for.
+The views are built column by column (``_row_tuples``): each axis's column
+is read out once as a list, and the row tuples are zipped from the columns
+in C; a BoxUnion's RatBox view makes one Fraction per distinct corner value.
 A CellSet enters the point-set kernels as one box per run of cells along the
 last axis (``_cell_runs``); ``cellset_to_boxunion`` is the one-box-per-cell
 view.
@@ -114,7 +117,7 @@ class CellSet:
     @property
     def cells(self) -> frozenset[Cell]:
         if self._cells is None:
-            vars(self)["_cells"] = frozenset(map(tuple, self.indices.tolist()))
+            vars(self)["_cells"] = frozenset(_row_tuples(self.indices.T.tolist(), len(self)))
         return self._cells
 
     def __eq__(self, other) -> bool:
@@ -142,7 +145,7 @@ class CellSet:
         return self.indices.shape[0]
 
     def sorted_cells(self) -> tuple[Cell, ...]:
-        return tuple(map(tuple, self.indices.tolist()))
+        return tuple(_row_tuples(self.indices.T.tolist(), len(self)))
 
     def bounding_box(self) -> "RatBox":
         """Smallest RatBox containing the represented point set (nonempty only)."""
@@ -190,6 +193,12 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
         fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         rows = rows[fresh]
     return rows
+
+
+def _row_tuples(columns: list, m: int) -> list[tuple]:
+    """The m rows of a table given as its columns (one list or iterable of m
+    values per axis), as tuples zipped in C; m empty tuples in dimension 0."""
+    return list(zip(*columns)) if columns else [()] * m
 
 
 def _corner_mag(lows: np.ndarray, highs: np.ndarray) -> int:
@@ -252,10 +261,12 @@ class RatBox:
 
 
 def _raw_box(mins: tuple, maxs: tuple) -> RatBox:
-    """Construct a RatBox from already-validated Fraction tuples."""
+    """Construct a RatBox from already-validated Fraction tuples, written
+    straight into the new instance's ``__dict__``."""
     box = object.__new__(RatBox)
-    object.__setattr__(box, "mins", mins)
-    object.__setattr__(box, "maxs", maxs)
+    fields = box.__dict__
+    fields["mins"] = mins
+    fields["maxs"] = maxs
     return box
 
 
@@ -269,8 +280,10 @@ class BoxUnion:
     (boxes x dimension) arrays.  They are int64 when every corner is below
     2^62 in size and exact big-int (object) arrays otherwise.  ``boxes`` is
     the RatBox view: the boxes as given to the constructor, or built from the
-    arrays on first use for a union that a kernel returned.  Equality and
-    hashing compare ``(dimension, boxes)``.
+    arrays on first use for a union that a kernel returned, with one Fraction
+    per distinct corner value and the ``mins`` and ``maxs`` tuples zipped
+    from the arrays' columns.  Equality and hashing compare
+    ``(dimension, boxes)``.
     """
 
     dimension: int
@@ -309,14 +322,11 @@ class BoxUnion:
     @property
     def boxes(self) -> tuple[RatBox, ...]:
         if self._boxes is None:
-            lows, highs = self.lows.tolist(), self.highs.tolist()
-            values = {val for row in lows + highs for val in row}
-            frac = {val: Fraction(val, self.den) for val in values}
-            boxes = tuple(
-                _raw_box(tuple(frac[a] for a in lo), tuple(frac[b] for b in hi))
-                for lo, hi in zip(lows, highs)
-            )
-            object.__setattr__(self, "_boxes", boxes)
+            m, lows, highs = len(self.lows), self.lows.T.tolist(), self.highs.T.tolist()
+            frac = {val: Fraction(val, self.den) for val in set().union(*lows, *highs)}.__getitem__
+            mins = _row_tuples([map(frac, col) for col in lows], m)
+            maxs = _row_tuples([map(frac, col) for col in highs], m)
+            vars(self)["_boxes"] = tuple(map(_raw_box, mins, maxs))
         return self._boxes
 
     def __eq__(self, other) -> bool:

@@ -217,7 +217,12 @@ def boundary_region(shape: Shape, resolution: RationalLike) -> CellSet:
     """Cells whose cube meets the shape but is not contained in it: a subset
     of the outer pixellation's sorted, distinct rows, kept in their order."""
     lam = as_fraction(resolution)
-    meets = outer_pixellate(shape, lam)
+    return _boundary_region(shape, lam, outer_pixellate(shape, lam))
+
+
+def _boundary_region(shape: Shape, lam: Fraction, meets: CellSet) -> CellSet:
+    """``boundary_region`` at resolution ``lam`` from the shape's outer
+    pixellation ``meets`` at that resolution, for a caller that has it."""
     n = meets.dimension
     if isinstance(shape, L1Ball):
         # a cube lies in the ball iff its farthest corner does: per axis the

@@ -60,6 +60,7 @@ from .lattice import (
 from .pixellation import (
     BoxUnionShape,
     L1Ball,
+    _boundary_region,
     boundary_region,
     outer_pixellate,
     pixellation_error_bracket,
@@ -596,9 +597,10 @@ def _pixellation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord
     tag = f"[n={n},i={i}]"
     out = []
     lams = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+    unit = outer_pixellate(shape, lams[0])  # the boundary region at 1 is cut from it below
     uppers = []
     for lam in lams:
-        pix = outer_pixellate(shape, lam)
+        pix = unit if lam == lams[0] else outer_pixellate(shape, lam)
         if convex_shape:
             out.append(
                 property_record(f"pixellation.convex{tag}@{frac_str(lam)}", bool(is_l1_convex(pix)))
@@ -626,7 +628,9 @@ def _pixellation_instance(cfg: VerifyConfig, n: int, i: int) -> list[CheckRecord
     # is its cell count times the cube volume
     shrink = 1 - Fraction(1, 3**n)
     nested = (Fraction(1), Fraction(1, 3), Fraction(1, 9))
-    volume = {lam: len(boundary_region(shape, lam)) * lam**n for lam in nested}
+    counts = [len(_boundary_region(shape, nested[0], unit))]
+    counts += [len(boundary_region(shape, lam)) for lam in nested[1:]]
+    volume = {lam: count * lam**n for lam, count in zip(nested, counts)}
     for lam in nested[1:]:
         d_fine, d_coarse = volume[lam], volume[3 * lam]
         ok = d_fine <= shrink * d_coarse

@@ -7,10 +7,12 @@ share no code with the array kernels they check.  Inputs cover dimensions
 about 2^62, where the index array switches from int64 to exact big ints.
 The runs along the last axis that the point-set kernels take are checked
 against one box per cell, and the callers that skip the final sort against
-the sorted rows.
+the sorted rows.  The RatBox and cell-tuple views, which are zipped from the
+arrays' columns, are checked against tuples built row by row.
 """
 
 import copy
+import dataclasses
 import itertools
 import pickle
 from fractions import Fraction as F
@@ -413,6 +415,76 @@ class TestCellRuns:
         lam = F(1, 3)
         cubes = cellset_to_boxunion(CellSet(2, cells, lam))
         assert cubes.boxes == tuple(cell_box(c, lam) for c in sorted(cells))
+
+
+def boxes_oracle(den, lows, highs):
+    """The RatBox view built box by box through the validating constructor."""
+    return tuple(
+        RatBox([F(v, den) for v in lo], [F(v, den) for v in hi]) for lo, hi in zip(lows, highs)
+    )
+
+
+class TestViews:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 3),
+        corners=st.lists(
+            st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                      st.lists(st.integers(0, 3), min_size=3, max_size=3)),
+            max_size=8,
+        ),
+        offset=st.sampled_from([0, -5, 2**62, -(2**62), 2**70]),
+        den=st.sampled_from([1, 2, 6, 2**65 + 1]),
+    )
+    def test_boxes_match_row_by_row(self, n, corners, offset, den):
+        lows = [[a + offset for a in lo[:n]] for lo, _ in corners]
+        highs = [[a + w for a, w in zip(lo, side)] for lo, (_, side) in zip(lows, corners)]
+        arrays = [np.array(rows, dtype=object).reshape(len(corners), n) for rows in (lows, highs)]
+        u = BoxUnion._from_arrays(n, den, *arrays)
+        want = boxes_oracle(den, lows, highs)
+        big = any(abs(v) >= BIG for row in lows + highs for v in row)
+        assert u.lows.dtype == u.highs.dtype == (object if big else np.int64)
+        assert u.boxes == want and isinstance(u.boxes, tuple)
+        values = [v for b in u.boxes for v in b.mins + b.maxs]
+        assert all(type(v) is F for v in values)
+        assert len({id(v) for v in values}) == len(set(values))  # one Fraction per value
+        given_boxes = BoxUnion(n, want)
+        assert u == given_boxes and hash(u) == hash(given_boxes)
+        for box, same in zip(u.boxes, want):
+            assert hash(box) == hash(same) and repr(box) == repr(same)
+
+    def test_empty_and_zero_dimensional_unions(self):
+        for n, m in ((0, 0), (0, 1), (0, 3), (2, 0)):
+            u = BoxUnion._from_arrays(n, 1, np.zeros((m, n), np.int64), np.zeros((m, n), np.int64))
+            assert u.boxes == ((RatBox((), ()),) * m if n == 0 else ())
+            assert u == BoxUnion(n, u.boxes) and hash(u) == hash(BoxUnion(n, u.boxes))
+
+    def test_built_box_is_a_frozen_dataclass(self):
+        u = BoxUnion._from_arrays(2, 3, np.array([[-1, 2**70]], object), np.array([[4, 2**70 + 1]], object))
+        (box,) = u.boxes
+        for name in ("mins", "maxs", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(box, name, (F(0), F(0)))
+        assert vars(box) == {"mins": (F(-1, 3), F(2**70, 3)), "maxs": (F(4, 3), F(2**70 + 1, 3))}
+        for copied in (pickle.loads(pickle.dumps(box)), copy.deepcopy(box), dataclasses.replace(box)):
+            assert copied == box and hash(copied) == hash(box)
+        assert dataclasses.replace(box, maxs=(F(2), F(2**71))).maxs == (F(2), F(2**71))
+        with pytest.raises(ValueError, match="is empty"):
+            dataclasses.replace(box, maxs=(F(-2), F(2**71)))
+        assert pickle.loads(pickle.dumps(u)).boxes == u.boxes
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 4),
+        base=st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=10),
+        shift=st.sampled_from([0, -7, BIG - 2, -BIG - 1, 2**70]),
+    )
+    def test_cell_tuples_match_row_by_row(self, n, base, shift):
+        x = CellSet(n, [tuple(v + shift for v in c[:n]) for c in base])
+        rows = x.indices.tolist()
+        assert x.cells == frozenset(map(tuple, rows)) and isinstance(x.cells, frozenset)
+        assert x.sorted_cells() == tuple(map(tuple, rows))
+        assert all(type(v) is int for c in x.sorted_cells() for v in c)
 
 
 def assert_sorted_rows(x):

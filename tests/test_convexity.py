@@ -303,10 +303,57 @@ class TestPathEquivalence:
         assert len(comp) == _CERTIFIED_CELLS and _certified(comp) is None
         self.check_gated(comp, not far)
 
+    @pytest.mark.parametrize(
+        "sides, where",
+        [((30, 10), "last"), ((18, 3, 5), "last"), ((8, 40), "late"), ((7, 6, 7), "late"), ((4, 4, 4, 5), "late")],
+        ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)),
+    )
+    @pytest.mark.parametrize("shift", [0, 2**62], ids=["near", "far"])
+    def test_restricted_scan_skips_anchor_chunks(self, sides, where, shift, monkeypatch):
+        # a box with the cell (w - 1, 1, 0, ...) taken out of its last slice
+        # on axis 0: only pairs within that slice are unreachable, so every
+        # anchor chunk before the slice's first cell has no candidate pair
+        n, w = len(sides), sides[0]
+        hole = (w - 1, 1) + (0,) * (n - 2)
+        box = {tuple(v + shift for v in c) for c in itertools.product(*map(range, sides))}
+        x = CellSet(n, box - {tuple(v + shift for v in hole)})
+        comp = _compressed(x.indices)
+        rows = _unreachable(comp)
+        live = rows.any(axis=1)
+        first = (w - 1) * int(np.prod(sides[1:]))  # the row of cell (w - 1, 0, ...)
+        assert len(comp) >= _WAVEFRONT_CELLS and np.argmax(live) == first
+        chunks, pairs = [], convexity._pairs
+
+        def spy(anchors, later, start, unreachable):
+            chunks.append((start, start + len(anchors)))
+            return pairs(anchors, later, start, unreachable)
+
+        monkeypatch.setattr(convexity, "_pairs", spy)
+        for scan in (_witness_direct, _witness_prefix):
+            for collect in (False, True):
+                chunks.clear()
+                scan(comp, collect, rows)
+                # the first chunk taken holds the first unreachable row, and
+                # only chunks with an unreachable row are taken
+                assert chunks[0][0] <= first < chunks[0][1] and all(live[a:b].any() for a, b in chunks)
+                taken = np.zeros(len(comp), dtype=bool)
+                for a, b in chunks:
+                    taken[a:b] = True
+                assert not collect or not (live & ~taken).any()
+                # it is the scan's last chunk, or one before the last
+                assert (chunks[0][1] == len(comp)) == (where == "last")
+        monkeypatch.undo()
+        self.check_gated(comp, convex=False)
+        corner = tuple(v + shift for v in hole)
+        below, above = (corner[0], corner[1] - 1, *corner[2:]), (corner[0], corner[1] + 1, *corner[2:])
+        assert is_l1_convex(x).witness == (below, above)
+        assert convexify(x) == CellSet(n, box)
+
     @staticmethod
     def check_gated(comp, convex):
         """``_scan`` gives the witness and the collected pairs of the
-        ungated prefix (or, on a large grid, direct) scan."""
+        ungated prefix (or, on a large grid, direct) scan, and so do both
+        scans restricted to the unreachable pairs."""
         grid = int(np.prod(comp.max(axis=0) + 1, dtype=object))
         ungated = _witness_prefix if grid <= _PREFIX_GRID_LIMIT else _witness_direct
         witness = ungated(comp)
@@ -315,11 +362,13 @@ class TestPathEquivalence:
         pairs = np.asarray(ungated(comp, collect=True)).reshape(-1, 2)
         assert np.array_equal(np.asarray(_scan(comp, collect=True)).reshape(-1, 2), pairs)
         if witness is not None:
-            # the direct scan on the unreachable pairs, 5 to 30 anchors a
-            # chunk from 256 cells, so every chunk but the first reads rows
-            # past 0
-            restricted = _witness_direct(comp, collect=True, unreachable=_unreachable(comp))
-            assert np.array_equal(restricted, pairs)
+            # on the unreachable pairs, 5 to 30 anchors a chunk in the direct
+            # scan from 256 cells, so every chunk but the first reads rows
+            # past 0, and the chunks with no unreachable pair are skipped
+            rows = _unreachable(comp)
+            for scan in (_witness_direct, _witness_prefix)[: 2 if grid <= _PREFIX_GRID_LIMIT else 1]:
+                assert scan(comp, unreachable=rows) == witness
+                assert np.array_equal(scan(comp, collect=True, unreachable=rows), pairs)
 
 
 def along_axis_compressed(rows: np.ndarray) -> np.ndarray:
