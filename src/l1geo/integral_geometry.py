@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm, prod, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -288,15 +289,18 @@ def higher_kinematic_rhs(x: CellSet, box: RatBox, k: int) -> Fraction:
 
 _BITS = 16  # sample translations are dyadic rationals of this depth
 _BLOCK_SIZE = 8192  # samples drawn per RNG stream
-# Samples evaluated at once.  The work arrays of a kinematic suite set then
-# take 0.4-1.2 MB in int32.  In int32 a chunk of 4,096 ran faster than one of
-# 1,024, 2,048 or 8,192, and the kinematic benchmark had a lower peak RSS
-# than at 2,048 or 8,192.
+# Samples evaluated at once.  The work arrays of a kinematic suite set at
+# degree 1 then take 0.4-0.9 MB in int32, the full-width zeros and sides
+# included.  With the packed gate a chunk of 4,096 ran as fast as one of
+# 8,192 and faster than one of 1,024 or 2,048, and the kinematic benchmark
+# had a lower peak RSS than at 2,048 or 8,192.
 _CHUNK = 4096
-# Bytes that the sampler's dense float32 incidence matrices may take, summed
-# over the subspaces; it refuses a set that needs more before allocating any.
-# A 2-D diagonal of 4,096 cells needs 2^27 at k = 1, one of 8,192 cells 2^29.
-# The work arrays of one chunk of samples stay within it too.
+# Bytes that the sampler's gate indices may take, summed over the subspaces;
+# it refuses a set that needs more before allocating any.  An index holds one
+# entry per segment and per projection of its longest segment: m entries on
+# a diagonal of m cells, and 2N^2 over the two subspaces of an L of one row
+# and one column of N cells at k = 1.  The work arrays of one chunk of
+# samples stay within it too.
 _INCIDENCE_BUDGET = 1 << 28
 # The sampler's arrays are int32 while its bound on every value stays below
 # this: the bound takes 20-21 bits on the kinematic suite's degree-1 cases.
@@ -310,6 +314,18 @@ def _run(rows: np.ndarray):
     if np.array_equal(rows, np.arange(start, start + rows.size)):
         return slice(start, start + rows.size)
     return rows
+
+
+def _gate_index(seg_of: np.ndarray, proj_of: np.ndarray, lists: np.ndarray) -> np.ndarray:
+    """The (segments, longest list) array whose row s lists the projections
+    of segment s, padded with its first one; ``lists`` counts each
+    segment's projections."""
+    order = np.argsort(seg_of, kind="stable")
+    starts = np.cumsum(lists) - lists
+    projs = proj_of[order]
+    index = np.repeat(projs[starts][:, None], int(lists.max(initial=0)), axis=1)
+    index[seg_of[order], np.arange(order.size) - np.repeat(starts, lists)] = projs
+    return index
 
 
 class _Sampler:
@@ -351,28 +367,30 @@ class _Sampler:
 
     where a P axis on which the segment misses the box gives L+ = 0.  G_seg
     is 1 when some cell of the segment meets the box on every axis of Q.
-    ``subspaces`` holds (Q rows, incidence, P axes, P rows): the P rows give
-    each segment's row on every axis of P, the Q rows give the rows of the W
+    ``subspaces`` holds (Q rows, gate index, P rows): the P rows give each
+    segment's row on every axis of P, the Q rows give the rows of the W
     distinct Q-projections on every axis of Q (none when Q is empty: then
-    every segment is live), and ``incidence`` is the float32 0/1 matrix
-    (segments, W) marking which projections occur in which segment.  G is
-    read off the (W, samples) liveness of the projections through one
-    product with it, whose counts, at most W <= m, float32 holds exactly
-    below 2^24 cells; more are refused, as are incidence matrices past
-    ``_INCIDENCE_BUDGET``.  Consecutive rows, as on a subspace of one axis,
-    are kept as a slice.  No (cells, samples) array is built: every (rows,
-    samples) array is written into work arrays that are kept between calls,
-    one set shared by all subspaces and frames, and ``values`` takes the
-    samples in chunks (``chunk``) narrow enough for those to fit in the
-    incidence budget too.
+    every segment is live), and row s of the (segments, longest list) gate
+    index lists the projections that occur in segment s, padded with its
+    first one.  Liveness is packed eight samples to a byte once per chunk;
+    a projection's liveness is the AND of its Q rows' bytes, and G is the
+    OR of a segment's projections, gathered through the index (OR is
+    idempotent, so the padding changes nothing), unpacked to one 0/1 byte
+    per sample.  The index holds at most segments x W entries and m on a
+    diagonal; indices past ``_INCIDENCE_BUDGET`` are refused before they are
+    built.  Consecutive rows, as on a subspace of one axis, are kept as a
+    slice.  No (cells, samples) array is built: every (rows, samples) array
+    is written into work arrays that are kept between calls, one set shared
+    by all subspaces and frames, and ``values`` takes the samples in chunks
+    (``chunk``) narrow enough for those to fit in the budget too.  The
+    clamps run against full-width arrays of zeros and of the frame's sides,
+    which NumPy reads faster than a scalar or a (rows, 1) column.
     """
 
     def __init__(self, x: CellSet, box: RatBox, k: int, bits: int = _BITS):
         n = x.dimension
         cells = x.indices
         m = cells.shape[0]
-        if m >= 1 << 24:
-            raise ValueError("too many cells for the sampler's float32 incidence counts")
         lam = x.resolution
         denom = lcm(
             lam.denominator,
@@ -396,26 +414,28 @@ class _Sampler:
             self.axis_rows.append(slice(start, start + axis.size))
             start += axis.size
         self.row_count = start
-        self.sizes = [c.size for c in coords]
         keys = []
         for sub in coordinate_subspaces(n, k):
             p_axes, q_axes = list(sub.axes), list(sub.complement().axes)
             segs, seg_of = np.unique(rows[:, p_axes], axis=0, return_inverse=True)
             projs, proj_of = np.unique(rows[:, q_axes], axis=0, return_inverse=True)
-            keys.append((p_axes, segs, seg_of, projs, proj_of))
-        nbytes = sum(4 * segs.shape[0] * projs.shape[0] for _, segs, _, projs, _ in keys)
+            seg_of = seg_of.reshape(-1)
+            lists = np.bincount(seg_of, minlength=segs.shape[0])
+            keys.append((segs, seg_of, projs, proj_of.reshape(-1), lists))
+        itemsize = np.dtype(np.intp).itemsize
+        nbytes = sum(itemsize * lists.size * int(lists.max(initial=0)) for *_, lists in keys)
         if nbytes > _INCIDENCE_BUDGET:
             raise ValueError(
-                f"the sampler's incidence matrices would take {nbytes:,} bytes, "
+                f"the sampler's gate indices would take {nbytes:,} bytes, "
                 f"over its budget of {_INCIDENCE_BUDGET:,}"
             )
         self.subspaces = []
-        for p_axes, segs, seg_of, projs, proj_of in keys:
-            incidence = np.zeros((segs.shape[0], projs.shape[0]), dtype=np.float32)
-            incidence[seg_of.reshape(-1), proj_of.reshape(-1)] = 1
-            self.subspaces.append(
-                ([_run(r) for r in projs.T], incidence, p_axes, [_run(r) for r in segs.T])
-            )
+        for segs, seg_of, projs, proj_of, lists in keys:
+            self.subspaces.append((
+                [_run(r) for r in projs.T],
+                _gate_index(seg_of, proj_of, lists),
+                [_run(r) for r in segs.T],
+            ))
 
         # The extremes are computed in Python ints, so the bound below is
         # exact; the arrays are built only once it has chosen their dtype.
@@ -427,25 +447,29 @@ class _Sampler:
         # coordinate, sum and difference below stays within 2 * support.
         self.extents = [(int(c[-1]) - int(c[0]) + 1) * lam_scaled for c in coords]
         max_len = max((min(lam_scaled, side) for side in self.sides), default=0)
-        bound = sum(max(max_len, 1) ** len(p) * inc.shape[0] for _, inc, p, _ in self.subspaces)
+        bound = sum(max(max_len, 1) ** len(p) * index.shape[0] for _, index, p in self.subspaces)
         longest = max(self.sides, default=0) + max(self.extents, default=0)
         top = max(bound, 2 * longest)
         self.dtype = dtype = np.int32 if top < _INT32_SAFE else _int_dtype(top)
         lows = [(c - c[-1] - 1).astype(dtype) * lam_scaled for c in coords]
         self.row_lows = np.concatenate(lows or [np.empty(0, dtype)])[:, None]
-        # np.maximum runs faster against a zero of the array's own type
-        # than against the Python int 0
-        self.zero = np.dtype(dtype).type(0)
-        # Per sample, the work arrays of ``_add_values`` take at most two
-        # entries of the value dtype and four bytes for each row and for
-        # each segment of a subspace, and a float32 and two bools for each
-        # projection; an object entry also holds its int.  Chunks keep them
-        # within the incidence budget.
+        # Per sample, the work arrays of ``_add_values`` take four entries of
+        # the value dtype for each row (the length, its clamp, the zeros and
+        # the sides) and a bool for its liveness, two entries and a byte for
+        # each segment of a subspace (the product, its factor and the
+        # unpacked gate), one entry for the sum, and one bit for each packed
+        # row, each projection twice, each gathered index entry and each
+        # segment's gate; an object entry also holds its int.  Chunks keep
+        # them within the budget.
         item = np.dtype(dtype).itemsize + (sys.getsizeof(top) if dtype is object else 0)
-        segs = max(inc.shape[0] for _, inc, _, _ in self.subspaces)
-        projs = max(inc.shape[1] for _, inc, _, _ in self.subspaces)
-        per_sample = (2 * item + 4) * (self.row_count + segs) + 8 * projs
+        segs = max(index.shape[0] for _, index, _ in self.subspaces)
+        gathered = max(index.size for _, index, _ in self.subspaces)
+        projs = max(p.shape[0] for _, _, p, _, _ in keys)
+        packed = -(-(self.row_count + 2 * projs + gathered + segs) // 8)
+        per_sample = (4 * item + 1) * self.row_count + (2 * item + 1) * segs + item + packed
         self.chunk = max(1, min(_CHUNK, _INCIDENCE_BUDGET // per_sample))
+        self.zeros = np.zeros((self.row_count, self.chunk), dtype=dtype)
+        self.row_sides = np.empty_like(self.zeros)
         self._order = None
         self._work = {}
         self._views = {}
@@ -457,7 +481,8 @@ class _Sampler:
             self._order = order
             sides = [self.sides[i] for i in order]
             support = [side + extent for side, extent in zip(sides, self.extents)]
-            self.row_sides = np.repeat(np.asarray(sides, dtype=self.dtype), self.sizes)[:, None]
+            for rows, side in zip(self.axis_rows, sides):
+                self.row_sides[rows] = side
             self.support = np.asarray(support, dtype=self.dtype)
             self.step = self.support >> self.bits
             self.support_volume = Fraction(prod(support), self.scale**self.n)
@@ -517,36 +542,37 @@ class _Sampler:
     def _add_values(self, draws: np.ndarray, out: np.ndarray) -> None:
         work, dtype = self._work_array, self.dtype
         count = draws.shape[1]
+        zeros, sides = self.zeros[:, :count], self.row_sides[:, :count]
 
         x = work("x", self.row_count, count, dtype)
         for i, rows in enumerate(self.axis_rows):
             np.add(self.row_lows[rows], draws[i], out=x[rows])  # cube lows
         # L = min(x + lam, side) - max(x, 0), in place: its sign is the
         # liveness and its positive part is L+
-        low = np.maximum(x, self.zero, out=work("scratch", *x.shape, dtype))
+        low = np.maximum(x, zeros, out=work("scratch", *x.shape, dtype))
         x += self.lam_scaled
-        np.minimum(x, self.row_sides, out=x)
+        np.minimum(x, sides, out=x)
         x -= low
-        alive = np.greater_equal(x, self.zero, out=work("alive", *x.shape, bool))
-        lengths = np.maximum(x, self.zero, out=x)           # L+ per row
+        alive = np.packbits(np.greater_equal(x, 0, out=work("alive", *x.shape, bool)), axis=1)
+        lengths = np.maximum(x, zeros, out=x)               # L+ per row
 
         # max(x, 0) is spent, so each subspace's products reuse its work array
-        for q_rows, incidence, _, p_rows in self.subspaces:
-            segs, projs = incidence.shape
+        for q_rows, index, p_rows in self.subspaces:
+            segs, longest = index.shape
             prod = work("scratch", segs, count, dtype)
+            gate = 1
             if q_rows:
                 live = self._take(alive, q_rows[0], "live")
                 for rows in q_rows[1:]:
                     factor = self._take(alive, rows, "live_factor")
-                    live = np.logical_and(live, factor, out=work("live", projs, count, bool))
-                # liveness is ANDed in bool, a quarter of the bytes of
-                # float32, and cast once for the product
-                weights = work("weights", projs, count, np.float32)
-                weights[...] = live
-                counts = np.matmul(incidence, weights, out=work("counts", segs, count, np.float32))
-                np.greater(counts, 0, out=prod)             # G per segment
-            else:
-                prod.fill(1)
+                    live = np.bitwise_and(live, factor, out=work("live", *factor.shape, np.uint8))
+                gathered = self._take(live, index.reshape(-1), "gathered")
+                packed = np.bitwise_or.reduce(
+                    gathered.reshape(segs, longest, -1), axis=1,
+                    out=work("gate", segs, live.shape[1], np.uint8),
+                )
+                gate = np.unpackbits(packed, axis=1, count=count)  # G per segment
+            prod[...] = gate
             for rows in p_rows:
                 prod *= self._take(lengths, rows, "prod_factor")
             out += prod.sum(axis=0, out=work("sum", 1, count, dtype)[0])
@@ -571,8 +597,10 @@ def kinematic_higher_mc(x: CellSet, box: RatBox, k: int, samples: int, seed: int
     n = x.dimension
     if not 0 <= k <= n:
         raise ValueError("degree out of range")
-    if samples < 2:
-        raise ValueError("need at least 2 samples per group element")
+    if not isinstance(samples, Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, not {samples!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
     if box.dimension != n:
         raise ValueError("dimension mismatch")
     rhs = higher_kinematic_rhs(x, box, k)

@@ -598,34 +598,114 @@ class TestHigherKinematic:
             assert built == [(x, box)]
 
     def test_incidence_budget_refuses_before_allocating(self, monkeypatch):
-        """A 2-D diagonal of 256 cells needs two 256 x 256 float32 incidence
-        matrices at k = 1, 512 KB in all.  Under a 128 KB budget the call is
-        refused, naming the bytes, and its peak stays below the budget, so
-        neither matrix was allocated."""
+        """An L of one row and one column of 256 cells each, corner shared,
+        has at k = 1 two subspaces of 256 segments, one of which lists 256
+        projections: two 256 x 256 padded gate indices, 1 MB in all.  Under
+        a 128 KB budget the call is refused, naming the bytes, and its peak
+        stays below the budget, so neither index was allocated."""
         monkeypatch.setattr(integral_geometry, "_INCIDENCE_BUDGET", 1 << 17)
-        x = CellSet(2, {(i, i) for i in range(256)})
+        x = CellSet(2, {(i, 0) for i in range(256)} | {(0, j) for j in range(256)})
         box = RatBox((0, 0), (2, 3))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="524,288 bytes"):
+            with pytest.raises(ValueError, match="1,048,576 bytes"):
                 kinematic_higher_mc(x, box, 1, 100, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 17
 
-    def test_incidence_budget_refuses_a_large_diagonal_at_once(self):
-        """At the real budget a diagonal of 8,192 cells, whose incidence
-        matrices would take 512 MB, is refused within a second."""
-        x = CellSet(2, {(i, i) for i in range(8192)})
+    def test_incidence_budget_refuses_a_large_l_at_once(self):
+        """At the real budget an L of one row and one column of 8,192 cells
+        each, whose padded gate indices would take 1 GB, is refused within a
+        second."""
+        x = CellSet(2, {(i, 0) for i in range(8192)} | {(0, j) for j in range(8192)})
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="536,870,912 bytes"):
+        with pytest.raises(ValueError, match="1,073,741,824 bytes"):
             kinematic_higher_mc(x, RatBox((0, 0), (2, 3)), 1, 100, seed=0)
         assert time.perf_counter() - start < 1.0
 
+    def test_sampler_takes_a_diagonal_of_8192_cells(self):
+        """A 2-D diagonal of 8,192 cells lists one projection per segment:
+        its gate indices hold m entries, and the sampler is built within a
+        second at every degree.  Its values on a few draws along the
+        diagonal, where the set meets the box, equal the reduceat oracle."""
+        x = CellSet(2, {(i, i) for i in range(8192)})
+        box = RatBox((0, 0), (2, 3))
+        rng = np.random.default_rng(8192)
+        t = rng.integers(0, 1 << 16, size=(6, 1), dtype=np.int64)
+        t = np.hstack([t, t + rng.integers(-3, 4, size=t.shape)])
+        for k in range(3):
+            start = time.perf_counter()
+            sampler = _Sampler(x, box, k)
+            assert time.perf_counter() - start < 1.0
+            for g in (SignedPerm((0, 1), (1, 1)), SignedPerm((1, 0), (-1, -1))):
+                h = g.inverse()
+                sampler.frame(h.perm)
+                got = element_values(sampler, h, t)
+                draws = own_draws(x, g, box, sampler.scale, sampler.bits, t)
+                assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
+                assert got.any()
+
+    @pytest.mark.parametrize(
+        "widen, bits, dtype", [(0, 6, np.int32), (2**20, 16, np.int64), (2**45, 16, object)]
+    )
+    def test_padded_gate_matches_reduceat_oracle(self, widen, bits, dtype):
+        """Sets whose segments list different numbers of projections, so
+        that the gate index pads its short rows, at every degree from k = 0
+        (one segment) to k = n (no Q axes) and on the int32, int64 and
+        big-int kernels (6 bits keep degree 3 in int32; widening the box by
+        2^20 or 2^45 takes int64 or big ints).  Values equal the reduceat
+        oracle for chunks of 1, 7, 9 and 3,617 samples, which liveness packs
+        into a last byte of 1, 7, 1 and 1 samples, and for every short last
+        chunk."""
+        rng = np.random.default_rng(widen)
+        cases = [
+            CellSet(1, {(0,), (2,), (3,)}),
+            CellSet(2, {(i, 0) for i in range(4)} | {(0, j) for j in range(4)}),
+            gen_random_cellset(2, 5, 9, 31, resolution=F(1, 2)),
+            gen_random_cellset(3, 4, 14, 32),
+        ]
+        for x in cases:
+            n = x.dimension
+            box = gen_random_box(n, 40 + n, low=0, high=4, min_side=1, resolution=x.resolution)
+            box = RatBox(box.mins, (box.maxs[0] + widen, *box.maxs[1:]))
+            padded = False
+            for k in range(n + 1):
+                sampler = _Sampler(x, box, k, bits)
+                assert sampler.dtype == dtype
+                padded |= any(
+                    len(set(row)) < len(row) for _, index, _ in sampler.subspaces for row in index
+                )
+                elements = hyperoctahedral_group(n)
+                for chunk, count in ((1, 3), (7, 15), (9, 20), (3617, 3626)):
+                    g = elements[rng.integers(len(elements))]
+                    h = g.inverse()
+                    sampler.frame(h.perm)
+                    sampler.chunk = chunk
+                    t = rng.integers(0, 1 << sampler.bits, size=(count, n), dtype=np.int64)
+                    got = element_values(sampler, h, t)
+                    draws = own_draws(x, g, box, sampler.scale, sampler.bits, t)
+                    assert np.array_equal(got, reduceat_values(x, g, box, k, sampler.scale, draws))
+            assert padded == (n > 1)
+
+    def test_bad_seed_or_samples_is_refused_by_name(self):
+        """A negative seed and a float sample count are refused up front with
+        a ValueError that names the argument."""
+        x, box = TROMINO, RatBox((0, 0), (1, 1))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            kinematic_higher_mc(x, box, 1, 100, seed=-5)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            kinematic_higher_mc(x, box, 1, 100, seed=1.5)
+        with pytest.raises(ValueError, match="samples must be an integer of at least 2"):
+            kinematic_higher_mc(x, box, 1, 100.0, seed=0)
+        with pytest.raises(ValueError, match="samples must be an integer of at least 2"):
+            kinematic_higher_mc(x, box, 1, 1, seed=0)
+        assert kinematic_higher_mc(x, box, 1, np.int64(100), seed=np.int64(3)).samples == 100
+
     def test_work_arrays_fit_the_budget(self):
-        """A 2-D diagonal of 2,048 cells at k = 1 needs about 86 KB of work
-        arrays a sample, 352 MB at 4,096 samples.  ``values`` takes the
+        """A 2-D diagonal of 2,048 cells at k = 1 needs about 90 KB of work
+        arrays a sample, 367 MB at 4,096 samples.  ``values`` takes the
         samples in chunks whose work arrays fit the incidence budget, and
         per-sample values do not depend on the chunk.  A kinematic suite
         set keeps chunks of 4,096."""
@@ -646,9 +726,9 @@ class TestHigherKinematic:
         assert _Sampler(*kinematic_instance(3, 0, 0, 5, 0.3), 3).chunk == 4096
 
     def test_chunk_takes_at_least_one_sample(self, monkeypatch):
-        """Under a budget that holds the incidence matrices (32 bytes) but
-        not one sample's work arrays (136 bytes), ``values`` takes one
-        sample at a time, and the estimate is the same bit for bit."""
+        """Under a budget that holds the gate indices (32 bytes) but not one
+        sample's work arrays (92 bytes), ``values`` takes one sample at a
+        time, and the estimate is the same bit for bit."""
         x, box = CellSet(2, {(0, 0), (1, 1)}), RatBox((0, 0), (2, 3))
         est = kinematic_higher_mc(x, box, 1, 300, seed=4)
         monkeypatch.setattr(integral_geometry, "_INCIDENCE_BUDGET", 64)

@@ -397,6 +397,12 @@ class TestCli:
         assert rec["kind"] == "mc"
         assert rec["passed"] is True
 
+    def test_kinematic_negative_seed_exits_2(self, tromino_file, capsys):
+        assert main(["kinematic", tromino_file, "--degree", "1", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, not -5\n"
+
     def test_product(self, tromino_file, tmp_path, capsys):
         other = tmp_path / "interval.json"
         other.write_text(
