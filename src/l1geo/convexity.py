@@ -53,11 +53,13 @@ any index size, big-int (object) indices included.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from math import ceil, floor, prod
 
 import numpy as np
 
+from ._util import MEMO, MISSING
 from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed_area
 
 _PREFIX_GRID_LIMIT = 30_000_000
@@ -412,14 +414,29 @@ def is_l1_convex(x: CellSet) -> ConvexityVerdict:
     """Decide taxicab geodesic convexity of a cell set.
 
     Returns the lexicographically smallest violating pair as witness when not
-    convex (pairs ordered by (h, h') with h < h' lexicographically).
+    convex (pairs ordered by (h, h') with h < h' lexicographically).  Below
+    ``_CERTIFIED_CELLS`` cells the scan of an int64 set is memoized
+    (``_util.MEMO``): each distinct small set is scanned once while its
+    entry stays in the memo.
     """
     if len(x) <= 1:
         return ConvexityVerdict(True, None)
-    hit = _scan(_compressed(x.indices))
+    rows = x.indices
+    if len(x) >= _CERTIFIED_CELLS or rows.dtype != np.int64:
+        hit = _scan(_compressed(rows))
+    else:
+        # a small int64 set's scan is kept in the memo, keyed by its index
+        # bytes: the rows are canonical, so equal cell sets at any
+        # resolution share a key, and the dimension tells a 2-D set of 3
+        # cells from a 3-D set of 2 with the same bytes
+        key = (x.dimension, rows.tobytes())
+        hit = MEMO.get(key)
+        if hit is MISSING:
+            hit = _scan(_compressed(rows))
+            MEMO.put(key, hit, sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(hit))
     if hit is None:
         return ConvexityVerdict(True, None)
-    a, b = x.indices[list(hit)].tolist()
+    a, b = rows[list(hit)].tolist()
     return ConvexityVerdict(False, (tuple(a), tuple(b)))
 
 

@@ -8,16 +8,21 @@ the same instance regardless of process or platform.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 
-from ._util import RationalLike, as_fraction, derive_seed
+from ._util import MEMO, MISSING, RationalLike, as_fraction, derive_seed
 from .convexity import convexify, is_l1_convex
 from .lattice import CellSet, RatBox, _int_dtype
 from .pixellation import L1Ball, outer_pixellate
 
 MODES = ("blob", "staircase", "ball")
+# generated sets of fewer cells are kept in the memo; a kept entry's charge
+# counts its array's header and data, its resolution and its triple
+_KEPT_CELLS = 256
+_KEPT_BYTES = 384
 
 
 def _unranked(picks: list[int], n: int, bound: int) -> np.ndarray:
@@ -42,7 +47,10 @@ def gen_random_convex(
     "staircase" takes the cells under a random monotone weighted-threshold
     boundary (convex by construction); "ball" pixellates a random rational
     ball.  ``density`` in [0, 1] scales the instance; density 0 yields a
-    singleton in every mode.  Deterministic in (all arguments).
+    singleton in every mode.  Deterministic in (all arguments).  A result
+    of fewer than ``_KEPT_CELLS`` cells is kept in the memo
+    (``_util.MEMO``), keyed by the arguments' types and values, and a
+    repeated call rebuilds the set from its read-only index array.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -55,6 +63,27 @@ def gen_random_convex(
     lam = as_fraction(resolution)
     if lam <= 0:
         raise ValueError("resolution must be positive")
+    # the seed reads repr(density) and str(seed), so the key keeps each
+    # argument's type and repr: 0 and 0.0, or True and 1, draw differently
+    key = repr((mode, lam, *((type(v), v) for v in (n, bound, density, seed))))
+    kept = MEMO.get(key)
+    if kept is not MISSING:
+        return CellSet._from_sorted(*kept)
+    out = _random_convex(n, bound, density, seed, mode, lam)
+    verdict = is_l1_convex(out)
+    if not verdict:
+        raise AssertionError(f"generator produced a non-convex set: {verdict.witness}")
+    rows = out.indices
+    if len(out) < _KEPT_CELLS:
+        if rows.base is not None:  # keep no larger array alive
+            rows = rows.copy()
+            rows.flags.writeable = False
+        MEMO.put(key, (out.dimension, rows, out.resolution), sys.getsizeof(key) + rows.nbytes + _KEPT_BYTES)
+    return out
+
+
+def _random_convex(n: int, bound: int, density: float, seed: int, mode: str, lam: Fraction) -> CellSet:
+    """The body of ``gen_random_convex`` on checked arguments, unmemoized."""
     rng = random.Random(derive_seed("gen_random_convex", mode, n, bound, repr(density), seed))
 
     if mode == "ball" and density > 0:
@@ -62,22 +91,16 @@ def gen_random_convex(
             lam * Fraction(rng.randint(0, 2 * bound), 2) for _ in range(n)
         )
         radius = lam * max(Fraction(1, 2), Fraction(round(density * bound * 2), 2))
-        out = outer_pixellate(L1Ball(center, radius), lam)
-    elif mode == "staircase" and density > 0:
+        return outer_pixellate(L1Ball(center, radius), lam)
+    if mode == "staircase" and density > 0:
         weights = [rng.randint(1, 4) for _ in range(n)]
         threshold = round(density * sum(w * (bound - 1) for w in weights))
         grid = np.indices((bound,) * n).reshape(n, -1).T
-        out = CellSet._from_array(n, grid[grid @ np.asarray(weights) <= threshold], lam)
-    else:
-        total = bound**n
-        target = max(1, min(total, round(density * total)))
-        picks = rng.sample(range(total), k=target)
-        out = convexify(CellSet._from_array(n, _unranked(picks, n, bound), lam))
-
-    verdict = is_l1_convex(out)
-    if not verdict:
-        raise AssertionError(f"generator produced a non-convex set: {verdict.witness}")
-    return out
+        return CellSet._from_array(n, grid[grid @ np.asarray(weights) <= threshold], lam)
+    total = bound**n
+    target = max(1, min(total, round(density * total)))
+    picks = rng.sample(range(total), k=target)
+    return convexify(CellSet._from_array(n, _unranked(picks, n, bound), lam))
 
 
 def gen_random_cellset(

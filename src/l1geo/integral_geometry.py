@@ -384,7 +384,9 @@ class _Sampler:
     by all subspaces and frames, and ``values`` takes the samples in chunks
     (``chunk``) narrow enough for those to fit in the budget too.  The
     clamps run against full-width arrays of zeros and of the frame's sides,
-    which NumPy reads faster than a scalar or a (rows, 1) column.
+    which NumPy reads faster than a scalar or a (rows, 1) column; they are
+    as wide as the widest chunk taken so far, so a call drawing few samples
+    allocates few columns.
     """
 
     def __init__(self, x: CellSet, box: RatBox, k: int, bits: int = _BITS):
@@ -468,9 +470,10 @@ class _Sampler:
         packed = -(-(self.row_count + 2 * projs + gathered + segs) // 8)
         per_sample = (4 * item + 1) * self.row_count + (2 * item + 1) * segs + item + packed
         self.chunk = max(1, min(_CHUNK, _INCIDENCE_BUDGET // per_sample))
-        self.zeros = np.zeros((self.row_count, self.chunk), dtype=dtype)
-        self.row_sides = np.empty_like(self.zeros)
+        # as wide as the widest chunk ``values`` has been given (``_clamps``)
+        self.zeros = self.row_sides = np.empty((self.row_count, 0), dtype=dtype)
         self._order = None
+        self._frame_sides = []
         self._work = {}
         self._views = {}
 
@@ -479,14 +482,27 @@ class _Sampler:
         the volume of its support."""
         if order != self._order:
             self._order = order
-            sides = [self.sides[i] for i in order]
+            self._frame_sides = sides = [self.sides[i] for i in order]
             support = [side + extent for side, extent in zip(sides, self.extents)]
-            for rows, side in zip(self.axis_rows, sides):
-                self.row_sides[rows] = side
+            self._fill_sides()
             self.support = np.asarray(support, dtype=self.dtype)
             self.step = self.support >> self.bits
             self.support_volume = Fraction(prod(support), self.scale**self.n)
         return self.support_volume
+
+    def _fill_sides(self) -> None:
+        for rows, side in zip(self.axis_rows, self._frame_sides):
+            self.row_sides[rows] = side
+
+    def _clamps(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, count) views of the zeros and of the frame's sides, grown
+        to ``count`` columns when narrower: their width follows the samples
+        drawn, not ``chunk``."""
+        if self.zeros.shape[1] < count:
+            self.zeros = np.zeros((self.row_count, count), dtype=self.dtype)
+            self.row_sides = np.empty_like(self.zeros)
+            self._fill_sides()
+        return self.zeros[:, :count], self.row_sides[:, :count]
 
     def sample_points(self, t: np.ndarray, signs) -> np.ndarray:
         """Scaled draws, one row per axis, for dyadic t in [0, 2^bits)^n (one
@@ -542,7 +558,7 @@ class _Sampler:
     def _add_values(self, draws: np.ndarray, out: np.ndarray) -> None:
         work, dtype = self._work_array, self.dtype
         count = draws.shape[1]
-        zeros, sides = self.zeros[:, :count], self.row_sides[:, :count]
+        zeros, sides = self._clamps(count)
 
         x = work("x", self.row_count, count, dtype)
         for i, rows in enumerate(self.axis_rows):

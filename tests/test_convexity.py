@@ -29,8 +29,10 @@ from l1geo import (
     split_halves,
 )
 from l1geo import convexity
+from l1geo._util import MEMO
 from l1geo.convexity import (
     _CERTIFIED_CELLS,
+    ConvexityVerdict,
     _CERTIFIED_DIMENSIONS,
     _PREFIX_GRID_LIMIT,
     _WAVEFRONT_CELLS,
@@ -195,6 +197,89 @@ class TestIsConvex:
     def test_verdict_truthiness(self):
         assert bool(is_l1_convex(CellSet(1, {(0,)})))
         assert is_l1_convex(CellSet(1, {(0,), (3,)})).witness == ((0,), (3,))
+
+
+def unmemoized_verdict(x: CellSet) -> ConvexityVerdict:
+    """The verdict of ``is_l1_convex`` from a fresh witness scan."""
+    hit = _scan(_compressed(x.indices)) if len(x) > 1 else None
+    if hit is None:
+        return ConvexityVerdict(True, None)
+    a, b = x.indices[list(hit)].tolist()
+    return ConvexityVerdict(False, (tuple(a), tuple(b)))
+
+
+@st.composite
+def memo_sets(draw):
+    """Sets of 2 to 70 cells in 1 to 4 dimensions, packed or stretched
+    apart, half of them made convex."""
+    n = draw(st.integers(1, 4))
+    side = draw(st.sampled_from([3, 5, 9]))
+    stretch = draw(st.sampled_from([1, 3]))
+    cells = draw(st.sets(st.tuples(*[st.integers(0, side - 1)] * n), min_size=2, max_size=70))
+    x = CellSet(n, {tuple(stretch * v for v in c) for c in cells})
+    return convexify(x) if draw(st.booleans()) else x
+
+
+class TestVerdictMemo:
+    """Below ``_CERTIFIED_CELLS`` cells an int64 set's scan is memoized on
+    its dimension and index bytes; nothing else changes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(memo_sets())
+    def test_memoized_verdict_matches_the_scan(self, x):
+        MEMO.clear()
+        expected = unmemoized_verdict(x)
+        for _ in range(2):  # a miss, then a hit
+            assert is_l1_convex(x) == expected
+        assert len(MEMO) == (len(x) < _CERTIFIED_CELLS)
+
+    def test_dimension_is_part_of_the_key(self):
+        """A 2-D set of 3 cells and a 3-D set of 2 with the same index
+        bytes: the first is convex, the second is not."""
+        plane = CellSet(2, {(0, 1), (1, 2), (2, 2)})
+        space = CellSet(3, {(0, 1, 1), (2, 2, 2)})
+        assert plane.indices.tobytes() == space.indices.tobytes()
+        MEMO.clear()
+        for _ in range(2):
+            assert is_l1_convex(plane) == ConvexityVerdict(True, None)
+            assert is_l1_convex(space) == ConvexityVerdict(False, ((0, 1, 1), (2, 2, 2)))
+        assert len(MEMO) == 2
+
+    def test_resolutions_share_a_verdict(self):
+        cells = {(0, 0), (2, 0), (2, 1), (0, 3)}
+        MEMO.clear()
+        verdicts = {is_l1_convex(CellSet(2, cells, lam)) for lam in (1, F(1, 7), F(3, 2))}
+        assert verdicts == {ConvexityVerdict(False, ((0, 0), (0, 3)))}
+        assert len(MEMO) == 1
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_63_cells_kept_64_not(self, far):
+        """A 9 x 7 block (63 cells) is memoized and an 8 x 8 one (64) is
+        not; with a corner cell moved far off the block, neither is convex."""
+        MEMO.clear()
+        for w, h in ((9, 7), (8, 8)):
+            cells = {(a, b) for a in range(w) for b in range(h)}
+            if far:
+                cells = cells - {(w - 1, h - 1)} | {(w + 9, 0)}
+            x = CellSet(2, cells)
+            expected = unmemoized_verdict(x)
+            assert expected.is_convex != far
+            before = len(MEMO)
+            assert is_l1_convex(x) == expected and is_l1_convex(x) == expected
+            assert len(MEMO) - before == (len(x) == 63)
+
+    def test_big_int_sets_bypass_the_memo(self):
+        """Indices from 2^62 on are big ints (object dtype): not memoized,
+        and decided exactly."""
+        t = 2**62
+        convex = CellSet(2, {(t + i, i // 2) for i in range(10)})
+        gapped = CellSet(2, {(t, 0), (t + 1, 0), (t + 3, 0)})
+        assert convex.indices.dtype == object and gapped.indices.dtype == object
+        MEMO.clear()
+        for _ in range(2):
+            assert is_l1_convex(convex) == ConvexityVerdict(True, None)
+            assert is_l1_convex(gapped) == ConvexityVerdict(False, ((t + 1, 0), (t + 3, 0)))
+        assert len(MEMO) == 0
 
 
 class TestPathEquivalence:

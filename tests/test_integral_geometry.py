@@ -725,6 +725,34 @@ class TestHigherKinematic:
         assert np.array_equal(sampler.values(q[:, :10]), values[:10])
         assert _Sampler(*kinematic_instance(3, 0, 0, 5, 0.3), 3).chunk == 4096
 
+    def test_clamps_follow_the_samples_drawn(self):
+        """The zeros and sides the clamps read are as wide as the widest
+        chunk taken, not ``chunk``: on the 8,192-cell diagonal at 16 samples
+        the estimate peaks under 8 MB under tracemalloc (about 101 MB when
+        they took all 748 columns of a chunk), bit for bit as before.
+        Widening them in a frame refills that frame's sides."""
+        x = CellSet(2, {(i, i) for i in range(8192)})
+        tracemalloc.start()
+        try:
+            est = kinematic_higher_mc(x, RatBox((0, 0), (256, 256)), 1, 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (repr(est.estimate), repr(est.standard_error)) == ("905464296.0", "397348416.3990406")
+
+        x, box = CellSet(2, {(0, 0), (1, 1), (1, 2)}), RatBox((0, 0), (2, 5))
+        t = np.random.default_rng(5).integers(0, 1 << 16, size=(50, 2), dtype=np.int64)
+        grown = _Sampler(x, box, 1)
+        for order in ((0, 1), (1, 0)):
+            grown.frame(order)
+            q = grown.sample_points(t, (1, 1))
+            grown.values(q[:, :3])
+            fresh = _Sampler(x, box, 1)
+            fresh.frame(order)
+            assert np.array_equal(grown.values(q), fresh.values(q))
+        assert grown.zeros.shape[1] == 50
+
     def test_chunk_takes_at_least_one_sample(self, monkeypatch):
         """Under a budget that holds the gate indices (32 bytes) but not one
         sample's work arrays (92 bytes), ``values`` takes one sample at a
