@@ -22,36 +22,43 @@ through the between-cell, which keeps the joined path monotone.
 Whether every pair is joined is decided locally (``_certified``).  For a
 cell c and a sign pattern tau (a king-move step), call the far region
 F_tau(c) the cells t with sign(t - c) = tau, and the near box B_tau(c) the
-index box prod_i [c_i + min(tau_i, 0), c_i + max(tau_i, 0)]:
+index box prod_i [c_i + min(tau_i, 0), c_i + max(tau_i, 0)].  A cell fails
+when some step tau with tau_0 in {0, 1} has F_tau(c) holding a cell while
+B_tau(c) holds c alone:
 
-    every pair is joined iff, for every cell c and every step tau with
-    tau_0 in {0, 1}, F_tau(c) holds no cell or B_tau(c) holds a cell
-    other than c.
+    every pair is joined iff no cell fails.
 
 Proof sketch: fix an orthant sigma with sigma_0 = +1 and take the cells in
 descending order of sigma.c.  The cells R[c] that c reaches by sigma-steps
-are {c} and the R[c + s] over the steps s into the orthant (``_unreachable``).
-By induction R[c] is the orthant's cells for every c iff each target t of
-c's orthant lies in the orthant of some cell c + s, which holds iff some
-nonzero step s with s_i in {0, sign(t_i - c_i)}, a cell of B_tau(c) for
-tau = sign(t - c), has c + s in the set.  Conversely such a cell is the
-first step of any monotone path from c to t.  Both counts are box counts on
-one summed-area table, 2^n corners each.
+are {c} and the R[c + s] over the steps s into the orthant.  By induction
+R[c] is the orthant's cells for every c iff each target t of c's orthant
+lies in the orthant of some cell c + s, which holds iff some nonzero step s
+with s_i in {0, sign(t_i - c_i)}, a cell of B_tau(c) for tau = sign(t - c),
+has c + s in the set.  Conversely such a cell is the first step of any
+monotone path from c to t.  The 2^(n-1) orthants with sigma_0 = +1 cover
+every pair, since a reversed monotone path is monotone.
 
-Below 64 cells the pairwise criterion decides.  From 64 cells the local
-test decides a set it passes, up to 5 dimensions, where its table fits.
-It cannot name a witness, so on a set it rejects or does not apply to the
-pairwise criterion decides below 256 cells; from 256 cells the all-pairs
-reachability wavefront runs, and the pairwise scan runs only over the
-pairs no path joins, to find the lexicographic witness.
+The failing cells also locate the witness.  Let (a, b) be a violating pair
+with a < b, and tau = sign(b - a), so tau_0 >= 0.  The near box B_tau(a)
+lies in the box between a and b, which holds no third cell, and b is 2 or
+more from a on some axis, so B_tau(a) holds a alone; F_tau(a) holds b.  So
+the anchor of every violating pair fails, and the witness scan takes only
+the failing cells as anchors.
 
-All of them run on a compressed int64 copy of the indices (``_compressed``)
-that keeps every relation they read, so verdicts and witnesses are exact at
-any index size, big-int (object) indices included.
+Up to 5 dimensions, where its table fits, the test reads near boxes from a
+one-byte grid of the cells (``_open_steps``) and counts far cells on one
+summed-area table, which the witness scan reads too, pairing each failing
+anchor only with the cells toward which its near box holds it alone.
+Elsewhere it runs pair by pair (``_pairwise_failing``), at about m^2 n for m
+cells rather than 3^n steps.  Below 64 cells the pairwise criterion decides
+without the certificate.  All of them run on a compressed int64 copy of the
+indices (``_compressed``) that keeps every relation they read, so verdicts
+and witnesses are exact at any index size, big-int (object) indices included.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -63,19 +70,18 @@ from ._util import MEMO, MISSING
 from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed_area
 
 _PREFIX_GRID_LIMIT = 30_000_000
-_WAVEFRONT_CELLS = 256
 # from this many cells the local certificate runs before the witness scans:
 # on the scans of 10 pixellation benchmark passes (240 sets of 16 to 180
 # cells) 20 ms against 41.5 ms, while from 32 cells the algebra suite's
 # small sets took 110 ms against 94 ms (2 vCPUs, NumPy 2.4.6)
 _CERTIFIED_CELLS = 64
-# the local certificate's 2^n-corner box counts beat the wavefront up to 5
-# dimensions: 30 ms against 36 ms on a 681-cell 5-D ball, 235 ms against
-# 137 ms on a 377-cell 6-D one (2 vCPUs, NumPy 2.4.6)
+# on l1 balls the summed-area certificate beats the pairwise one up to 5-D:
+# 5.5 against 142 ms at 1,683 cells; in 6-D it loses at 85 cells (3.7 against
+# 1.1 ms), in 7-D at 575 (50 against 36 ms) (2 vCPUs, NumPy 2.4.6)
 _CERTIFIED_DIMENSIONS = 5
-# refuse a reachability wavefront whose arrays would pass this many bytes:
-# about 32,000 cells in the plane, 29,000 in space
-_WAVEFRONT_BYTES = 1 << 30
+# ``convexify`` refuses a set whose convex result would give the pairwise
+# kernels more cell pairs than this: a span of 32,768 cells on one axis
+_PAIR_BUDGET = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -91,17 +97,17 @@ class ConvexityVerdict:
 
 
 def _compressed(rows: np.ndarray) -> np.ndarray:
-    """The int64 copy of a cell index array that the witness scans and the
-    reachability wavefront run on.
+    """The int64 copy of a cell index array that the certificate and the
+    witness scans run on.
 
     On each axis the compressed coordinates keep the order of the distinct
     values, keep every gap of 1 and shrink every larger gap to 2.  That keeps
-    the pairwise criterion (order, and whether an axis gap is >= 2) and the
-    lexicographic order of the cells, and it bounds every coordinate by 2m:
-    no scan overflows and the prefix grid stays small however far apart the
-    cells lie.  The gaps are taken in the array's own dtype, which is exact
-    for big-int (object) indices and cannot wrap for int64 ones, whose
-    entries lie below 2^62 in size.
+    the pairwise criterion (order, and whether an axis gap is >= 2), king-move
+    adjacency and the lexicographic order of the cells, and it bounds every
+    coordinate by 2m: no scan overflows and the prefix grid stays small
+    however far apart the cells lie.  The gaps are taken in the array's own
+    dtype, which is exact for big-int (object) indices and cannot wrap for
+    int64 ones, whose entries lie below 2^62 in size.
     """
     order = np.argsort(rows, axis=0, kind="stable")
     axes = np.arange(rows.shape[1])
@@ -113,256 +119,244 @@ def _compressed(rows: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _steps(n: int) -> list[tuple[int, ...]]:
-    """The king-move steps some orthant of ``_unreachable`` takes: nonzero,
-    with s_0 in {0, 1}; 2 * 3^(n - 1) - 1 of them."""
-    return [s for s in itertools.product((0, 1), *[(-1, 0, 1)] * (n - 1)) if any(s)]
+@functools.cache
+def _king(n: int) -> np.ndarray:
+    """The 3^n king-move steps tau as a (3^n, n) array, in row
+    sum_i (tau_i + 1) 3^(n - 1 - i); read-only, as every caller shares it."""
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=np.int64).reshape(-1, n)
+    steps.flags.writeable = False
+    return steps
 
 
-def _wavefront_bytes(m: int, n: int) -> int:
-    """The bound of ``_unreachable`` on the bytes its arrays take over m
-    cells in dimension n >= 1."""
-    return (2 * n + 4) * m * ((m + 7) // 8) + (26 * (2 * 3 ** (n - 1) - 1) + 8 * n + 64) * m
+def _table(comp: np.ndarray, room: int = 2, limit: float = float("inf")):
+    """The flat summed-area table (``lattice._summed_area``) of the cells of
+    an array with minimum 0 on every axis, scattered at c + 1 in a table
+    ``room`` wider than the cells span, its shape, and the cells' flat
+    indices: entry x counts the cells below x + 1 on every axis.  None when
+    it would have more than ``limit`` entries."""
+    shape = tuple(int(e) + room for e in comp.max(axis=0))
+    if prod(shape) > limit:
+        return None
+    flat = np.ravel_multi_index(tuple((comp + 1).T), shape)
+    return _summed_area(shape, flat, 1, len(comp)).reshape(-1), shape, flat
 
 
-def _check_wavefront(m: int, n: int, why: str = "") -> None:
-    """Refuse the reachability wavefront over m cells in dimension n, before
-    it allocates, when its bound passes the budget."""
-    need = _wavefront_bytes(m, n)
-    if need > _WAVEFRONT_BYTES:
-        raise ValueError(
-            f"{why}the reachability wavefront over {m} cells would take "
-            f"{need} bytes, over {_WAVEFRONT_BYTES}"
-        )
-
-
-def _neighbours(comp: np.ndarray, steps: list[tuple[int, ...]]) -> np.ndarray:
-    """The (steps, m) array of the index of cell c + s for each step s and
-    cell c of a compressed array (``_compressed``), m where no cell is c + s.
-
-    The rows are distinct, lexicographically sorted and lie in [0, 2m], so
-    one sorted search per axis finds them.  On axis i, a cell's key is
-    node * base + c_i + 1, where node ranks the cell's prefix on the axes
-    before i and base = max + 3 exceeds every c_i + s_i + 1: the keys are
-    non-decreasing, the next axis's node is the running count of key
-    changes, and a query is found with ``np.searchsorted``.  A query missed
-    on any axis has no neighbour.  Every key stays below m * (2m + 4), far
-    inside int64.  It works one axis at a time on (steps, m) arrays: a
-    query, its position, the key found there and two masks, at most 26
-    bytes per step and cell.
-    """
-    m, n = comp.shape
-    base = int(comp.max()) + 3
-    shift = np.asarray(steps, dtype=np.int64)
-    node = np.zeros(m, dtype=np.int64)
-    query = np.zeros((len(steps), m), dtype=np.int64)
-    missing = np.zeros(query.shape, dtype=bool)
-    for i in range(n):
-        keys = node * base + comp[:, i] + 1
-        query *= base
-        query += comp[:, i] + 1
-        query += shift[:, i, None]
-        pos = np.searchsorted(keys, query)
-        np.minimum(pos, m - 1, out=pos)
-        missing |= keys[pos] != query
-        np.cumsum(keys[1:] != keys[:-1], out=node[1:])
-        np.take(node, pos, out=query)
-    pos[missing] = m
-    return pos
-
-
-def _unreachable(comp: np.ndarray) -> np.ndarray | None:
-    """Bit-packed rows of the cell pairs no monotone path joins, or None when
-    every pair is joined.
-
-    Runs on the compressed coordinates of ``_compressed``, which keep every
-    gap of 1 (so king-move adjacency) and the order on each axis (so
-    monotonicity).  Row c has bit t set (``np.packbits`` layout over the m
-    cells) when c does not reach t and t lies in a closed orthant
-    {t : sigma_i (t_i - c_i) >= 0} of c with sigma_0 = +1.  A reversed
-    monotone path is monotone, so reachability is symmetric and these 2^(n-1)
-    orthants cover every pair: on lexicographically sorted rows, every pair
-    c < t appears in row c.
-
-    Per sigma, a monotone path from c to a target t of its orthant is a
-    king-move path whose steps s have s_i in {0, sigma_i}, and each such step
-    raises sigma.c by at least 1.  So the cells are taken in layers of equal
-    sigma.c from high to low, and R[c] = {c} | union over steps of R[c + s]:
-    the cells c reaches by sigma-steps.  R[c] lies in the orthant of c (so
-    R[c + s] holds only targets ahead of c on every axis s moves), and the
-    orthant's cells outside R[c] are the ones c misses.
-
-    The neighbours c + s come first, from the per-axis sorted search of
-    ``_neighbours``: at most 26 bytes per step and cell while it runs, and
-    one 8-byte index per step and cell kept.  Then rows R[c] are bit-packed
-    over the m targets, as are the per-axis rows "t_i >= v" and "t_i <= v"
-    that the orthant masks are ANDed from.  So the arrays take at most
-
-        (2n + 4) m ceil(m / 8) + (26 (2 * 3^(n-1) - 1) + 8n + 64) m
-
-    bytes: R, the unreachable rows, one orthant mask and its gathered
-    operand, and per axis one row per distinct value for each direction;
-    then the lookup, and the per-cell index arrays (cell, column, value on
-    each axis, level, layer order).  Above ``_WAVEFRONT_BYTES`` it refuses.
-    """
-    m, n = comp.shape
-    _check_wavefront(m, n)
-    # c + s is the cell whose row it equals, or m (an all-zero row of R)
-    steps = _steps(n)
-    neighbour = {s: nbr for s, nbr in zip(steps, _neighbours(comp, steps)) if (nbr < m).any()}
-
-    cells = np.arange(m)
-    col, bit = cells >> 3, (0x80 >> (cells & 7)).astype(np.uint8)
-    width = (m + 7) // 8
-
-    at_least, at_most, value_of = [], [], []
-    for i in range(n):
-        _, inv = np.unique(comp[:, i], return_inverse=True)
-        rows = np.zeros((inv.max() + 1, width), dtype=np.uint8)
-        np.bitwise_or.at(rows, (inv, col), bit)
-        at_least.append(np.bitwise_or.accumulate(rows[::-1], axis=0)[::-1])
-        at_most.append(np.bitwise_or.accumulate(rows, axis=0))
-        value_of.append(inv)
-
-    reach = np.zeros((m + 1, width), dtype=np.uint8)
-    unreachable = None
-    for tail in itertools.product((1, -1), repeat=n - 1):
-        sigma = (1, *tail)
-        moves = [nbr for s, nbr in neighbour.items() if all(a * b >= 0 for a, b in zip(s, sigma))]
-        reach[:] = 0
-        reach[cells, col] = bit
-        if moves:
-            level = comp @ np.asarray(sigma)
-            order = np.argsort(-level, kind="stable")
-            # layer by layer, not np.split: no list of one array per layer
-            cuts = np.concatenate(([0], np.flatnonzero(np.diff(level[order])) + 1, [m]))
-            for start, stop in zip(cuts[:-1], cuts[1:]):
-                layer = order[start:stop]
-                ahead = reach[moves[0][layer]]
-                for nbr in moves[1:]:
-                    ahead |= reach[nbr[layer]]
-                reach[layer] |= ahead
-        orthant = at_least[0][value_of[0]]
-        for i in range(1, n):
-            orthant &= (at_least if sigma[i] > 0 else at_most)[i][value_of[i]]
-        orthant ^= reach[:m]                # R[c] lies in the orthant of c
-        if orthant.any():
-            unreachable = orthant if unreachable is None else unreachable | orthant
-    return unreachable
-
-
-def _box_counts(table: np.ndarray, flat: np.ndarray, sign: np.ndarray, n: int) -> np.ndarray:
-    """The cell counts of index boxes from the flat indices and signs of
-    their 2^n corners (``lattice._corner_indices``) in a flat summed-area
-    table of the cells scattered at c + 1: the query's sign
-    (-1)^(n - popcount) is the corners' times (-1)^n."""
+def _count_between(table, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The cells c with lo <= c <= hi, for (boxes, n) arrays, counted on a
+    ``_table`` by inclusion-exclusion over the 2^n corners of (lo, hi + 1]
+    (``lattice._corner_indices``): the query's sign (-1)^(n - popcount) is
+    the corners' times (-1)^n.  Overwrites ``hi``."""
+    table, shape, _ = table
+    hi += 1
+    flat, sign = _corner_indices(lo, hi, shape)
     terms = table[flat]
     counts = np.multiply(terms, sign, out=terms).sum(axis=0, dtype=np.int64)
-    return -counts if n % 2 else counts
+    return -counts if len(shape) % 2 else counts
 
 
-def _certified(comp: np.ndarray) -> bool | None:
-    """Is every pair of cells of a compressed array (``_compressed``) joined
-    by a monotone path?  None where the test does not apply: above
-    ``_CERTIFIED_DIMENSIONS`` dimensions, or when its table would pass
-    ``_PREFIX_GRID_LIMIT`` entries.
+def _certificate_table(comp: np.ndarray):
+    """The ``_table`` of a compressed array where the summed-area
+    certificate applies, up to ``_CERTIFIED_DIMENSIONS`` dimensions and
+    ``_PREFIX_GRID_LIMIT`` entries, else None: one entry wider than the
+    scans' tables, so every king-move step from a cell stays inside."""
+    return _table(comp, 3, _PREFIX_GRID_LIMIT) if comp.shape[1] <= _CERTIFIED_DIMENSIONS else None
 
-    The local test of the module docstring, for every cell c and step tau
-    of ``_steps``: the near box B_tau(c) holds a cell other than c, or the
-    far region F_tau(c) holds none.  Both are box counts on one summed-area
-    table (``lattice._summed_area``).  The cells sit one entry in from the
-    table's low edge and two from its high one, so the near boxes need no
-    clipping and their 2^n corners are fixed offsets from a cell's own flat
-    index.  The far count runs only where the near count is 1.  Cells are
-    taken in chunks of 2^16 corner indices, near and far alike: about a
-    megabyte of arrays, as in ``_witness_prefix``.
+
+def _open_steps(table, rows) -> np.ndarray:
+    """For every king-move step tau and each cell c of ``rows`` (indices of
+    the cells of a ``_certificate_table``), does the near box B_tau(c) hold
+    a cell other than c?  A (3^n, rows) bool array, step tau in the row of
+    ``_king``.
+
+    B_tau(c) holds a cell other than c iff some c + s with s nonzero and
+    each s_i in {0, tau_i} is one: each c + s is looked up in a one-byte
+    grid of the cells, 2^16 lookups a chunk, and one pass per axis carries
+    s_i = 0 to s_i = +-1.
+    """
+    _, shape, flat = table
+    n, at = len(shape), flat[rows]
+    occupied = np.zeros(prod(shape), dtype=bool)
+    occupied[flat] = True
+    offsets = (_king(n) @ np.cumprod((1, *shape[:0:-1]))[::-1])[:, None]
+    near, chunk = np.empty((3**n, len(at)), dtype=bool), max(1, (1 << 16) // 3**n)
+    for start in range(0, len(at), chunk):
+        near[:, start:start + chunk] = occupied[at[start:start + chunk] + offsets]
+    near = near.reshape(*[3] * n, -1)
+    near[(1,) * n] = False  # the zero step: c itself
+    for i in range(n):
+        stay = near[(slice(None),) * i + (1,)]
+        near[(slice(None),) * i + (0,)] |= stay
+        near[(slice(None),) * i + (2,)] |= stay
+    return near.reshape(3**n, -1)
+
+
+def _certified(comp: np.ndarray, table=None) -> np.ndarray:
+    """One bool per cell of a compressed array (``_compressed``): does the
+    cell fail the local test of the module docstring?  No cell fails iff
+    every pair of cells is joined by a monotone path, and the anchor of every
+    violating pair fails.
+
+    With the table of ``_certificate_table``, the near boxes come from
+    ``_open_steps``.  Zeroing an axis of a step shrinks its near box, so c
+    fails iff, for a step tau (tau_0 in {0, 1}) whose near box holds c alone
+    and that no such step with one more nonzero axis extends, the closed
+    cone of cells t with each sign(t_i - c_i) in {0, tau_i} holds more than
+    c: one count on the table.
+    Chunks of 2^16 steps and 2^16 corner indices keep the arrays near a
+    megabyte, besides the table and a one-byte grid of its size.  Without a
+    table the test runs pair by pair (``_pairwise_failing``).
+    """
+    if table is None:
+        return _pairwise_failing(comp)
+    m, n = comp.shape
+    top = comp.max(axis=0)
+    fail = np.zeros(m, dtype=bool)
+    chunk = max(1, (1 << 16) // 3**n)
+    for start in range(0, m, chunk):
+        lone = ~_open_steps(table, slice(start, start + chunk)).reshape(*[3] * n, -1)
+        lone[(1,) * n] = False  # the zero step
+        lone[0] = False  # tau_0 = -1
+        extended = np.zeros_like(lone)
+        for i in range(n):
+            axis = (slice(None),) * i
+            extended[axis + (1,)] |= lone[axis + (2,)] | lone[axis + (0,)]
+        step, cell = np.nonzero((lone & ~extended).reshape(3**n, -1))
+        cell += start
+        for part in range(0, len(cell), 1 << 16 >> n):
+            at = slice(part, part + (1 << 16 >> n))
+            tau, c = _king(n)[step[at]], cell[at]
+            # the closed cone: c_i up where tau_i = 1, down where -1, c_i where 0
+            cone = _count_between(table, np.where(tau < 0, 0, comp[c]), np.where(tau > 0, top, comp[c]))
+            fail[c[cone > 1]] = True
+    return fail
+
+
+def _pairwise_failing(comp: np.ndarray) -> np.ndarray:
+    """``_certified`` pair by pair, in any dimension: cell c fails when some
+    other cell t with t_0 >= c_0 has no king-move neighbour u of c with each
+    u_i - c_i in {0, sign(t_i - c_i)}.
+
+    The neighbours of c are the cells u with max_i |u_i - c_i| = 1, read
+    from the pair distances, not from the 3^n steps.  A neighbour leaves out
+    the targets t with t_i <= c_i on an axis where u_i = c_i + 1, and those
+    with t_i >= c_i where u_i = c_i - 1: per chunk of anchors, bit-packed
+    rows of those targets per axis, ORed over the axes each neighbour moves
+    on.  That is about m^2 n comparisons for m cells; a chunk takes about a
+    megabyte, counting min(m, 3^n) neighbours an anchor.
     """
     m, n = comp.shape
-    shape = tuple(int(e) + 4 for e in comp.max(axis=0))
-    if n > _CERTIFIED_DIMENSIONS or prod(shape) > _PREFIX_GRID_LIMIT:
-        return None
-    cells = comp + 1  # compressed coordinates start at 0
-    top = cells.max(axis=0)
-    table = _summed_area(shape, np.ravel_multi_index(tuple((cells + 1).T), shape), 1, m).reshape(-1)
-    steps = np.asarray(_steps(n), dtype=np.int64)
-    # the near box of c is [c + min(tau, 0), c + max(tau, 0) + 1)
-    offsets, sign = _corner_indices(np.minimum(steps, 0), np.maximum(steps, 0) + 1, shape)
-    sign = sign[..., None]
-    base = np.ravel_multi_index(tuple(cells.T), shape)
-    chunk = max(1, (1 << 16 >> n) // len(steps))
+    width = (m + 7) // 8
+    fail = np.zeros(m, dtype=bool)
+    per_anchor = 24 * m + (2 * n + min(m, 3**n)) * width
+    chunk = max(1, (1 << 20) // per_anchor)
     for start in range(0, m, chunk):
-        near = _box_counts(table, offsets[..., None] + base[start:start + chunk], sign, n)
-        lone = np.nonzero(near < 2)  # (step, cell) pairs whose near box holds c alone
-        tau, c = steps[lone[0]], cells[start + lone[1]]
-        # the far region: above c_i where tau_i = 1, below where -1, at c_i where 0
-        lo = np.where(tau < 0, 0, c + (tau > 0))
-        hi = np.where(tau > 0, top + 1, c + (tau == 0))
-        if _box_counts(table, *_corner_indices(lo, hi, shape), n).any():
-            return False
-    return True
+        anchors = comp[start:start + chunk]
+        k = len(anchors)
+        gap = np.zeros((k, m), dtype=np.int64)
+        # behind[i, 0] has bit t where t_i <= c_i, behind[i, 1] where t_i >= c_i
+        behind = np.empty((n, 2, k, width), dtype=np.uint8)
+        for i in range(n):
+            d = comp[None, :, i] - anchors[:, i, None]
+            behind[i, 0] = np.packbits(d <= 0, axis=1)
+            behind[i, 1] = np.packbits(d >= 0, axis=1)
+            np.maximum(gap, np.abs(d, out=d), out=gap)
+        a, u = np.nonzero(gap == 1)  # (anchor, neighbour), grouped by anchor
+        step = comp[u] - anchors[a]
+        left_out = np.zeros((len(a), width), dtype=np.uint8)
+        for i in range(n):
+            for side, s in ((0, 1), (1, -1)):
+                e = np.flatnonzero(step[:, i] == s)
+                left_out[e] |= behind[i, side, a[e]]
+        # the targets t_0 >= c_0 but c itself, minus those some neighbour keeps
+        missing = behind[0, 1]
+        own = start + np.arange(k)
+        missing[np.arange(k), own >> 3] &= ~(0x80 >> (own & 7)).astype(np.uint8)
+        if len(a):
+            firsts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+            missing[a[firsts]] &= np.bitwise_and.reduceat(left_out, firsts, axis=0)
+        fail[start:start + k] = missing.any(axis=1)
+    return fail
 
 
 def _scan(comp: np.ndarray, collect: bool = False):
-    """Witness scan of a compressed cell array: the prefix-sum scan for 16
-    or more cells on a small enough grid, else the direct one.
+    """Witness scan of a compressed cell array: the pairwise criterion, by
+    the prefix-sum scan or the direct one.
 
-    From 64 cells the local certificate of ``_certified`` runs first where
-    it applies, and returns at once on a set it passes.  On a set it fails
-    or does not apply to, the scans run as below 64 cells, except that from
-    256 cells the wavefront of ``_unreachable`` first decides the set whole,
-    and a set it fails takes the pairwise scan over the unreachable pairs
-    only, skipping the anchor chunks that have none.  That keeps the witness
-    and the collected pairs: a monotone path between two cells >= 2 apart on
-    some axis passes through a third cell between them, so every violating
-    pair is unreachable.
+    From 64 cells the certificate of ``_certified`` runs first: a set with no
+    failing cell is convex, and on any other the scan takes only the failing
+    cells as anchors, which keeps the witness and the collected pairs (see
+    the module docstring).  With the certificate's table it reads that table
+    and pairs each anchor only with the cells toward which its near box holds
+    it alone (``_open_steps``).  Otherwise the prefix scan runs from 16 cells
+    when its 2^n corners a pair are at most the m cells the direct scan reads
+    and its table has at most m^3 n entries, about the direct scan's work:
+    a small set spread far apart takes the direct scan.
     """
-    unreachable = None
-    if comp.shape[0] >= _CERTIFIED_CELLS and _certified(comp):
+    m, n = comp.shape
+    if m < 2:
         return [] if collect else None
-    if comp.shape[0] >= _WAVEFRONT_CELLS:
-        unreachable = _unreachable(comp)
-        if unreachable is None:
+    anchors = None
+    if m >= _CERTIFIED_CELLS:
+        table = _certificate_table(comp)
+        fail = _certified(comp, table)
+        if not fail.any():
             return [] if collect else None
-    if comp.shape[0] >= 16 and prod((comp.max(axis=0) + 1).tolist()) <= _PREFIX_GRID_LIMIT:
-        return _witness_prefix(comp, collect, unreachable)
-    return _witness_direct(comp, collect, unreachable)
+        anchors = np.flatnonzero(fail)
+        if table is not None:
+            return _witness_prefix(comp, collect, anchors, table, _open_steps(table, anchors))
+    table = _table(comp, limit=min(_PREFIX_GRID_LIMIT, m**3 * n)) if m >= max(16, 1 << n) else None
+    if table is not None:
+        return _witness_prefix(comp, collect, anchors, table)
+    return _witness_direct(comp, collect, anchors)
 
 
-def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, unreachable: np.ndarray | None):
-    """Mask of the pairs of a scan chunk (anchors and later cells from cell
-    ``start`` on, upper triangle) >= 2 apart on some axis: the pairs that can
-    violate the criterion, and with ``_unreachable`` rows only those of them
-    no monotone path joins."""
-    far = np.zeros((anchors.shape[0], later.shape[0]), dtype=bool)
-    for i in range(anchors.shape[1]):  # one (c, m) plane per axis, no (c, m, n) block
-        far |= np.abs(anchors[:, None, i] - later[None, :, i]) >= 2
-    far &= np.arange(far.shape[0])[:, None] < np.arange(far.shape[1])
-    if unreachable is not None:
-        rows = unreachable[start:start + anchors.shape[0]]
-        far &= np.unpackbits(rows, axis=1, count=start + later.shape[0])[:, start:].view(bool)
+def _pairs(anchors: np.ndarray, later: np.ndarray, start: int, index: np.ndarray | None = None, near=None):
+    """Mask of the pairs of a scan chunk that can violate the criterion,
+    with the later cell after the anchor: those >= 2 apart on some axis, or,
+    given the anchors' ``_open_steps`` columns, those toward which the
+    anchor's near box holds it alone.  The anchors are the cells at
+    ``index`` (by default ``start`` on), the later cells those from
+    ``start`` on."""
+    if near is None:
+        far = np.zeros((anchors.shape[0], later.shape[0]), dtype=bool)
+        for i in range(anchors.shape[1]):  # one (c, m) plane per axis, no (c, m, n) block
+            far |= np.abs(anchors[:, None, i] - later[None, :, i]) >= 2
+    else:
+        # the row of sign(t - c) in _open_steps, in the anchor's own column
+        row = np.arange(0, near.size, near.shape[0])[:, None] + np.zeros(later.shape[0], dtype=np.intp)
+        for i in range(anchors.shape[1]):
+            row += (np.sign(later[None, :, i] - anchors[:, None, i]) + 1) * 3 ** (anchors.shape[1] - 1 - i)
+        far = ~np.take(near.T.ravel(), row)
+    if index is None:
+        index = np.arange(start, start + anchors.shape[0])
+    far &= index[:, None] < np.arange(start, start + later.shape[0])
     return far
 
 
-def _scan_chunks(arr: np.ndarray, chunk: int, count_between, collect: bool, unreachable):
+def _scan_chunks(arr: np.ndarray, chunk: int, count_between, collect: bool, anchors, near=None):
     """The loop of both witness scans: anchors in chunks, each paired with
     the later cells; ``count_between(lo, hi)`` counts the cells in the index
     box [lo, hi] of each pair of ``_pairs``, given as (pairs, n) arrays,
     and a pair with fewer than 3 (the pair itself and one more) violates the
     criterion.  Returns the first (lex order) violating index pair, or with
-    ``collect`` the array of all pairs.  With ``_unreachable`` rows it skips
-    every anchor chunk whose rows are all zero: ``_pairs`` would keep none
-    of its pairs."""
+    ``collect`` the array of all pairs.  ``anchors``, sorted cell indices
+    such as the failing cells of ``_certified``, restricts the anchors, and
+    their ``_open_steps`` columns ``near`` their pairs (``_pairs``)."""
     found = []
-    live = None if unreachable is None else unreachable.any(axis=1)
-    for start in range(0, arr.shape[0], chunk):
-        if live is not None and not live[start:start + chunk].any():
-            continue
-        sel = np.nonzero(_pairs(arr[start:start + chunk], arr[start:], start, unreachable))
-        a, b = arr[start + sel[0]], arr[start + sel[1]]
+    for j in range(0, arr.shape[0] if anchors is None else len(anchors), chunk):
+        # every anchor from cell j on, or the next of the given ones
+        index = None if anchors is None else anchors[j:j + chunk]
+        start = j if anchors is None else int(index[0])
+        first = arr[j:j + chunk] if anchors is None else arr[index]
+        cols = None if near is None else near[:, j:j + chunk]
+        sel = np.nonzero(_pairs(first, arr[start:], start, index, cols))
+        a, b = first[sel[0]], arr[start + sel[1]]
         bad = count_between(np.minimum(a, b), np.maximum(a, b)) < 3
         if not bad.any():
             continue
         pairs = np.stack(sel, axis=1)[bad] + start  # row-major: lex order
+        if index is not None:
+            pairs[:, 0] = index[pairs[:, 0] - start]
         if not collect:
             return int(pairs[0, 0]), int(pairs[0, 1])
         found.append(pairs)
@@ -371,7 +365,7 @@ def _scan_chunks(arr: np.ndarray, chunk: int, count_between, collect: bool, unre
     return None
 
 
-def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
+def _witness_direct(arr: np.ndarray, collect: bool = False, anchors: np.ndarray | None = None):
     """Pairwise scan with explicit betweenness tests, anchors chunked so the
     (chunk, m, m, n) comparison block stays small.  Contract of ``_scan_chunks``."""
     m = arr.shape[0]
@@ -381,33 +375,27 @@ def _witness_direct(arr: np.ndarray, collect: bool = False, unreachable: np.ndar
     def count_between(lo, hi):  # (pairs, n) -> (pairs,)
         return ((arr >= lo[:, None, :]) & (arr <= hi[:, None, :])).all(axis=-1).sum(axis=-1)
 
-    return _scan_chunks(arr, max(1, 2_000_000 // (m * m)), count_between, collect, unreachable)
+    return _scan_chunks(arr, max(1, 2_000_000 // (m * m)), count_between, collect, anchors)
 
 
-def _witness_prefix(arr: np.ndarray, collect: bool = False, unreachable: np.ndarray | None = None):
-    """Prefix-sum variant: counts cells in an index box by inclusion-exclusion
-    over the 2^n corners (``lattice._corner_indices``) of the summed-area
-    table of the cells scattered at ``c + 1`` (``lattice._summed_area``),
-    whose entry x counts the cells below x on every axis.  Vectorized over
+def _witness_prefix(arr: np.ndarray, collect: bool = False, anchors: np.ndarray | None = None, table=None, near=None):
+    """Prefix-sum variant: counts the cells between each pair on the
+    summed-area table of ``_table`` (``_count_between``), built here unless
+    given (for an array with minimum 0 on every axis).  Vectorized over
     anchor chunks; same contract as ``_witness_direct``.
     """
     m, n = arr.shape
     if m < 2:
         return [] if collect else None
-    shifted = arr - arr.min(axis=0)
-    shape = tuple(int(e) + 2 for e in shifted.max(axis=0))
-    table = _summed_area(shape, np.ravel_multi_index(tuple((shifted + 1).T), shape), 1, m).reshape(-1)
+    if table is None:
+        arr = arr - arr.min(axis=0)
+        table = _table(arr)
 
-    def count_between(blo, bhi):
-        bhi += 1  # exclusive, in place: a fresh array of _scan_chunks
-        # the query's sign (-1)^(n - popcount) is the scatter's times (-1)^n
-        flat, sign = _corner_indices(blo, bhi, shape)
-        terms = table[flat]
-        counts = np.multiply(terms, sign, out=terms).sum(axis=0, dtype=np.int64)
-        return -counts if n % 2 else counts
-
-    # 2^n corner indices a pair, 2^16 a chunk: about a megabyte of arrays
-    return _scan_chunks(shifted, max(1, (1 << 16 >> n) // m), count_between, collect, unreachable)
+    # 2^n corner indices a pair, 2^16 a chunk: about a megabyte of arrays;
+    # the near columns keep few pairs (238,300 of 19.9 million on the n = 5
+    # valuation suite's sets), so with them 2^16 before, 2^(n + 19) bytes at worst
+    chunk = (1 << 16 if near is not None else 1 << 16 >> n) // m
+    return _scan_chunks(arr, max(1, chunk), functools.partial(_count_between, table), collect, anchors, near)
 
 
 def is_l1_convex(x: CellSet) -> ConvexityVerdict:
@@ -448,9 +436,13 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
     whenever some axis gap is >= 2, so every round strictly grows the set.
     Inserted cells stay inside the bounding box of X, so the loop terminates.
     ``bound``, when given, must contain X (checked); it never constrains the
-    result further.  Raises ValueError when two cells lie so far apart on an
-    axis that the reachability wavefront over the result would pass its
-    budget.
+    result further.
+
+    The certificate and the witness scan cost up to one test per cell pair.
+    So before it starts, it raises ValueError when two cells lie so far apart
+    on an axis that the convex result, which holds a monotone path of at
+    least span + 1 cells between them, would pass ``_PAIR_BUDGET`` = 2^29
+    cell pairs: from a span of 32,768 cells.
     """
     n, lam = x.dimension, x.resolution
     if bound is not None:
@@ -460,12 +452,16 @@ def convexify(x: CellSet, bound: RatBox | None = None) -> CellSet:
         outside = x.indices[~_clip_mask(x, lo, hi)]
         if len(outside):  # the rows are sorted: the first is the smallest cell
             raise ValueError(f"cell {tuple(outside[0].tolist())} lies outside the stated bound")
-    while len(x) >= 2:
+    if len(x) >= 2:  # inserted cells stay in the bounding box, so the span is fixed
         arr = x.indices
         span = max(int(hi) - int(lo) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
-        # a convex set holding two cells `span` apart on one axis holds a
-        # monotone path of at least span + 1 cells between them
-        _check_wavefront(span + 1, n, f"cells lie {span} apart on one axis; on the convex result ")
+        if span * (span + 1) // 2 > _PAIR_BUDGET:
+            raise ValueError(
+                f"cells lie {span} apart on one axis; the convex result holds at least "
+                f"{span + 1} cells, {span * (span + 1) // 2} cell pairs, over {_PAIR_BUDGET}"
+            )
+    while len(x) >= 2:
+        arr = x.indices
         pairs = _scan(_compressed(arr), collect=True)
         if len(pairs) == 0:
             break
@@ -535,16 +531,16 @@ def monotone_reachable(x: CellSet, a: Cell, b: Cell) -> bool:
 
 def all_pairs_monotone_reachable(x: CellSet) -> bool:
     """Check monotone reachability for every ordered pair of cells of X,
-    exactly at any index size.
+    exactly at any index size and in any dimension.
 
-    Up to 5 dimensions the local certificate of ``_certified`` decides
-    (see the module docstring): a cell c and a step tau fail it when the
-    box between c and c + tau holds no other cell while the cells t with
-    sign(t - c) = tau are not empty.  Elsewhere the wavefront of
-    ``_unreachable`` decides.
+    The local certificate of ``_certified`` decides (see the module
+    docstring): a cell c and a step tau fail it when the box between c and
+    c + tau holds no other cell while the cells t with sign(t - c) = tau are
+    not empty.  Up to 5 dimensions it counts boxes on a summed-area table;
+    past them, or where the table would pass ``_PREFIX_GRID_LIMIT`` entries,
+    it runs pair by pair at a cost of about m^2 n for m cells.
     """
     if len(x) <= 1:
         return True
     comp = _compressed(x.indices)
-    certified = _certified(comp)
-    return _unreachable(comp) is None if certified is None else certified
+    return not _certified(comp, _certificate_table(comp)).any()

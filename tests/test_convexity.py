@@ -35,14 +35,12 @@ from l1geo.convexity import (
     ConvexityVerdict,
     _CERTIFIED_DIMENSIONS,
     _PREFIX_GRID_LIMIT,
-    _WAVEFRONT_CELLS,
+    _certificate_table,
     _certified,
     _compressed,
-    _neighbours,
+    _open_steps,
+    _pairwise_failing,
     _scan,
-    _steps,
-    _unreachable,
-    _wavefront_bytes,
     _witness_direct,
     _witness_prefix,
 )
@@ -51,7 +49,7 @@ F = Fraction
 
 
 def fixpoint_reach(x: CellSet) -> np.ndarray:
-    """Reference for ``all_pairs_monotone_reachable`` and ``_unreachable``: a
+    """Reference for ``all_pairs_monotone_reachable`` and ``_certified``: a
     Jacobi fixpoint over all 3^n - 1 king-move steps on dense m x m arrays,
     where reach[t, c] says cell c reaches target t (cells in sorted order).
     Each allowed step strictly decreases the taxicab distance to the target,
@@ -101,6 +99,28 @@ def fixpoint_reach(x: CellSet) -> np.ndarray:
 
 def fixpoint_all_pairs(x: CellSet) -> bool:
     return len(x.cells) <= 1 or bool(fixpoint_reach(x).all())
+
+
+def failing(comp: np.ndarray) -> np.ndarray:
+    """The failing cells of ``_certified``, on its summed-area table where
+    that applies, else pair by pair."""
+    return _certified(comp, _certificate_table(comp))
+
+
+def check_failing(x: CellSet, fail: np.ndarray) -> None:
+    """The failing cells of a set against the dense fixpoint and the
+    pairwise criterion: each fails to reach some cell t with t_0 >= c_0 (a
+    target of its orthants), the anchor of every violating pair fails, and
+    some cell fails exactly when some pair is not joined."""
+    comp = _compressed(x.indices)
+    reach = fixpoint_reach(x)  # reach[t, c]: c reaches t
+    unreached = ~reach.T & (comp[:, None, 0] <= comp[None, :, 0])
+    assert fail.shape == (len(x),)
+    assert not (fail & ~unreached.any(axis=1)).any()
+    pairs = np.asarray(_witness_direct(comp, collect=True), dtype=np.int64).reshape(-1, 2)
+    assert fail[pairs[:, 0]].all()
+    assert unreached[pairs[:, 0], pairs[:, 1]].all()
+    assert fail.any() == (not reach.all())
 
 
 def reach_case(n, kind, size, shift, seed) -> CellSet:
@@ -213,7 +233,7 @@ def memo_sets(draw):
     """Sets of 2 to 70 cells in 1 to 4 dimensions, packed or stretched
     apart, half of them made convex. Only sets whose bounding box holds at
     most 4,096 cells are made convex: a hull fills up to its whole box, and
-    ``convexify`` refuses a hull whose wavefront passes its byte budget."""
+    larger hulls would make the test slow."""
     n = draw(st.integers(1, 4))
     side = draw(st.sampled_from([3, 5, 9]))
     stretch = draw(st.sampled_from([1, 3]))
@@ -341,12 +361,11 @@ class TestPathEquivalence:
         # the direct scan is too slow on the larger set, where only the
         # prefix scan splits its anchors into chunks
         scans = [_witness_direct, _witness_prefix] if w * h < 1000 else [_witness_prefix]
-        if len(comp) >= _WAVEFRONT_CELLS:
-            # the gated scan, and both scans on the unreachable pairs only:
-            # the direct one takes 29 anchors a chunk at 261 cells, 1 at 1,201
-            rows = _unreachable(comp)
-            scans.append(_scan)
-            scans += [functools.partial(f, unreachable=rows) for f in (_witness_direct, _witness_prefix)]
+        # the gated scan, and both scans from the failing anchors only: the
+        # direct one takes 82 anchors a chunk at 157 cells, 1 at 1,201
+        anchors = np.flatnonzero(failing(comp))
+        scans.append(_scan)
+        scans += [functools.partial(f, anchors=anchors) for f in (_witness_direct, _witness_prefix)]
         for scan in scans:
             assert scan(comp) == pair
             assert np.array_equal(scan(comp, collect=True), [pair])
@@ -356,7 +375,7 @@ class TestPathEquivalence:
     @given(
         n=st.integers(1, 3),
         kind=st.sampled_from(["convex", "random", "far"]),
-        size=st.integers(_WAVEFRONT_CELLS, 600),
+        size=st.integers(256, 600),
         shift=st.sampled_from([0, 2**62]),
         seed=st.integers(0, 10**6),
     )
@@ -369,13 +388,13 @@ class TestPathEquivalence:
     @given(
         n=st.integers(1, 3),
         kind=st.sampled_from(["convex", "random", "far"]),
-        size=st.integers(_CERTIFIED_CELLS, _WAVEFRONT_CELLS - 1),
+        size=st.integers(_CERTIFIED_CELLS, 255),
         shift=st.sampled_from([0, 2**62]),
         seed=st.integers(0, 10**6),
     )
     def test_certified_scan_matches_ungated(self, n, kind, size, shift, seed):
-        # below the wavefront's size the certificate passes a convex set,
-        # and a set it fails takes the witness scans as on fewer cells
+        # from the certificate's size on: it passes a convex set, and on a
+        # set it fails the witness scans start from its failing anchors
         x = large_case(n, kind, size, shift, seed)
         assert len(x.cells) == size
         self.check_gated(_compressed(x.indices), kind == "convex")
@@ -383,13 +402,37 @@ class TestPathEquivalence:
     @pytest.mark.parametrize("far", [False, True])
     def test_scan_past_the_certified_dimensions(self, far):
         # the 64 cells of {0, 1}^6, the last moved far along axis 0 or not:
-        # the certificate does not apply, so the witness scans decide
+        # the summed-area certificate does not apply, so the pairwise one
+        # names the anchors
         rows = np.array(list(itertools.product((0, 1), repeat=_CERTIFIED_DIMENSIONS + 1)))
         if far:
             rows[-1, 0] = 5
         comp = _compressed(rows)
-        assert len(comp) == _CERTIFIED_CELLS and _certified(comp) is None
+        assert len(comp) == _CERTIFIED_CELLS and _certificate_table(comp) is None
+        assert failing(comp).any() == far
         self.check_gated(comp, not far)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 7),
+        kind=st.sampled_from(["convex", "random", "far"]),
+        size=st.integers(2, 140),
+        shift=st.sampled_from([0, 2**62]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_gated_matches_ungated_in_every_dimension(self, n, kind, size, shift, seed):
+        """Verdicts, witnesses and collected pairs of the gated scan against
+        the ungated one in 1 to 7 dimensions, on both sides of the
+        certificate's 64 cells and of its 5 dimensions."""
+        x = large_case(n, kind, size, shift, seed)
+        comp = _compressed(x.indices)
+        witness = self.check_gated(comp, True if kind == "convex" else None)
+        expected = ConvexityVerdict(True, None)
+        if witness is not None:
+            a, b = x.indices[list(witness)].tolist()
+            expected = ConvexityVerdict(False, (tuple(a), tuple(b)))
+        MEMO.clear()
+        assert is_l1_convex(x) == expected
 
     @pytest.mark.parametrize(
         "sides, where",
@@ -399,37 +442,39 @@ class TestPathEquivalence:
     @pytest.mark.parametrize("shift", [0, 2**62], ids=["near", "far"])
     def test_restricted_scan_skips_anchor_chunks(self, sides, where, shift, monkeypatch):
         # a box with the cell (w - 1, 1, 0, ...) taken out of its last slice
-        # on axis 0: only pairs within that slice are unreachable, so every
-        # anchor chunk before the slice's first cell has no candidate pair
+        # on axis 0: the first failing cell is (w - 1, 0, ...), so the scan
+        # from the failing anchors skips every anchor before it
         n, w = len(sides), sides[0]
         hole = (w - 1, 1) + (0,) * (n - 2)
         box = {tuple(v + shift for v in c) for c in itertools.product(*map(range, sides))}
         x = CellSet(n, box - {tuple(v + shift for v in hole)})
         comp = _compressed(x.indices)
-        rows = _unreachable(comp)
-        live = rows.any(axis=1)
+        live = failing(comp)
+        anchors = np.flatnonzero(live)
         first = (w - 1) * int(np.prod(sides[1:]))  # the row of cell (w - 1, 0, ...)
-        assert len(comp) >= _WAVEFRONT_CELLS and np.argmax(live) == first
+        assert len(comp) >= _CERTIFIED_CELLS and anchors[0] == first
         chunks, pairs = [], convexity._pairs
 
-        def spy(anchors, later, start, unreachable):
-            chunks.append((start, start + len(anchors)))
-            return pairs(anchors, later, start, unreachable)
+        def spy(anchors, later, start, index=None, near=None):
+            chunks.append(np.arange(start, start + len(anchors)) if index is None else index)
+            return pairs(anchors, later, start, index, near)
 
         monkeypatch.setattr(convexity, "_pairs", spy)
         for scan in (_witness_direct, _witness_prefix):
             for collect in (False, True):
                 chunks.clear()
-                scan(comp, collect, rows)
-                # the first chunk taken holds the first unreachable row, and
-                # only chunks with an unreachable row are taken
-                assert chunks[0][0] <= first < chunks[0][1] and all(live[a:b].any() for a, b in chunks)
-                taken = np.zeros(len(comp), dtype=bool)
-                for a, b in chunks:
-                    taken[a:b] = True
-                assert not collect or not (live & ~taken).any()
-                # it is the scan's last chunk, or one before the last
-                assert (chunks[0][1] == len(comp)) == (where == "last")
+                scan(comp, collect, anchors)
+                # only failing anchors are taken, in order, the first of them
+                # first; collecting, every one of them
+                taken = np.concatenate(chunks)
+                assert taken[0] == first and live[taken].all() and (np.diff(taken) > 0).all()
+                assert not collect or np.array_equal(taken, anchors)
+            # the ungated scan reaches the first failing cell in its last
+            # anchor chunk, or in one before the last
+            chunks.clear()
+            scan(comp, True)
+            holding = next(j for j, rows in enumerate(chunks) if first in rows)
+            assert (holding == len(chunks) - 1) == (where == "last")
         monkeypatch.undo()
         self.check_gated(comp, convex=False)
         corner = tuple(v + shift for v in hole)
@@ -441,22 +486,24 @@ class TestPathEquivalence:
     def check_gated(comp, convex):
         """``_scan`` gives the witness and the collected pairs of the
         ungated prefix (or, on a large grid, direct) scan, and so do both
-        scans restricted to the unreachable pairs."""
+        scans from the failing anchors only; ``convex``, unless None, is
+        the verdict expected.  Returns the witness."""
         grid = int(np.prod(comp.max(axis=0) + 1, dtype=object))
         ungated = _witness_prefix if grid <= _PREFIX_GRID_LIMIT else _witness_direct
         witness = ungated(comp)
-        assert (witness is None) == convex
+        assert convex is None or (witness is None) == convex
         assert _scan(comp) == witness
         pairs = np.asarray(ungated(comp, collect=True)).reshape(-1, 2)
         assert np.array_equal(np.asarray(_scan(comp, collect=True)).reshape(-1, 2), pairs)
         if witness is not None:
-            # on the unreachable pairs, 5 to 30 anchors a chunk in the direct
+            # from the failing anchors, 5 to 30 anchors a chunk in the direct
             # scan from 256 cells, so every chunk but the first reads rows
-            # past 0, and the chunks with no unreachable pair are skipped
-            rows = _unreachable(comp)
+            # past 0
+            anchors = np.flatnonzero(failing(comp))
             for scan in (_witness_direct, _witness_prefix)[: 2 if grid <= _PREFIX_GRID_LIMIT else 1]:
-                assert scan(comp, unreachable=rows) == witness
-                assert np.array_equal(scan(comp, collect=True, unreachable=rows), pairs)
+                assert scan(comp, anchors=anchors) == witness
+                assert np.array_equal(scan(comp, collect=True, anchors=anchors), pairs)
+        return witness
 
 
 def along_axis_compressed(rows: np.ndarray) -> np.ndarray:
@@ -502,7 +549,7 @@ class TestScanHelpers:
             for arr in (rows, comp):
                 for start in range(0, len(arr), 4):
                     anchors, later = arr[start:start + 4], arr[start:]
-                    got = convexity._pairs(anchors, later, start, None)
+                    got = convexity._pairs(anchors, later, start)
                     assert np.array_equal(got, triu_pairs(anchors, later))
 
 
@@ -523,51 +570,58 @@ class TestPrefixTable:
 
 
 class TestWavefrontBudget:
-    def test_refuses_before_allocating(self, monkeypatch):
-        """With the budget at 1 MB, each entry point of the wavefront refuses
-        a set whose rows would take 4 to 11 MB, with a ValueError naming the
-        cell count, before it allocates as much as the budget.  The sets are
-        ones the local certificate does not pass: a block with a hole, which
-        it rejects, and a 6-D cube, where it does not apply."""
-        monkeypatch.setattr(convexity, "_WAVEFRONT_BYTES", 1 << 20)
-        holed = CellSet(2, set(itertools.product(range(40), range(50))) - {(20, 25)})
-        cube = CellSet(6, itertools.product(range(3), repeat=6))
-        cases = [
-            (is_l1_convex, holed, 1999),
-            (all_pairs_monotone_reachable, cube, 729),
-            (convexify, CellSet(2, [(0, 0), (3000, 0)]), 3001),
-        ]
-        for call, x, count in cases:
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match=rf"wavefront over {count} cells"):
-                    call(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+    """The budgets of the convexity kernels (the class keeps the name of the
+    reachability wavefront's byte budget, which they replaced): the
+    certificate and the witness scans take chunks of about a megabyte, so
+    ``is_l1_convex`` and ``all_pairs_monotone_reachable`` refuse nothing,
+    and ``convexify`` refuses a set whose convex result would pass
+    ``_PAIR_BUDGET`` cell pairs."""
 
-    @pytest.mark.parametrize("n, side", [(3, 12), (4, 6), (5, 4), (6, 3)])
-    def test_peak_within_bound(self, n, side):
-        """The bound the budget is checked against holds the wavefront's
-        arrays, the neighbour lookup's included: on full cubes of 729 to
-        1,728 cells in dimensions 3 to 6, where the lookup's (steps, m)
-        arrays outgrow the bit rows from n = 5 on."""
-        comp = _compressed(np.array(list(itertools.product(range(side), repeat=n))))
+    def test_refuses_before_allocating(self, monkeypatch):
+        """With the pair budget at 2^20, ``convexify`` refuses two cells
+        3,000 apart, whose convex result holds at least 3,001 cells, with a
+        ValueError naming that count, before it allocates a megabyte.  The
+        budget binds ``convexify`` only: the deciders still decide a block
+        with a hole, which the summed-area certificate rejects, and a 6-D
+        cube, which the pairwise one passes."""
+        monkeypatch.setattr(convexity, "_PAIR_BUDGET", 1 << 20)
         tracemalloc.start()
         try:
-            assert _unreachable(comp) is None
+            with pytest.raises(ValueError, match=r"at least 3001 cells, 4501500 cell pairs"):
+                convexify(CellSet(2, [(0, 0), (3000, 0)]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _wavefront_bytes(len(comp), n)
+        assert peak < 1 << 20
+        holed = CellSet(2, set(itertools.product(range(40), range(50))) - {(20, 25)})
+        cube = CellSet(6, itertools.product(range(3), repeat=6))
+        assert is_l1_convex(holed).witness == ((19, 25), (21, 25))
+        assert all_pairs_monotone_reachable(cube)
+
+    @pytest.mark.parametrize("n, side", [(3, 12), (4, 6), (5, 4), (6, 3)])
+    def test_peak_within_bound(self, n, side):
+        """The certificate's arrays stay within its table and 2 MiB of chunk
+        arrays: on full cubes of 729 to 1,728 cells in dimensions 3 to 6,
+        counted on the summed-area table up to 5 dimensions and pair by
+        pair in 6, where each cell has up to 728 neighbours."""
+        comp = _compressed(np.array(list(itertools.product(range(side), repeat=n))))
+        tracemalloc.start()
+        try:
+            table = _certificate_table(comp)
+            assert not _certified(comp, table).any()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (table is None) == (n > _CERTIFIED_DIMENSIONS)
+        assert peak <= (0 if table is None else table[0].nbytes) + (2 << 20)
 
     def test_block_past_the_budget_is_certified(self):
-        """A 200 x 200 block: its wavefront would take 1.6 GB, past the
-        budget, but the local certificate passes it in a few megabytes."""
+        """A 200 x 200 block: its 40,000 cells make more pairs than the pair
+        budget, but the summed-area certificate passes it in a few megabytes,
+        and ``convexify``, bound by the span, returns it unchanged."""
         x = CellSet(2, itertools.product(range(200), range(200)))
-        assert _wavefront_bytes(len(x), 2) > convexity._WAVEFRONT_BYTES
-        for call in (is_l1_convex, all_pairs_monotone_reachable):
+        assert len(x) * (len(x) - 1) // 2 > convexity._PAIR_BUDGET
+        for call in (is_l1_convex, all_pairs_monotone_reachable, convexify):
             tracemalloc.start()
             try:
                 assert call(x)
@@ -575,9 +629,10 @@ class TestWavefrontBudget:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20
+        assert convexify(x) == x
 
     def test_far_convexify_refuses_at_once(self):
-        # the result would hold a path of 10^6 + 1 cells: 10^12 bytes of rows
+        # the result would hold a path of 10^6 + 1 cells: 5 * 10^11 pairs
         start = time.perf_counter()
         with pytest.raises(ValueError, match="convex result"):
             convexify(CellSet(2, [(0, 0), (10**6, 0)]))
@@ -638,6 +693,30 @@ class TestConvexify:
         for x in (CellSet(2), CellSet(2, [(0, 0)])):
             with pytest.raises(ValueError, match="bound dimension mismatch"):
                 convexify(x, bound=RatBox((0,), (1,)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        shift=st.sampled_from([0, 2**62, -(2**70)]),
+    )
+    def test_matches_ungated_rounds(self, data, n, shift):
+        """``convexify`` against the same midpoint rounds on the pairs of the
+        ungated scan, on cells of a box 5 wide on axis 0, 3 wide on the
+        next two axes and 2 on the rest, so the results reach the
+        certificate's 64 cells and pass its 5 dimensions."""
+        sides = [5] + [3] * min(n - 1, 2) + [2] * max(n - 3, 0)
+        cells = data.draw(st.sets(st.tuples(*[st.integers(0, e - 1) for e in sides]), min_size=2, max_size=24))
+        x = CellSet(n, {tuple(v + shift for v in c) for c in cells})
+        expected = x
+        while True:
+            arr = expected.indices
+            pairs = np.asarray(_witness_prefix(_compressed(arr), collect=True)).reshape(-1, 2)
+            if not len(pairs):
+                break
+            lo, hi = arr[pairs[:, 0]], arr[pairs[:, 1]]
+            expected = CellSet._from_array(n, np.concatenate((arr, lo + (hi - lo) // 2)), x.resolution)
+        assert convexify(x) == expected
 
     def test_far_cells(self):
         t = 2**62
@@ -769,27 +848,20 @@ class TestReachability:
         seed=st.integers(0, 10**6),
     )
     def test_unreachable_rows_match_fixpoint(self, n, kind, size, shift, seed):
-        # the wavefront that all_pairs_monotone_reachable and the gated
-        # convexity scan share, pair by pair against the dense fixpoint
+        # the failing cells that all_pairs_monotone_reachable and the gated
+        # convexity scan share, row by row against the dense fixpoint
         x = reach_case(n, kind, size, shift, seed)
-        m = len(x.cells)
-        if m < 2:
+        if len(x) < 2:
             return
-        rows = _unreachable(_compressed(x.indices))
-        missing = ~fixpoint_reach(x)                # symmetric: paths reverse
-        got = np.zeros((m, m), dtype=bool)
-        if rows is not None:
-            assert rows.shape == (m, (m + 7) // 8)
-            got = np.unpackbits(rows, axis=1, count=m).view(bool)
-        assert not (got & ~missing).any()           # every marked pair is unreachable
-        assert np.array_equal(np.triu(got), np.triu(missing))  # every pair c < t is in row c
-        assert all_pairs_monotone_reachable(x) == (rows is None) == (not missing.any())
+        fail = failing(_compressed(x.indices))
+        check_failing(x, fail)
+        assert all_pairs_monotone_reachable(x) == (not fail.any())
 
     @pytest.mark.parametrize("kind", ["random", "disconnected", "staircase", "blob", "ball"])
     @pytest.mark.parametrize("seed, shift", [(1, 0), (2, 2**62)])
     def test_unreachable_rows_match_fixpoint_in_4d(self, kind, seed, shift):
         # as test_unreachable_rows_match_fixpoint, on 30 to 170 cells in 4-D,
-        # where the wavefront takes 53 steps in 8 orthants
+        # where the certificate takes 53 steps, and pair by pair
         if kind == "random":
             cells = gen_random_cellset(4, 3, 30, seed).cells
         elif kind == "disconnected":
@@ -799,15 +871,11 @@ class TestReachability:
         else:
             cells = gen_random_convex(4, 3, 0.6, seed, mode=kind).cells
         x = CellSet(4, {tuple(v + shift for v in c) for c in cells})
-        m = len(x)
-        rows = _unreachable(_compressed(x.indices))
-        missing = ~fixpoint_reach(x)
-        got = np.zeros((m, m), dtype=bool)
-        if rows is not None:
-            got = np.unpackbits(rows, axis=1, count=m).view(bool)
-        assert not (got & ~missing).any()
-        assert np.array_equal(np.triu(got), np.triu(missing))
-        assert (rows is None) == (kind in ("staircase", "blob", "ball"))
+        comp = _compressed(x.indices)
+        fail = failing(comp)
+        check_failing(x, fail)
+        assert np.array_equal(fail, _pairwise_failing(comp))
+        assert (not fail.any()) == (kind in ("staircase", "blob", "ball"))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
@@ -817,25 +885,32 @@ class TestReachability:
         shift=st.sampled_from([0, 2**62, -(2**70)]),
     )
     def test_neighbours_match_dict_lookup(self, data, n, isolated, shift):
-        """``_neighbours`` on the compressed cells against a dict of the
-        cells themselves: compression keeps every gap of 1, so c + s is a
-        cell exactly when its compressed row is.  Isolated cells, 2 or more
-        apart from every other cell, have no neighbour at all."""
+        """``_pairwise_failing``, which reads each cell's neighbours from the
+        pair distances, against the test on a dict of the cells themselves
+        over all 3^n - 1 king-move steps: compression keeps every gap of 1,
+        so c + s is a cell exactly when its compressed row is.  Isolated
+        cells, 2 or more apart from every other cell, have no neighbour, so
+        each fails toward the next one."""
         side = st.integers(0, 3)
         box = data.draw(st.sets(st.tuples(*[side] * n), min_size=1, max_size=40))
         lone = {(10 + 7 * j, *[2 * j] * (n - 1)) for j in range(isolated)}
         x = CellSet(n, {tuple(v + shift for v in c) for c in box | lone})
-        m = len(x)
         ordered = [tuple(c) for c in x.indices.tolist()]
-        index = {c: i for i, c in enumerate(ordered)}
-        steps = _steps(n)
-        assert len(steps) == 2 * 3 ** (n - 1) - 1
-        expected = [[index.get(tuple(v + d for v, d in zip(c, s)), m) for c in ordered] for s in steps]
-        got = _neighbours(_compressed(x.indices), steps)
-        assert got.shape == (len(steps), m)
-        assert np.array_equal(got, expected)
-        for c in lone:
-            assert (got[:, index[tuple(v + shift for v in c)]] == m).all()
+        present = set(ordered)
+        steps = [s for s in itertools.product((-1, 0, 1), repeat=n) if any(s)]
+
+        def fails(c):
+            moves = [s for s in steps if tuple(v + d for v, d in zip(c, s)) in present]
+            return any(
+                not any(all(d in (0, (q > p) - (q < p)) for d, p, q in zip(s, c, t)) for s in moves)
+                for t in ordered
+                if t != c and t[0] >= c[0]
+            )
+
+        got = _pairwise_failing(_compressed(x.indices))
+        assert got.tolist() == [fails(c) for c in ordered]
+        for j in range(isolated - 1):
+            assert got[ordered.index(tuple(v + shift for v in (10 + 7 * j, *[2 * j] * (n - 1))))]
 
     def test_memory_is_bounded(self):
         # the dense fixpoint kept (3^n - 1) m x m boolean arrays: ~650 MB here
@@ -855,8 +930,8 @@ CERTIFICATE_CASES += [(large_case, k) for k in ("convex", "far", "random")]
 
 
 class TestCertificate:
-    """The local orthant certificate against the dense fixpoint and the
-    reachability wavefront it stands in for."""
+    """The local orthant certificate, on the summed-area table and pair by
+    pair, against the dense fixpoint and the pairwise criterion."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -865,7 +940,7 @@ class TestCertificate:
         shift=st.sampled_from([0, 2**62, -(2**70)]),
         seed=st.integers(0, 10**6),
     )
-    def test_matches_fixpoint_and_wavefront(self, data, n, shift, seed):
+    def test_matches_fixpoint_and_pairwise(self, data, n, shift, seed):
         # from 4 dimensions reach_case grows to thousands of cells past size
         # 8, and a blob fills its box: too many for the dense fixpoint
         cases = CERTIFICATE_CASES if n <= 3 else [c for c in CERTIFICATE_CASES if c[1] != "blob"]
@@ -875,45 +950,134 @@ class TestCertificate:
         if len(x) < 2:
             return
         comp = _compressed(x.indices)
-        got = _certified(comp)
-        assert got is not None
-        assert got == fixpoint_all_pairs(x) == (_unreachable(comp) is None)
+        table = _certificate_table(comp)
+        assert table is not None
+        got = _certified(comp, table)
+        assert np.array_equal(got, _pairwise_failing(comp))
+        assert (not got.any()) == fixpoint_all_pairs(x)
         if kind in ("disconnected", "far"):
-            assert not got
+            assert got.any()
         if kind in ("staircase", "ball", "convex"):
-            assert got
+            assert not got.any()
+
+    @settings(max_examples=70, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        shift=st.sampled_from([0, 2**62, -(2**70)]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_mask_holds_every_violating_anchor(self, data, n, shift, seed):
+        """In 1 to 7 dimensions, on the summed-area table where it applies
+        and pair by pair everywhere: a failing cell misses a target, and the
+        anchor of every violating pair fails (``check_failing``)."""
+        if n <= 3:
+            make, kind = data.draw(st.sampled_from(CERTIFICATE_CASES))
+            limit = 40 if make is reach_case else 80
+        else:
+            make, kind = large_case, data.draw(st.sampled_from(["convex", "far", "random"]))
+            limit = 40 if n <= 5 else 24
+        x = make(n, kind, data.draw(st.integers(2, limit)), shift, seed)
+        if len(x) < 2:
+            return
+        comp = _compressed(x.indices)
+        for fail in (failing(comp), _pairwise_failing(comp)):
+            check_failing(x, fail)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        shift=st.sampled_from([0, 2**62, -(2**70)]),
+    )
+    def test_open_steps_match_near_boxes(self, data, n, shift):
+        """``_open_steps`` against the near boxes B_tau(c) searched cell by
+        cell, for every king-move step and for a subset of the rows."""
+        side = st.integers(0, 3)
+        cells = data.draw(st.sets(st.tuples(*[side] * n), min_size=1, max_size=30))
+        x = CellSet(n, {tuple(v + shift for v in c) for c in cells})
+        ordered = [tuple(c) for c in x.indices.tolist()]
+        steps = list(itertools.product((-1, 0, 1), repeat=n))
+
+        def holds_another(c, tau):
+            return any(
+                t != c and all(min(p, p + d) <= q <= max(p, p + d) for p, d, q in zip(c, tau, t)) for t in ordered
+            )
+
+        expected = np.array([[holds_another(c, tau) for c in ordered] for tau in steps], dtype=bool)
+        table = _certificate_table(_compressed(x.indices))
+        assert np.array_equal(_open_steps(table, slice(None)), expected)
+        rows = np.flatnonzero(np.arange(len(x)) % 2)
+        assert np.array_equal(_open_steps(table, rows), expected[:, rows])
 
     def test_examples(self):
         # the near box's diagonal corner, and its axis-parallel sub-steps
-        assert _certified(_compressed(np.array([(0, 0), (1, 1), (2, 2)])))
-        assert _certified(_compressed(np.array([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])))
-        assert not _certified(_compressed(np.array([(0, 0), (1, 1), (2, 0)])))
-        assert not _certified(_compressed(np.array([(0, 0), (2, 1)])))
+        for rows, passed in [
+            ([(0, 0), (1, 1), (2, 2)], True),
+            ([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)], True),
+            ([(0, 0), (1, 1), (2, 0)], False),
+            ([(0, 0), (2, 1)], False),
+        ]:
+            comp = _compressed(np.array(rows))
+            for fail in (_certified(comp, _certificate_table(comp)), _pairwise_failing(comp)):
+                assert (not fail.any()) == passed
+        # only (0, 0) fails, toward (2, 0): (1, 1) touches both other cells,
+        # and (2, 0) has no other cell at or past it on axis 0
+        comp = _compressed(np.array([(0, 0), (1, 1), (2, 0)]))
+        for fail in (_certified(comp, _certificate_table(comp)), _pairwise_failing(comp)):
+            assert fail.tolist() == [True, False, False]
 
     def test_not_applied_past_its_dimensions(self, monkeypatch):
-        # a 6-D set, and a diagonal whose table of 1,203^2 entries (three
-        # more per axis than the cells span) passes a lowered grid limit
-        assert _certified(_compressed(np.zeros((2, _CERTIFIED_DIMENSIONS + 1), dtype=np.int64))) is None
+        # a 6-D set, and a diagonal whose table of 1,202^2 entries (two more
+        # per axis than the cells span) passes a lowered grid limit
+        assert _certificate_table(_compressed(np.zeros((2, _CERTIFIED_DIMENSIONS + 1), dtype=np.int64))) is None
         diagonal = _compressed(np.repeat(np.arange(1200)[:, None], 2, axis=1))
-        monkeypatch.setattr(convexity, "_PREFIX_GRID_LIMIT", 1203**2 - 1)
-        assert _certified(diagonal) is None
-        monkeypatch.setattr(convexity, "_PREFIX_GRID_LIMIT", 1203**2)
-        assert _certified(diagonal)
+        monkeypatch.setattr(convexity, "_PREFIX_GRID_LIMIT", 1202**2 - 1)
+        assert _certificate_table(diagonal) is None
+        monkeypatch.setattr(convexity, "_PREFIX_GRID_LIMIT", 1202**2)
+        table = _certificate_table(diagonal)
+        assert table is not None and not _certified(diagonal, table).any()
 
     @pytest.mark.parametrize("n, calls", [(5, 0), (7, 2)])
-    def test_wavefront_only_past_the_dimensions(self, monkeypatch, n, calls):
-        """A 300-cell line along axis 0: up to 5 dimensions the certificate
-        decides it from both entry points, in 7 the wavefront does."""
+    def test_pairwise_only_past_the_dimensions(self, monkeypatch, n, calls):
+        """A 300-cell line along axis 0: up to 5 dimensions the summed-area
+        certificate decides it from both entry points, in 7 the pairwise
+        one does."""
         seen = []
 
         def counted(comp):
             seen.append(len(comp))
-            return _unreachable(comp)
+            return _pairwise_failing(comp)
 
-        monkeypatch.setattr(convexity, "_unreachable", counted)
+        monkeypatch.setattr(convexity, "_pairwise_failing", counted)
         x = CellSet(n, [(i, *[0] * (n - 1)) for i in range(300)])
         assert is_l1_convex(x) and all_pairs_monotone_reachable(x)
         assert seen == [300] * calls
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_line_in_high_dimensions_is_decided(self, n):
+        """The 300-cell line along axis 0 in 12 and 16 dimensions is decided
+        in about 10 ms (1 s allowed), and with its middle cell taken out it
+        is not convex, with the cells either side of the gap as witness."""
+        line = [(i, *[0] * (n - 1)) for i in range(300)]
+        start = time.perf_counter()
+        assert is_l1_convex(CellSet(n, line)) and all_pairs_monotone_reachable(CellSet(n, line))
+        assert time.perf_counter() - start < 1
+        gapped = CellSet(n, line[:150] + line[151:])
+        assert is_l1_convex(gapped).witness == (line[149], line[151])
+        assert not all_pairs_monotone_reachable(gapped)
+
+    def test_pair_in_16_dimensions_is_decided(self):
+        """The two corners (0, ..., 0) and (1, ..., 1) of a 16-D cube touch,
+        so every pair is joined; decided in under a millisecond (0.1 s
+        allowed).  Moved 2 apart on one axis, they are not."""
+        x = CellSet(16, [(0,) * 16, (1,) * 16])
+        start = time.perf_counter()
+        assert all_pairs_monotone_reachable(x) and is_l1_convex(x)
+        assert time.perf_counter() - start < 0.1
+        far = CellSet(16, [(0,) * 16, (2,) + (1,) * 15])
+        assert not all_pairs_monotone_reachable(far)
+        assert is_l1_convex(far).witness == ((0,) * 16, (2,) + (1,) * 15)
 
 
 class TestIndexLevelCounterexamples:
