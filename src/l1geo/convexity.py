@@ -67,7 +67,7 @@ from math import ceil, floor, prod
 import numpy as np
 
 from ._util import MEMO, MISSING
-from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _summed_area
+from .lattice import Cell, CellSet, RatBox, _clip_mask, _corner_indices, _shifted_copies, _summed_area
 
 _PREFIX_GRID_LIMIT = 30_000_000
 # from this many cells the local certificate runs before the witness scans:
@@ -123,7 +123,7 @@ def _compressed(rows: np.ndarray) -> np.ndarray:
 def _king(n: int) -> np.ndarray:
     """The 3^n king-move steps tau as a (3^n, n) array, in row
     sum_i (tau_i + 1) 3^(n - 1 - i); read-only, as every caller shares it."""
-    steps = np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=np.int64).reshape(-1, n)
+    steps = _shifted_copies(np.full((1, n), -1, dtype=np.int64), [2] * n)
     steps.flags.writeable = False
     return steps
 

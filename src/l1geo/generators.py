@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import MEMO, MISSING, RationalLike, as_fraction, derive_seed
 from .convexity import convexify, is_l1_convex
-from .lattice import CellSet, RatBox, _int_dtype
+from .lattice import CellSet, RatBox, _int_dtype, _shifted_copies
 from .pixellation import L1Ball, outer_pixellate
 
 MODES = ("blob", "staircase", "ball")
@@ -95,7 +95,7 @@ def _random_convex(n: int, bound: int, density: float, seed: int, mode: str, lam
     if mode == "staircase" and density > 0:
         weights = [rng.randint(1, 4) for _ in range(n)]
         threshold = round(density * sum(w * (bound - 1) for w in weights))
-        grid = np.indices((bound,) * n).reshape(n, -1).T
+        grid = _shifted_copies(np.zeros((1, n), dtype=np.int64), [bound - 1] * n)
         return CellSet._from_array(n, grid[grid @ np.asarray(weights) <= threshold], lam)
     total = bound**n
     target = max(1, min(total, round(density * total)))

@@ -25,7 +25,9 @@ is read out once as a list, and the row tuples are zipped from the columns
 in C; a BoxUnion's RatBox view makes one Fraction per distinct corner value.
 A CellSet enters the point-set kernels as one box per run of cells along the
 last axis (``_cell_runs``); ``cellset_to_boxunion`` is the one-box-per-cell
-view.
+view.  Every integer grid of a box (refinements, aligned Minkowski sums,
+pixellated boxes, sample grids, king steps, generated staircases) is built
+by ``_shifted_copies``.
 The arrays are int64 when a bound proves it safe and exact big-int (object)
 arrays otherwise, with one code path for both.  Operations that multiply
 cells, and the Hausdorff samples, check the number they would build against
@@ -595,7 +597,10 @@ def clip_cells(x: CellSet, lo: Cell, hi: Cell) -> CellSet:
 
 
 def _shifted_copies(rows: np.ndarray, sides) -> np.ndarray:
-    """Every row plus every integer point of the box [0, sides], as one array."""
+    """Every row plus every integer point of the box [0, sides], as one array:
+    the one builder of the integer grids of a box.  The copies come row by
+    row, each row's in ``itertools.product`` order (the last axis fastest),
+    and are int64 or big-int (object) as the rows are."""
     dims = [s + 1 for s in sides]
     offs = np.indices(dims).reshape(len(dims), prod(dims)).T
     return (rows[:, None, :] + offs).reshape(len(rows) * len(offs), len(dims))
@@ -944,7 +949,7 @@ def _box_samples(starts, lows, highs, step: int, block: int):
     _check_cell_count(total, "sample points")
     starts, lows, highs = starts[:, None], lows[:, None], highs[:, None]
     for first, last, kind in groups:
-        grid = np.array(list(itertools.product(*map(range, kind))), dtype=starts.dtype) * step
+        grid = _shifted_copies(np.zeros((1, n), dtype=starts.dtype), [k - 1 for k in kind]) * step
         per = max(1, block // len(grid))
         for lo in range(first, last, per):
             hi = min(lo + per, last)

@@ -7,12 +7,14 @@ region D(lambda) collects the meeting-but-not-contained cells; on nested
 grids (lambda vs 3*lambda, both anchored at the origin) its volume shrinks by
 the fixed factor (3^n - 1)/3^n.
 
-Supported shapes: taxicab balls and finite unions of rational boxes.
+Supported shapes: taxicab balls and finite unions of rational boxes.  The
+cells of a box union are the integer grids of its boxes' index ranges, built
+by ``lattice._shifted_copies`` like every integer grid of a box, and the cube
+corners of a pixellation are read from its index array.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -28,10 +30,11 @@ from .lattice import (
     _check_cell_count,
     _common_arrays,
     _covered_bricks,
+    _distinct_rows,
     _farthest_sample,
     _fit,
     _int_dtype,
-    cellset_to_boxunion,
+    _shifted_copies,
     point_box_distance,
     union_volume,  # noqa: F401  (benchmarks/tests/test_tracer.py checks this alias)
 )
@@ -151,7 +154,8 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> CellSet:
 
 
 def _boxunion_cells(region: BoxUnion, lam: Fraction) -> CellSet:
-    """Cells whose cube meets some box: per-axis integer index ranges.
+    """Cells whose cube meets some box: per-axis integer index ranges, each
+    box's grid built by ``_shifted_copies``.
 
     A box whose own grid passes ``_CELL_LIMIT`` is refused before any cell
     is built.  The grids are built in batches of at most that many rows, and
@@ -163,37 +167,19 @@ def _boxunion_cells(region: BoxUnion, lam: Fraction) -> CellSet:
     step = lam.numerator * (den // lam.denominator)
     # cube [step*h, step*(h+1)] meets [a, b] iff step*h <= b and step*(h+1) >= a
     starts = [[-(-a // step) - 1 for a in lo] for lo in lows.tolist()]
-    sizes = [[b // step + 1 - h for h, b in zip(hs, hi)] for hs, hi in zip(starts, highs.tolist())]
+    sides = [[b // step - h for h, b in zip(hs, hi)] for hs, hi in zip(starts, highs.tolist())]
     dtype = _int_dtype(max((abs(h) for hs in starts for h in hs), default=0) + _CELL_LIMIT)
-    cells, batch, held = None, [], 0
-    for box in zip(starts, sizes):
-        count = prod(box[1])
+    # the first entry of a batch holds the distinct cells of the batches before
+    batch, held = [np.zeros((0, n), dtype=dtype)], 0
+    for start, side in zip(starts, sides):
+        count = prod(s + 1 for s in side)
         _check_cell_count(count)
         if held + count > _CELL_LIMIT:
-            cells = _with_grids(cells, batch, n, dtype, lam)
-            batch, held = [], 0
-        batch.append(box)
+            batch, held = [_distinct_rows(np.concatenate(batch))], 0
+            _check_cell_count(len(batch[0]))
+        batch.append(_shifted_copies(np.array([start], dtype=dtype), side))
         held += count
-    return _with_grids(cells, batch, n, dtype, lam)
-
-
-def _with_grids(cells: CellSet | None, boxes: list, n: int, dtype, lam: Fraction) -> CellSet:
-    """The cells of ``cells`` and the integer points of the boxes
-    ``start + [0, sizes)``, refused when they pass ``_CELL_LIMIT``."""
-    counts = [prod(sizes) for _, sizes in boxes]
-    # one head per box (start, sizes, number of points before it), repeated
-    # once per point: a point's rank within its box, spelt in the mixed radix
-    # of the sizes, is its offset from the start
-    firsts = itertools.accumulate(counts, initial=0)
-    heads = [[*start, *sizes, first] for (start, sizes), first in zip(boxes, firsts)]
-    cols = np.repeat(np.array(heads, dtype=dtype).T, counts, axis=1)
-    rank = np.arange(cols.shape[1]) - cols[-1]
-    for axis in range(n - 1, 0, -1):
-        cols[axis] += rank % cols[n + axis]
-        rank //= cols[n + axis]
-    cols[0] += rank  # what is left is below the first side (0 when n == 0)
-    rows = cols[:n].T if cells is None else np.concatenate((cells.indices, cols[:n].T))
-    cells = CellSet._from_array(n, rows, lam)
+    cells = CellSet._from_array(n, np.concatenate(batch), lam)
     _check_cell_count(len(cells))
     return cells
 
@@ -238,10 +224,10 @@ def _boundary_region(shape: Shape, lam: Fraction, meets: CellSet) -> CellSet:
     # it, and lies in the cube of a meeting cell h iff h = floor(lower corner
     # / step) on every axis.  OR-ing the uncovered bricks over each run of
     # equal floors leaves one entry per cube: set for the boundary cells.
-    cubes = cellset_to_boxunion(meets)
-    den, ((lows, highs), (cube_lo, cube_hi)) = _common_arrays((shape.region, cubes))
-    breaks = _breakpoints(lows, highs, cube_lo, cube_hi)
+    den, ((lows, highs),) = _common_arrays((shape.region,), lam.denominator)
     step = lam.numerator * (den // lam.denominator)
+    cube_lo = _fit(meets.indices, scale=step, shift=step) * step
+    breaks = _breakpoints(lows, highs, cube_lo, cube_lo + step)
     gaps, named = ~_covered_bricks(breaks, lows, highs), []
     for i, bk in enumerate(breaks):
         owners, runs = np.unique(bk[:-1] // step, return_index=True)
@@ -272,15 +258,15 @@ def pixellation_error_bracket(
     n = pix.dimension
     if n == 0:
         return Fraction(0), Fraction(0)
-    cubes = cellset_to_boxunion(pix)
+    lam = pix.resolution
     if isinstance(shape, L1Ball):
         # the ball is its center, a point box, dilated by its radius
-        denom, _, center, radius = _scaled_ball(shape, pix.resolution, d.denominator)
-        _, ((lows, highs),) = _common_arrays((cubes,), denom)
+        denom, side, center, radius = _scaled_ball(shape, lam, d.denominator)
         mins = maxs = np.array([center], dtype=object)
     else:
-        denom, ((lows, highs), (mins, maxs)) = _common_arrays((cubes, shape.region), d.denominator)
-        radius = 0
+        denom, ((mins, maxs),) = _common_arrays((shape.region,), lcm(d.denominator, lam.denominator))
+        side, radius = lam.numerator * (denom // lam.denominator), 0
+    lows = _fit(pix.indices, scale=side, shift=side) * side
     step = d.numerator * (denom // d.denominator)
-    lower = Fraction(_farthest_sample(lows, lows, highs, step, mins, maxs, radius), denom)
+    lower = Fraction(_farthest_sample(lows, lows, lows + side, step, mins, maxs, radius), denom)
     return lower, lower + Fraction(n, 2) * d

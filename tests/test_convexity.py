@@ -38,6 +38,7 @@ from l1geo.convexity import (
     _certificate_table,
     _certified,
     _compressed,
+    _king,
     _open_steps,
     _pairwise_failing,
     _scan,
@@ -932,6 +933,16 @@ CERTIFICATE_CASES += [(large_case, k) for k in ("convex", "far", "random")]
 class TestCertificate:
     """The local orthant certificate, on the summed-area table and pair by
     pair, against the dense fixpoint and the pairwise criterion."""
+
+    def test_king_steps_in_product_order(self):
+        # the steps come from the shared box grid, in the order of the
+        # itertools.product construction they replace; dimension 0 has the
+        # one empty step
+        for n in range(1, 7):
+            steps = _king(n)
+            assert steps.dtype == np.int64 and not steps.flags.writeable
+            assert steps.tolist() == [list(s) for s in itertools.product((-1, 0, 1), repeat=n)]
+        assert _king(0).shape == (1, 0) and _king(0).dtype == np.int64
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(

@@ -31,6 +31,7 @@ from l1geo import (
     shape_point_distance,
     union_volume,
 )
+from l1geo import lattice, pixellation
 from l1geo.lattice import _box_samples
 
 F = Fraction
@@ -156,14 +157,14 @@ class TestBoxUnionPixellationOracle:
             boxes = []
             for j in range(1 + seed % 3):
                 box = gen_random_box(n, 100 * seed + j, low=-2, high=2, denominator=3)
-                if rng.random() < 0.4:
+                if n and rng.random() < 0.4:
                     k = rng.randrange(n)
                     box = RatBox(box.mins, box.maxs[:k] + box.mins[k:k + 1] + box.maxs[k + 1:])
                 boxes.append(box)
             yield BoxUnion(n, boxes)
 
     @pytest.mark.parametrize("shift", [0, 2**63], ids=["int64", "big-int"])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_brute_force(self, n, shift):
         for region in self.unions(n):
             region = BoxUnion(n, _shifted(region.boxes, shift))
@@ -171,8 +172,29 @@ class TestBoxUnionPixellationOracle:
                 pix = outer_pixellate(BoxUnionShape(region), lam)
                 cells = brute_box_cells(region, lam)
                 assert pix.cells == cells
-                big = max(abs(v) for cell in cells for v in cell) >= 2**62
+                big = max((abs(v) for cell in cells for v in cell), default=0) >= 2**62
                 assert pix.indices.dtype == (object if big else np.int64)
+
+    @pytest.mark.parametrize("shift", [0, 2**63], ids=["int64", "big-int"])
+    def test_overlapping_boxes_over_batches(self, shift, monkeypatch):
+        # three overlapping boxes of 16 cells each, 24 distinct: under a limit
+        # of 30 they are built in three batches, and under 23 the distinct
+        # cells of the last batch are refused
+        boxes = [
+            RatBox((F(1, 2), F(1, 2)), (F(7, 2), F(7, 2))),
+            RatBox((F(3, 2), F(1, 2)), (F(9, 2), F(7, 2))),
+            RatBox((F(1, 2), F(3, 2)), (F(7, 2), F(9, 2))),
+        ]
+        region = BoxUnion(2, _shifted(boxes, shift))
+        for module in (lattice, pixellation):
+            monkeypatch.setattr(module, "_CELL_LIMIT", 30)
+        assert [len(brute_box_cells(BoxUnion(2, [b]), F(1))) for b in region.boxes] == [16] * 3
+        pix = outer_pixellate(BoxUnionShape(region), 1)
+        assert len(pix) == 24 and pix.cells == brute_box_cells(region, F(1))
+        for module in (lattice, pixellation):
+            monkeypatch.setattr(module, "_CELL_LIMIT", 23)
+        with pytest.raises(ValueError, match=r"take 24 cells to build, over 23$"):
+            outer_pixellate(BoxUnionShape(region), 1)
 
 
 UNIT_SQUARE = BoxUnionShape(BoxUnion(2, [RatBox((0, 0), (1, 1))]))
@@ -617,3 +639,38 @@ def test_box_samples_come_in_bounded_blocks(n):
     blocks = list(_box_samples(starts, lows, highs, step, block))
     assert max(map(len, blocks)) <= max(block, *map(len, per_box))
     assert sorted(map(tuple, np.concatenate(blocks).tolist())) == sorted(itertools.chain(*per_box))
+
+
+def product_blocks(starts, lows, highs, step, block):
+    """The blocks of ``_box_samples`` built, as before the shared box grid,
+    from one ``itertools.product`` offset grid per group of boxes with equal
+    sample counts, the groups in the order of their counts, last axis first."""
+    counts = [[1 - (s - h) // step for s, h in zip(sr, hr)] for sr, hr in zip(starts, highs)]
+    order = sorted(range(len(counts)), key=lambda b: counts[b][::-1])
+    for kind, boxes in itertools.groupby(order, key=lambda b: counts[b]):
+        boxes = list(boxes)
+        grid = list(itertools.product(*map(range, kind)))
+        per = max(1, block // len(grid))
+        for first in range(0, len(boxes), per):
+            yield [
+                [min(max(s + k * step, lo), hi) for s, k, lo, hi in zip(starts[b], g, lows[b], highs[b])]
+                for b in boxes[first:first + per]
+                for g in grid
+            ]
+
+
+@pytest.mark.parametrize("shift", [0, 2**62 - 40], ids=["int64", "big-int"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_samples_keep_the_product_order(n, shift):
+    # the offset grids come from the shared box grid: the blocks, point by
+    # point, are those of the itertools.product grids; near 2^62 the corners
+    # are big-int (object) arrays and the samples exact Python ints
+    rng = random.Random(10 + n)
+    lows = [[shift + rng.randint(-30, 30) for _ in range(n)] for _ in range(25)]
+    highs = [[v + rng.randint(0, 9) for v in lo] for lo in lows]
+    starts = [[v - rng.randint(0, 2) for v in lo] for lo in lows]
+    dtype = np.int64 if shift == 0 else object
+    step, block = 2, 12
+    blocks = list(_box_samples(*(np.array(a, dtype=dtype) for a in (starts, lows, highs)), step, block))
+    assert [b.tolist() for b in blocks] == list(product_blocks(starts, lows, highs, step, block))
+    assert all(type(v) is int for b in blocks for v in b.ravel().tolist()) and blocks[0].dtype == dtype
