@@ -7,7 +7,6 @@ import hashlib
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from math import lcm
 
 RationalLike = int | str | Fraction
 
@@ -41,14 +40,6 @@ def as_point(values, dimension: int) -> tuple[Fraction, ...]:
 def frac_str(value: Fraction) -> str:
     """Canonical string for a rational: reduced "p/q", or plain "p" for integers."""
     return str(value)
-
-
-def common_denominator(values) -> int:
-    """lcm of the denominators of an iterable of Fractions (1 for empty input)."""
-    d = 1
-    for v in values:
-        d = lcm(d, v.denominator)
-    return d
 
 
 def derive_seed(*parts) -> int:

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, lcm, prod, sqrt
+from math import comb, prod, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -47,11 +47,12 @@ from .lattice import (
     RatBox,
     SignedPerm,
     _cell_runs,
+    _common_arrays,
     _int_dtype,
+    _moved,
+    _scaled,
     apply_isometry,
     boxunion_intersection,
-    boxunion_minkowski_box,
-    cellset_to_boxunion,
     coordinate_subspaces,
     hyperoctahedral_group,
     minkowski_sum_box,
@@ -230,10 +231,11 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
     of the volume of the union of the cubes of X each widened by the permuted
     sides.  Each distinct permuted side tuple occurs equally often, so one
     union volume per distinct tuple suffices: one for a cube, at most n! in
-    all.  An absent interval (box=None) returns (0, 0) by convention.  The
-    cubes are taken one box per cell: on the kinematic suite's sets (17
-    cells on average) merging them into runs (``_cell_runs``) cost more
-    than the smaller unions saved.
+    all.  X enters as its runs along the last axis (``_cell_runs``), whose
+    widenings cover what its widened cubes do, and the runs and the sides
+    are put on one denominator once: each side order is then an integer
+    addition to the runs' high corners.  An absent interval (box=None)
+    returns (0, 0) by convention.
     """
     if box is None:
         return Fraction(0), Fraction(0)
@@ -243,11 +245,12 @@ def kinematic_principal(x: CellSet, box: RatBox | None) -> tuple[Fraction, Fract
     if n == 0:
         val = Fraction(1) if not x.is_empty else Fraction(0)
         return val, val
-    cubes = cellset_to_boxunion(x)
-    side_orders = sorted(set(permutations(box.side_lengths())))
+    den, ((lows, highs),), sides = _common_arrays((_cell_runs(x),), *box.side_lengths())
+    # a positive denominator keeps the order of the scaled side tuples
+    side_orders = sorted(set(permutations(sides)))
     total = Fraction(0)
-    for sides in side_orders:
-        total += union_volume(boxunion_minkowski_box(cubes, RatBox((0,) * n, sides)))
+    for order in side_orders:
+        total += union_volume(_moved(n, den, lows, highs, [0] * n, order))
     lhs = total / len(side_orders)
     return lhs, principal_kinematic_rhs(x, box)
 
@@ -393,17 +396,12 @@ class _Sampler:
         n = x.dimension
         cells = x.indices
         m = cells.shape[0]
-        lam = x.resolution
-        denom = lcm(
-            lam.denominator,
-            *(v.denominator for v in box.mins),
-            *(v.denominator for v in box.maxs),
-        )
+        denom, (lam_i, *ends) = _scaled(1, x.resolution, *box.mins, *box.maxs)
         self.n = n
         self.bits = bits
         self.scale = denom << bits
-        self.lam_scaled = lam_scaled = int(lam * denom) << bits
-        self.sides = [int((hi - lo) * denom) << bits for lo, hi in zip(box.mins, box.maxs)]
+        self.lam_scaled = lam_scaled = lam_i << bits
+        self.sides = [(hi - lo) << bits for lo, hi in zip(ends[:n], ends[n:])]
 
         coords = []
         self.axis_rows = []

@@ -8,14 +8,16 @@ of CellSets under projections, intersections, and non-aligned translations.
 
 All geometry here is exact: coordinates enter and leave as
 ``fractions.Fraction`` and every operation returns exact rationals.  numpy
-is used only as an integer/bool array engine, never with floats.  A BoxUnion
+is used only as an integer/bool array engine, never with floats, and
+``_scaled`` is the one place a rational becomes an integer.  A BoxUnion
 stores its corners once as integer arrays over one denominator; the
-box-union kernels read and return those arrays (``_common_arrays`` puts
-several unions on one denominator), and Fractions are built only at the API
-edge.  A CellSet likewise stores its cells once, as a sorted integer index
-array, and the cell kernels (projection, refinement, isometries, Minkowski
-sums with aligned boxes, clipping, index-level set algebra) select, gather,
-add and sort on its rows and columns.  Every CellSet the library makes is
+box-union kernels, isometries and box sums read and return those arrays
+(``_common_arrays`` puts unions and rationals on one denominator, and
+``_moved`` adds integers to corners), and Fractions are built only at the
+API edge.  A CellSet likewise stores its cells once, as a sorted integer
+index array, and the cell kernels (projection, refinement, isometries,
+Minkowski sums with aligned boxes, clipping, index-level set algebra)
+select, gather, add and sort on its rows and columns.  Every CellSet the library makes is
 built from such an array by ``CellSet._from_array``, or by
 ``CellSet._from_sorted`` when the rows are already sorted and distinct; the
 validating ``CellSet(n, cells, resolution)`` constructor is for cells given
@@ -203,6 +205,14 @@ def _row_tuples(columns: list, m: int) -> list[tuple]:
     return list(zip(*columns)) if columns else [()] * m
 
 
+def _scaled(den: int, *values) -> tuple[int, list[int]]:
+    """``(d, ints)``: d is the lcm of ``den`` and the denominators of the
+    rationals ``values``, and ``ints`` holds each value as an integer over d.
+    The one place a rational becomes an integer."""
+    d = lcm(den, *(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _corner_mag(lows: np.ndarray, highs: np.ndarray) -> int:
     """The largest size of a corner of the boxes ``[lows[b], highs[b]]``:
     with ``lows <= highs`` it takes one reduction per array."""
@@ -300,9 +310,7 @@ class BoxUnion:
         for b in tup:
             if b.dimension != dimension:
                 raise ValueError("box dimension mismatch")
-        corners = [b.mins + b.maxs for b in tup]
-        den = lcm(*{val.denominator for row in corners for val in row})
-        flat = [val.numerator * (den // val.denominator) for row in corners for val in row]
+        den, flat = _scaled(1, *(val for b in tup for val in b.mins + b.maxs))
         dtype = _int_dtype(max(map(abs, flat), default=0))
         arr = np.asarray(flat, dtype=dtype).reshape(len(tup), 2 * dimension)
         self._store(int(dimension), den, arr[:, :dimension], arr[:, dimension:], tup)
@@ -519,24 +527,23 @@ def cellset_to_boxunion(x: CellSet) -> BoxUnion:
     times the resolution's numerator, over its denominator, computed in int64
     only when no corner can wrap around.  Kernels that read only the point
     set take ``_cell_runs``, which has fewer boxes."""
-    num = x.resolution.numerator
-    rows, mag = _cube_rows(x)
+    den, num, rows, mag = _cube_rows(x)
     lows = rows * num
-    return BoxUnion._from_arrays(x.dimension, x.resolution.denominator, lows, lows + num, mag)
+    return BoxUnion._from_arrays(x.dimension, den, lows, lows + num, mag)
 
 
-def _cube_rows(x: CellSet) -> tuple[np.ndarray, int]:
-    """The indices of X re-typed as ``_fit(x.indices, scale=num, shift=num)``
-    does, for num the resolution's numerator, and the ``_corner_mag`` of the
-    cubes ``num * (index + [0, 1])``, both from one min and one max.  The
-    runs of ``_cell_runs`` have that ``_corner_mag`` too: a run starts at a
-    row that is no larger on any axis than the run's other rows, and ends at
-    one no smaller."""
-    num = x.resolution.numerator
+def _cube_rows(x: CellSet) -> tuple[int, int, np.ndarray, int]:
+    """``(den, num, rows, mag)``: the resolution as num / den, the indices of
+    X re-typed as ``_fit(x.indices, scale=num, shift=num)`` does, and the
+    ``_corner_mag`` of the cubes ``num * (index + [0, 1])``, both from one
+    min and one max.  The runs of ``_cell_runs`` have that ``_corner_mag``
+    too: a run starts at a row that is no larger on any axis than the run's
+    other rows, and ends at one no smaller."""
+    den, (num,) = _scaled(1, x.resolution)
     # an empty array has no corners: its mag is 0
     lo, hi = (int(x.indices.min()), int(x.indices.max())) if x.indices.size else (0, -1)
     rows = x.indices.astype(_int_dtype(max(-lo, hi) * num + num), copy=False)
-    return rows, max(-lo * num, hi * num + num, 0)
+    return den, num, rows, max(-lo * num, hi * num + num, 0)
 
 
 def _cell_runs(x: CellSet) -> BoxUnion:
@@ -544,15 +551,13 @@ def _cell_runs(x: CellSet) -> BoxUnion:
     axis, in sorted cell order, scaled as in ``cellset_to_boxunion``.  The
     rows are sorted and distinct, so a run goes on exactly where a row steps
     from the one before it by (0, ..., 0, 1)."""
-    num = x.resolution.numerator
-    rows, mag = _cube_rows(x)
+    den, num, rows, mag = _cube_rows(x)
     lows = highs = rows
     if len(rows) > 1:  # so dimension >= 1: dimension 0 has one cell at most
         step = rows[1:] - rows[:-1]  # rows below 2^62 in size: no int64 wrap
         step[:, -1] -= 1
         cut = (step != 0).any(axis=1)
         lows, highs = rows[np.concatenate(([True], cut))], rows[np.concatenate((cut, [True]))]
-    den = x.resolution.denominator
     return BoxUnion._from_arrays(x.dimension, den, lows * num, highs * num + num, mag)
 
 
@@ -663,14 +668,16 @@ def apply_isometry(x: CellSet | BoxUnion, g: SignedPerm, translation=None) -> Ce
     q = as_point(translation, n) if translation is not None else (Fraction(0),) * n
     if isinstance(x, CellSet):
         lam = x.resolution
-        shifts = [qi / lam for qi in q]
-        if all(s.denominator == 1 for s in shifts):
-            t = [int(s) for s in shifts]
+        one, t = _scaled(1, *(qi / lam for qi in q))
+        if one == 1:
             rows = g.apply_rows(_fit(x.indices, shift=1 + max(map(abs, t), default=0)))
             return CellSet._from_array(n, rows + np.asarray(t, dtype=rows.dtype), lam)
         x = cellset_to_boxunion(x)
-    boxes = [g.apply_box(b).translate(q) for b in x.boxes]
-    return BoxUnion(n, boxes)
+    den, ((lows, highs),), t = _common_arrays((x,), *q)
+    perm, flip = list(g.perm), np.less(g.signs, 0)
+    lows, highs = lows[:, perm], highs[:, perm]
+    # a reflected axis swaps the box's ends: [a, b] goes to [-b, -a]
+    return _moved(n, den, np.where(flip, -highs, lows), np.where(flip, -lows, highs), t, t)
 
 
 def box_minkowski(a: RatBox, b: RatBox) -> RatBox:
@@ -695,11 +702,10 @@ def minkowski_sum_box(x: CellSet | BoxUnion, box: RatBox) -> CellSet | BoxUnion:
         raise ValueError("dimension mismatch")
     if isinstance(x, CellSet):
         lam = x.resolution
-        lo = [v / lam for v in box.mins]
-        hi = [v / lam for v in box.maxs]
-        if all(v.denominator == 1 for v in lo + hi):
-            t = [int(v) for v in lo]
-            m = [int(b) - int(a) for a, b in zip(lo, hi)]
+        one, ends = _scaled(1, *(v / lam for v in box.mins + box.maxs))
+        if one == 1:
+            t = ends[:n]
+            m = [b - a for a, b in zip(t, ends[n:])]
             _check_cell_count(len(x) * prod(w + 1 for w in m))
             rows = _fit(x.indices, shift=max((abs(a) + w for a, w in zip(t, m)), default=0))
             rows = rows + np.asarray(t, dtype=rows.dtype)
@@ -844,15 +850,19 @@ def box_intersection(a: RatBox, b: RatBox) -> RatBox | None:
     return None if any(lo > hi for lo, hi in zip(mins, maxs)) else _raw_box(mins, maxs)
 
 
-def _common_arrays(unions, den: int = 1):
-    """The corner arrays of box unions on one common denominator.
+def _common_arrays(unions, *values):
+    """The corner arrays of box unions, and some rationals, on one common
+    denominator.
 
-    Returns ``(den, [(lows, highs), ...])`` with one pair per union; ``den``
-    is the lcm of the given ``den`` and the unions' own, so callers can fold
-    in one of their own.  A pair is re-typed by ``_int_dtype`` before the
+    Returns ``(den, [(lows, highs), ...], ints)``: ``den`` is the lcm of the
+    unions' and the values' denominators, with one pair per union and each
+    of ``values`` as an integer over ``den`` (``_scaled``, skipped when there
+    are none).  A pair is re-typed by ``_int_dtype`` before the
     multiplication, so no scaled corner wraps.
     """
-    den = lcm(den, *(u.den for u in unions))
+    den, ints = lcm(*(u.den for u in unions)), []
+    if values:
+        den, ints = _scaled(den, *values)
     out = []
     for u in unions:
         lows, highs = u.lows, u.highs
@@ -862,7 +872,19 @@ def _common_arrays(unions, den: int = 1):
             lows, highs = lows.astype(dtype, copy=False), highs.astype(dtype, copy=False)
             lows, highs = lows * factor, highs * factor
         out.append((lows, highs))
-    return den, out
+    return den, out, ints
+
+
+def _moved(n: int, den: int, lows: np.ndarray, highs: np.ndarray, low_add, high_add) -> BoxUnion:
+    """The union of the boxes ``[lows[b] + low_add, highs[b] + high_add]``
+    over ``den``, for integer vectors ``low_add`` and ``high_add`` that keep
+    every box nonempty: the sums are taken in int64 when the corners and the
+    largest addend leave room, as big ints otherwise."""
+    add = max(map(abs, [*low_add, *high_add]), default=0)
+    dtype = _int_dtype(_corner_mag(lows, highs) + add)
+    lows, highs = lows.astype(dtype, copy=False), highs.astype(dtype, copy=False)
+    low_add, high_add = np.asarray(low_add, dtype=dtype), np.asarray(high_add, dtype=dtype)
+    return BoxUnion._from_arrays(n, den, lows + low_add, highs + high_add)
 
 
 def boxunion_intersection(u: BoxUnion, v: BoxUnion) -> BoxUnion:
@@ -872,7 +894,7 @@ def boxunion_intersection(u: BoxUnion, v: BoxUnion) -> BoxUnion:
     n = u.dimension
     if n == 0:
         return BoxUnion(0, [RatBox((), ())] if not (u.is_empty or v.is_empty) else [])
-    den, ((umin, umax), (vmin, vmax)) = _common_arrays((u, v))
+    den, ((umin, umax), (vmin, vmax)), _ = _common_arrays((u, v))
     lo = np.maximum(umin[:, None, :], vmin[None, :, :])
     hi = np.minimum(umax[:, None, :], vmax[None, :, :])
     keep = (lo <= hi).all(axis=2)
@@ -881,11 +903,11 @@ def boxunion_intersection(u: BoxUnion, v: BoxUnion) -> BoxUnion:
 
 def boxunion_minkowski_box(u: BoxUnion, box: RatBox) -> BoxUnion:
     """Minkowski sum of every box of U with an interval box."""
-    den, ((lows, highs), (box_lo, box_hi)) = _common_arrays(
-        (u, BoxUnion(u.dimension, [box]))
-    )
-    # corners below 2^62 in size add up to less than 2^63: no int64 wraparound
-    return BoxUnion._from_arrays(u.dimension, den, lows + box_lo, highs + box_hi)
+    n = u.dimension
+    if box.dimension != n:
+        raise ValueError("box dimension mismatch")
+    den, ((lows, highs),), ends = _common_arrays((u,), *box.mins, *box.maxs)
+    return _moved(n, den, lows, highs, ends[:n], ends[n:])
 
 
 def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
@@ -902,7 +924,7 @@ def boxunion_equal_pointsets(u: BoxUnion, v: BoxUnion) -> bool:
     if u.is_empty or v.is_empty:
         return u.is_empty and v.is_empty
     # corners below 2^62 in size double to less than 2^63: no int64 wraparound
-    _, ((umin, umax), (vmin, vmax)) = _common_arrays((u, v))
+    _, ((umin, umax), (vmin, vmax)), _ = _common_arrays((u, v))
     img_u, img_v = (2 * umin, 2 * umax + 1), (2 * vmin, 2 * vmax + 1)
     breaks = _breakpoints(*img_u, *img_v)
     return bool(np.array_equal(_covered_bricks(breaks, *img_u), _covered_bricks(breaks, *img_v)))
@@ -1009,8 +1031,7 @@ def hausdorff_distance(u: BoxUnion, v: BoxUnion, delta: RationalLike) -> tuple[F
     if n == 0:
         return Fraction(0), Fraction(0)
 
-    denom, ((mu, xu), (mv, xv)) = _common_arrays((u, v), d.denominator)
-    step = d.numerator * (denom // d.denominator)
+    denom, ((mu, xu), (mv, xv)), (step,) = _common_arrays((u, v), d)
     # the starts lie on the delta-grid, less than one step below the lows
     su, sv = (a - a % step for a in (_fit(mu, shift=step), _fit(mv, shift=step)))
     lower_scaled = max(

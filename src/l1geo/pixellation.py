@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 import numpy as np
 
-from ._util import RationalLike, as_fraction, as_point, common_denominator
+from ._util import RationalLike, as_fraction, as_point
 from .lattice import (
     _CELL_LIMIT,
     BoxUnion,
@@ -34,6 +34,7 @@ from .lattice import (
     _farthest_sample,
     _fit,
     _int_dtype,
+    _scaled,
     _shifted_copies,
     point_box_distance,
     union_volume,  # noqa: F401  (benchmarks/tests/test_tracer.py checks this alias)
@@ -95,15 +96,6 @@ def shape_point_distance(shape: Shape, point) -> Fraction:
     return min(point_box_distance(pt, b) for b in shape.region.boxes)
 
 
-def _scaled_ball(ball: L1Ball, lam: Fraction, den: int = 1) -> tuple[int, int, list[int], int]:
-    """``(d, lam, center, radius)`` as integers over the common denominator
-    d of ``den``, the resolution and the ball."""
-    d = lcm(den, lam.denominator, common_denominator(ball.center), ball.radius.denominator)
-    values = (lam, *ball.center, ball.radius)
-    lam_i, *center, radius = (v.numerator * (d // v.denominator) for v in values)
-    return d, lam_i, center, radius
-
-
 def _ball_cells(ball: L1Ball, lam: Fraction) -> CellSet:
     """Cells whose cube is within taxicab distance radius of the center.
 
@@ -117,7 +109,7 @@ def _ball_cells(ball: L1Ball, lam: Fraction) -> CellSet:
     the index array is built from the runs only when all of them pass.
     """
     n = ball.dimension
-    _, lam_i, center_i, radius_i = _scaled_ball(ball, lam)
+    _, (lam_i, *center_i, radius_i) = _scaled(1, lam, *ball.center, ball.radius)
     _check_cell_count(-(-((2 * radius_i) ** n) // (factorial(n) * lam_i**n)))
     if n == 0:
         return CellSet._from_array(0, np.zeros((1, 0), dtype=np.int64), lam)
@@ -163,8 +155,7 @@ def _boxunion_cells(region: BoxUnion, lam: Fraction) -> CellSet:
     about twice the limit is held at once.
     """
     n = region.dimension
-    den, ((lows, highs),) = _common_arrays((region,), lam.denominator)
-    step = lam.numerator * (den // lam.denominator)
+    den, ((lows, highs),), (step,) = _common_arrays((region,), lam)
     # cube [step*h, step*(h+1)] meets [a, b] iff step*h <= b and step*(h+1) >= a
     starts = [[-(-a // step) - 1 for a in lo] for lo in lows.tolist()]
     sides = [[b // step - h for h, b in zip(hs, hi)] for hs, hi in zip(starts, highs.tolist())]
@@ -213,7 +204,7 @@ def _boundary_region(shape: Shape, lam: Fraction, meets: CellSet) -> CellSet:
     if isinstance(shape, L1Ball):
         # a cube lies in the ball iff its farthest corner does: per axis the
         # distance to the center is largest at one of the two corner values
-        _, step, center, radius = _scaled_ball(shape, lam)
+        _, (step, *center, radius) = _scaled(1, lam, *shape.center, shape.radius)
         reach = max(map(abs, center), default=0)
         rows = _fit(meets.indices, scale=n * step, shift=n * (step + reach))
         lows = rows * step - np.asarray(center, dtype=rows.dtype)
@@ -224,8 +215,7 @@ def _boundary_region(shape: Shape, lam: Fraction, meets: CellSet) -> CellSet:
     # it, and lies in the cube of a meeting cell h iff h = floor(lower corner
     # / step) on every axis.  OR-ing the uncovered bricks over each run of
     # equal floors leaves one entry per cube: set for the boundary cells.
-    den, ((lows, highs),) = _common_arrays((shape.region,), lam.denominator)
-    step = lam.numerator * (den // lam.denominator)
+    den, ((lows, highs),), (step,) = _common_arrays((shape.region,), lam)
     cube_lo = _fit(meets.indices, scale=step, shift=step) * step
     breaks = _breakpoints(lows, highs, cube_lo, cube_lo + step)
     gaps, named = ~_covered_bricks(breaks, lows, highs), []
@@ -261,12 +251,11 @@ def pixellation_error_bracket(
     lam = pix.resolution
     if isinstance(shape, L1Ball):
         # the ball is its center, a point box, dilated by its radius
-        denom, side, center, radius = _scaled_ball(shape, lam, d.denominator)
+        denom, (side, step, *center, radius) = _scaled(1, lam, d, *shape.center, shape.radius)
         mins = maxs = np.array([center], dtype=object)
     else:
-        denom, ((mins, maxs),) = _common_arrays((shape.region,), lcm(d.denominator, lam.denominator))
-        side, radius = lam.numerator * (denom // lam.denominator), 0
+        denom, ((mins, maxs),), (side, step) = _common_arrays((shape.region,), lam, d)
+        radius = 0
     lows = _fit(pix.indices, scale=side, shift=side) * side
-    step = d.numerator * (denom // d.denominator)
     lower = Fraction(_farthest_sample(lows, lows, lows + side, step, mins, maxs, radius), denom)
     return lower, lower + Fraction(n, 2) * d

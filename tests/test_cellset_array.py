@@ -55,7 +55,6 @@ from l1geo import (
 )
 from l1geo import lattice, pixellation
 from l1geo.lattice import _cell_runs, _distinct_rows
-from l1geo.pixellation import _scaled_ball
 
 BIG = 2**62
 RESOLUTIONS = (F(1), F(1, 2), F(3))
@@ -130,12 +129,12 @@ def runs_oracle(cells, lam):
 
 
 def ball_boundary_oracle(ball, lam):
-    meets = outer_pixellate(ball, lam)
-    _, step, center, radius = _scaled_ball(ball, lam)
+    """The meeting cells whose farthest cube corner lies outside the ball,
+    in Fractions."""
     cells = set()
-    for cell in meets.cells:
-        far = sum(max(abs(step * h - c), abs(step * (h + 1) - c)) for h, c in zip(cell, center))
-        if far > radius:
+    for cell in outer_pixellate(ball, lam).cells:
+        far = sum(max(abs(lam * h - c), abs(lam * (h + 1) - c)) for h, c in zip(cell, ball.center))
+        if far > ball.radius:
             cells.add(cell)
     return cells
 

@@ -6,7 +6,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 import numpy as np
@@ -36,6 +36,7 @@ from l1geo import (
     gen_random_box,
     hausdorff_distance,
     hyperoctahedral_group,
+    kinematic_principal,
     minkowski_sum_box,
     point_box_distance,
     print_set,
@@ -763,3 +764,115 @@ class TestMetrics:
             hausdorff_distance(u, BoxUnion(1), F(1, 2))
         with pytest.raises(ValueError):
             hausdorff_distance(u, u, 0)
+
+
+# ---------------------------------------------------------------------------
+# corner-array moves against their Fraction routes
+
+# offsets on both sides of the int64 bound 2^62
+_FAR = (0, 2**61, -(2**61), 2**62, -(2**62), 2**70, -(2**70))
+
+
+@st.composite
+def _far_rationals(draw, count):
+    """``count`` rationals near one far offset, over one denominator 1-3."""
+    base, den = draw(st.sampled_from(_FAR)), draw(st.integers(1, 3))
+    return [base + F(draw(st.integers(-4, 4)), den) for _ in range(count)]
+
+
+@st.composite
+def _far_boxes(draw, n, max_count):
+    """Up to ``max_count`` boxes, flat ones included, near one far offset."""
+    boxes = []
+    for _ in range(draw(st.integers(0, max_count))):
+        lows = draw(_far_rationals(n))
+        sides = [F(draw(st.integers(0, 3)), draw(st.integers(1, 3))) for _ in range(n)]
+        boxes.append(RatBox(lows, [a + w for a, w in zip(lows, sides)]))
+    return boxes
+
+
+@st.composite
+def _far_cellsets(draw, n, max_count):
+    base = draw(st.sampled_from(_FAR))
+    cells = draw(st.sets(st.tuples(*[st.integers(-3, 3)] * n), max_size=max_count))
+    lam = draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+    return CellSet(n, [[base + v for v in c] for c in cells], lam)
+
+
+def _assert_stored(u):
+    """The corner arrays of U hold its boxes over ``den``, int64 exactly
+    when every corner is below 2^62 in size."""
+    lows = [[v * u.den for v in b.mins] for b in u.boxes]
+    highs = [[v * u.den for v in b.maxs] for b in u.boxes]
+    assert u.lows.tolist() == lows and u.highs.tolist() == highs
+    small = all(abs(v) < 2**62 for row in lows + highs for v in row)
+    assert (u.lows.dtype == np.int64) is small and (u.highs.dtype == np.int64) is small
+
+
+class TestCornerArrayMoves:
+    """Isometries, box sums and the principal kinematic integral add
+    integers to corner arrays; the per-box Fraction routes are the oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(0, 3))
+    def test_isometry_of_box_union(self, data, n):
+        u = BoxUnion(n, data.draw(_far_boxes(n, 3)))
+        g = data.draw(st.sampled_from(hyperoctahedral_group(n)))
+        q = data.draw(_far_rationals(n))
+        moved = apply_isometry(u, g, q)
+        assert moved == BoxUnion(n, [g.apply_box(b).translate(q) for b in u.boxes])
+        _assert_stored(moved)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_unaligned_isometry_of_cell_set(self, data, n):
+        x = data.draw(_far_cellsets(n, 4))
+        g = data.draw(st.sampled_from(hyperoctahedral_group(n)))
+        q = data.draw(_far_rationals(n))
+        if all((v / x.resolution).denominator == 1 for v in q):
+            q[0] += x.resolution / 2  # off the grid on the first axis
+        moved = apply_isometry(x, g, q)
+        cubes = cellset_to_boxunion(x).boxes
+        assert moved == BoxUnion(n, [g.apply_box(b).translate(q) for b in cubes])
+        _assert_stored(moved)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(0, 3))
+    def test_box_union_plus_box(self, data, n):
+        u = BoxUnion(n, data.draw(_far_boxes(n, 3)))
+        (box,) = data.draw(_far_boxes(n, 1).filter(len))
+        total = boxunion_minkowski_box(u, box)
+        assert total == BoxUnion(n, [box_minkowski(b, box) for b in u.boxes])
+        _assert_stored(total)
+        x = data.draw(_far_cellsets(n, 4))
+        summed = minkowski_sum_box(x, box)
+        cubes = cellset_to_boxunion(x)
+        if isinstance(summed, CellSet):
+            summed = cellset_to_boxunion(summed)
+            assert boxunion_equal_pointsets(summed, boxunion_minkowski_box(cubes, box))
+        else:
+            assert summed == BoxUnion(n, [box_minkowski(b, box) for b in cubes.boxes])
+            _assert_stored(summed)
+
+    def test_box_dimension_mismatch(self):
+        u = BoxUnion(2, [RatBox((0, 0), (1, 1))])
+        for box in (RatBox((0,), (1,)), RatBox((0, 0, 0), (1, 1, 1))):
+            with pytest.raises(ValueError, match="box dimension mismatch"):
+                boxunion_minkowski_box(u, box)
+        with pytest.raises(ValueError, match="box dimension mismatch"):
+            boxunion_minkowski_box(BoxUnion(2), RatBox((), ()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_kinematic_principal(self, data, n):
+        x = data.draw(_far_cellsets(n, 6 if n < 4 else 3))
+        (box,) = data.draw(_far_boxes(n, 1).filter(len))
+        # the former route: one box per cell, widened by every side order
+        cubes = cellset_to_boxunion(x).boxes
+        orders = set(permutations(box.side_lengths()))
+        widened = (
+            BoxUnion(n, [box_minkowski(b, RatBox((0,) * n, sides)) for b in cubes])
+            for sides in orders
+        )
+        mean = sum(map(union_volume, widened)) / len(orders)
+        assert kinematic_principal(x, box)[0] == mean
